@@ -2,9 +2,8 @@
 
 from .baselines import (OracleSender, SconeFeedback, SconeSender,
                         oracle_rate, scone_target_rate)
-from .capacity import (FlowCapacity, WindowStats, alloc_bw, flow_capacity,
-                       initial_prb_share, per_prb_rate, retx_rate,
-                       update_prb_share)
+from .capacity import (alloc_bw, flow_capacity, initial_prb_share,
+                       per_prb_rate, retx_rate, update_prb_share)
 from .codec import GuidanceFeedback, decode_rate, encode_rate
 from .harness import (Scenario, ScenarioError, load_scenario, run_scenario,
                       scenario_from_dict, sweep_scenario)
@@ -22,23 +21,22 @@ from .sender import (ChoirSender, SenderState, VideoFrame, pacing_rate,
 from .tdd import TddPattern
 from .traces import (CapacitySchedule, TraceError, constant_trace, load_trace,
                      random_walk_trace, square_trace, step_trace)
-from .world import CONTROLLERS, FlowConfig, SimWorld, advance_tti
+from .world import CONTROLLERS, FlowConfig, SimWorld
 
 __all__ = [
     "CONTROLLERS", "CapacitySchedule", "ChoirSender", "FailureScript",
-    "FlowCapacity", "FlowConfig", "FlowMetrics", "FlowPredictor",
-    "FlowQueueState", "GuidanceFeedback", "OracleSender", "Packet",
-    "RanConfig", "RunMetrics", "Scenario", "ScenarioError", "SconeFeedback",
-    "SconeSender", "SenderState", "SimWorld", "TddPattern", "TraceError",
-    "TransportBlock", "VideoFrame", "WindowStats", "advance_tti", "alloc_bw",
-    "compute_metrics", "constant_trace", "decision_horizon", "decode_rate",
-    "detect_frame_boundary", "encode_rate", "flow_capacity", "frame_delay",
-    "guidance_bw", "history_window", "inflight_frame_count",
+    "FlowConfig", "FlowMetrics", "FlowPredictor", "FlowQueueState",
+    "GuidanceFeedback", "OracleSender", "Packet", "RanConfig", "RunMetrics",
+    "Scenario", "ScenarioError", "SconeFeedback", "SconeSender", "SenderState",
+    "SimWorld", "TddPattern", "TraceError", "TransportBlock", "VideoFrame",
+    "alloc_bw", "compute_metrics", "constant_trace", "decision_horizon",
+    "decode_rate", "detect_frame_boundary", "encode_rate", "flow_capacity",
+    "frame_delay", "guidance_bw", "history_window", "inflight_frame_count",
     "initial_prb_share", "jain_index", "load_scenario", "load_trace",
-    "mean_alloc_bw", "min_rlc_queue", "nearest_rank_percentile",
-    "oracle_rate", "pacing_rate", "per_prb_rate", "predict_queue",
-    "random_walk_trace", "retx_rate", "run_scenario", "sample_rlc_queue",
-    "scenario_from_dict", "schedule_prbs", "scone_target_rate", "square_trace",
-    "step_trace", "sweep_scenario", "target_bitrate",
-    "update_error_correction", "update_frame_interval", "update_prb_share",
+    "mean_alloc_bw", "min_rlc_queue", "nearest_rank_percentile", "oracle_rate",
+    "pacing_rate", "per_prb_rate", "predict_queue", "random_walk_trace",
+    "retx_rate", "run_scenario", "sample_rlc_queue", "scenario_from_dict",
+    "schedule_prbs", "scone_target_rate", "square_trace", "step_trace",
+    "sweep_scenario", "target_bitrate", "update_error_correction",
+    "update_frame_interval", "update_prb_share",
 ]

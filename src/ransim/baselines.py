@@ -15,18 +15,15 @@ class SconeFeedback:
 
     capacity: float                      # bytes/ms
     queue_len: float                     # bytes
-    drain_time: float = SCONE_DRAIN_TIME_MS
 
     def __post_init__(self):
-        if self.drain_time <= 0:
-            raise ValueError("drain_time must be positive")
         if self.capacity < 0 or self.queue_len < 0:
             raise ValueError("capacity and queue_len must be nonnegative")
 
 
 def scone_target_rate(fb: SconeFeedback) -> float:
     """Capacity minus the rate needed to drain the queue, floored at zero."""
-    return max(0.0, fb.capacity - fb.queue_len / fb.drain_time)
+    return max(0.0, fb.capacity - fb.queue_len / SCONE_DRAIN_TIME_MS)
 
 
 def oracle_rate(true_capacity: float) -> float:

@@ -8,7 +8,6 @@ discounted by payload overhead and the short-window retransmission rate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 GAMMA_DEFAULT = 0.97  # payload fraction assumed before any block is observed
 
@@ -18,33 +17,6 @@ SHORT_WINDOW_MS = 10.0   # retransmission and payload-fraction horizon
 
 class EstimatorError(ValueError):
     """Raised when an estimator input breaks a precondition."""
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """Snapshot of the sliding counters the estimator consumes."""
-
-    tn: int                 # TTIs elapsed in the long window
-    dn: float               # downlink TTIs available for user data in the
-                            # long window (special slots weigh 0.5)
-    hn: int                 # retransmission TTIs in the short window
-    dn_short: int           # TTIs that actually carried data, short window
-    prb_used: int           # PRBs granted cell-wide in the last downlink TTI
-    gamma: float            # mean payload fraction over recent blocks
-    n_active: int           # flows with queued data at the last downlink TTI
-    n_total: int            # registered flows, active or idle
-
-
-@dataclass(frozen=True)
-class FlowCapacity:
-    """Estimator output for one flow and one TTI."""
-
-    prb_share: float        # PRBs the flow can use next TTI (real-valued)
-    per_prb_rate: float     # bytes/ms per PRB, duty-cycle corrected
-    capacity: float         # bytes/ms physical ceiling
-    retx: float             # retransmission rate over the short window
-    gamma: float
-    alloc_bw: float         # bytes/ms usable at the transport layer
 
 
 def initial_prb_share(prb_total: float, n_active: int) -> float:
@@ -105,15 +77,14 @@ def alloc_bw(capacity: float, gamma: float, retx: float) -> float:
 
 
 class CellWindows:
-    """Cell-wide sliding TTI counters feeding WindowStats snapshots.
+    """Cell-wide sliding TTI counters read by every flow's estimator.
 
     Single writer: the TTI loop calls ``close_tti`` exactly once per TTI
-    after transmissions are processed, so snapshots taken at the start of a
+    after transmissions are processed, so estimates made at the start of a
     TTI only ever see fully simulated TTIs.
     """
 
     def __init__(self, tti_ms: float):
-        self.tti_ms = tti_ms
         self._long_n = max(1, int(round(LONG_WINDOW_MS / tti_ms)))
         self._short_n = max(1, int(round(SHORT_WINDOW_MS / tti_ms)))
         self._long: deque[float] = deque()
@@ -121,8 +92,6 @@ class CellWindows:
         self._short: deque[tuple[int, int]] = deque()
         self._short_data = 0
         self._short_retx = 0
-        self.prb_used_last = 0
-        self.n_active_last = 0
         # short-window means of scheduler usage; instantaneous snapshots
         # over-credit bursty flows through the max() in the share update
         self._usage: deque[tuple[int, int]] = deque()
@@ -155,8 +124,6 @@ class CellWindows:
         if downlink_capable:
             # share updates key off TTIs in which the scheduler actually
             # ran; uplink slots carry no grants
-            self.prb_used_last = prb_used
-            self.n_active_last = n_active
             self._usage.append((prb_used, n_active))
             self._usage_prb += prb_used
             self._usage_active += n_active
@@ -201,7 +168,6 @@ class FlowEstimator:
         self.cell = cell
         self.prb_total = prb_total
         self.tti_ms = tti_ms
-        self.uprb_last = 0
         self._uprb: deque[int] = deque()
         self._uprb_sum = 0
         self._uprb_n = max(1, int(round(SHORT_WINDOW_MS / tti_ms)))
@@ -218,7 +184,6 @@ class FlowEstimator:
 
     def note_grant(self, uprb: int) -> None:
         """Record this flow's granted-and-used PRBs for one downlink TTI."""
-        self.uprb_last = uprb
         self._uprb.append(uprb)
         self._uprb_sum += uprb
         if len(self._uprb) > self._uprb_n:
@@ -245,8 +210,9 @@ class FlowEstimator:
         while self._gamma and self._gamma[0][0] <= cutoff:
             self._gamma_sum -= self._gamma.popleft()[1]
 
-    def compute(self, now: float, n_total: int) -> FlowCapacity:
-        """Estimate the flow's next-TTI bandwidth from current windows."""
+    def compute(self, now: float, n_total: int) -> float:
+        """Allocated bandwidth for the next TTI, bytes/ms, from current
+        windows."""
         cell = self.cell
         self._expire(now)
         n_active = max(1, round(cell.n_active_mean))
@@ -263,8 +229,7 @@ class FlowEstimator:
             self._bpp_held = self._density_bytes / self._density_prbs
         bpp = self._bpp_held
         if cell.tn == 0 or bpp <= 0.0:
-            return FlowCapacity(self.prb_share, 0.0, 0.0, self._retx_held,
-                                self.gamma_mean(), 0.0)
+            return 0.0
         # TBS reconstructed at the current share from the measured per-PRB
         # payload density; a partially used grant would otherwise bias the
         # physical rate low.
@@ -273,19 +238,9 @@ class FlowEstimator:
         cap = flow_capacity(self.prb_share, rate)
         if cell.dn_short > 0:
             self._retx_held = retx_rate(cell.hn, cell.dn_short)
-        gamma = self.gamma_mean()
-        bw = alloc_bw(cap, gamma, self._retx_held)
-        return FlowCapacity(self.prb_share, rate, cap, self._retx_held,
-                            gamma, bw)
+        return alloc_bw(cap, self.gamma_mean(), self._retx_held)
 
     def gamma_mean(self) -> float:
         if not self._gamma:
             return GAMMA_DEFAULT
         return self._gamma_sum / len(self._gamma)
-
-    def snapshot(self, n_total: int) -> WindowStats:
-        cell = self.cell
-        return WindowStats(
-            tn=cell.tn, dn=cell.dn, hn=cell.hn, dn_short=cell.dn_short,
-            prb_used=cell.prb_used_last, gamma=self.gamma_mean(),
-            n_active=cell.n_active_last, n_total=n_total)

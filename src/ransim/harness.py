@@ -24,7 +24,7 @@ their parameters). An explicit ``trace_path`` CSV overrides ``ran.trace``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import traces
@@ -239,23 +239,10 @@ def sweep_scenario(scn: Scenario, key: str, values: list[float],
     """Re-run the scenario once per value, applying the key to every flow."""
     results: dict[float, RunMetrics] = {}
     for value in values:
-        flows = []
-        for f in scn.flows:
-            kwargs = dict(
-                flow_id=f.flow_id, controller=f.controller,
-                wired_nd_ms=f.wired_nd_ms, ack_per_frames=f.ack_per_frames,
-                epsilon=f.epsilon, encoder_mode=f.encoder_mode,
-                start_s=f.start_s, stop_s=f.stop_s,
-                initial_bitrate_bps=f.initial_bitrate_bps)
-            if key in ("ack_per_frames", "epsilon"):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = value
-            flows.append(FlowConfig(**kwargs))
-        sub = Scenario(ran=scn.ran, flows=flows, duration_s=scn.duration_s,
-                       seed=scn.seed, warmup_ms=scn.warmup_ms,
-                       log_level=scn.log_level,
-                       name=f"{scn.name}_{key}={value:g}")
+        typed = int(value) if key in ("ack_per_frames", "epsilon") else value
+        sub = replace(scn, flows=[replace(f, **{key: typed})
+                                  for f in scn.flows],
+                      name=f"{scn.name}_{key}={value:g}")
         sub_out = None
         if out_dir is not None:
             sub_out = Path(out_dir) / f"{key}={value:g}"

@@ -126,8 +126,6 @@ def guidance_bw(mean_bw: float, drain_rate: float, eta: float = ETA_DEFAULT
 class FramePatternState:
     """Frame cadence learned from enqueue timestamps."""
 
-    gap_threshold: float = GAP_THRESHOLD_MS
-    alpha: float = FI_ALPHA
     fi_est: float | None = None
     last_pkt_ts: float | None = None
     frame_head_ts: float | None = None
@@ -182,36 +180,22 @@ class FeedbackHistory:
 
 @dataclass(frozen=True)
 class QueuePrediction:
-    """Full per-TTI prediction record, kept for logging and tests."""
+    """Per-TTI prediction as read by ACK stamping and the event log."""
 
-    now: float
     fi: float
-    n_tti: int
     mean_bw: float
-    fnum: int
-    t_horizon: float
-    lower_t: float
-    upper_t: float
-    rlc_q_min: float
     pred_q: float
-    drain_rate: float
     guidance: float
-    eta: float
     warm_up: bool
 
 
 class FlowPredictor:
     """Per-flow prediction state machine driven by the TTI loop."""
 
-    def __init__(self, tti_ms: float, wired_nd: float,
-                 eta: float = ETA_DEFAULT,
-                 gap_threshold: float = GAP_THRESHOLD_MS,
-                 fi_nominal: float = FI_NOMINAL_MS):
+    def __init__(self, tti_ms: float, wired_nd: float):
         self.tti_ms = tti_ms
         self.wired_nd = wired_nd
-        self.eta = eta
-        self.fi_nominal = fi_nominal
-        self.pattern = FramePatternState(gap_threshold=gap_threshold)
+        self.pattern = FramePatternState()
         self.history = FeedbackHistory()
         self.bw_ring: list[float] = []
         self.last_prediction: QueuePrediction | None = None
@@ -222,11 +206,11 @@ class FlowPredictor:
         if p.last_pkt_ts is None:
             p.frame_head_ts = ts
             p.frame_bytes = float(nbytes)
-        elif detect_frame_boundary(p.last_pkt_ts, ts, p.gap_threshold):
+        elif detect_frame_boundary(p.last_pkt_ts, ts, GAP_THRESHOLD_MS):
             fi_n = ts - p.frame_head_ts
             if fi_n > 0 and p.frame_bytes > 0:
                 self._note_completed_frame(p.frame_head_ts, fi_n, p.frame_bytes)
-            p.fi_est = update_frame_interval(p.fi_est, fi_n, p.alpha)
+            p.fi_est = update_frame_interval(p.fi_est, fi_n)
             p.frame_head_ts = ts
             p.frame_bytes = float(nbytes)
         else:
@@ -252,13 +236,12 @@ class FlowPredictor:
 
     def compute(self, now: float, queue_samples) -> QueuePrediction:
         """Recompute the guidance for this TTI from current windows."""
-        fi = self.pattern.fi_est if self.pattern.fi_est else self.fi_nominal
+        fi = self.pattern.fi_est if self.pattern.fi_est else FI_NOMINAL_MS
         n_tti = max(1, round(fi / self.tti_ms))
         mean_bw = mean_alloc_bw(self.bw_ring, n_tti)
         rlc_q_min = min_rlc_queue(queue_samples, fi, now)
         fnum = inflight_frame_count(self.wired_nd, fi)
         t_horizon = decision_horizon(self.tti_ms, fi, fnum)
-        lower_t, upper_t = history_window(now, fi, fnum, self.wired_nd)
         warm_up = self.pattern.fi_est is None or not self.history.entries
         if warm_up:
             pred_q = rlc_q_min
@@ -270,13 +253,9 @@ class FlowPredictor:
             else:
                 pred_q = rlc_q_min
                 warm_up = True
-        drain_rate = pred_q / fi
-        guidance = guidance_bw(mean_bw, drain_rate, self.eta)
-        pred = QueuePrediction(
-            now=now, fi=fi, n_tti=n_tti, mean_bw=mean_bw, fnum=fnum,
-            t_horizon=t_horizon, lower_t=lower_t, upper_t=upper_t,
-            rlc_q_min=rlc_q_min, pred_q=pred_q, drain_rate=drain_rate,
-            guidance=guidance, eta=self.eta, warm_up=warm_up)
+        guidance = guidance_bw(mean_bw, pred_q / fi)
+        pred = QueuePrediction(fi=fi, mean_bw=mean_bw, pred_q=pred_q,
+                               guidance=guidance, warm_up=warm_up)
         self.last_prediction = pred
         return pred
 

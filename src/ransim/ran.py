@@ -54,8 +54,6 @@ class Packet:
     flow_id: int
     frame_id: int
     payload_bytes: int
-    release_ts: float = 0.0
-    arrive_ts: float = 0.0
 
 
 @dataclass
@@ -74,7 +72,6 @@ class TransportBlock:
     flow_id: int
     bytes: int
     overhead_bytes: int
-    created_tti: int
     segments: list[tuple[Packet, int]]
     rtx_count: int = 0
     ready_ms: float = 0.0  # earliest retransmission time while HARQ-pending
@@ -87,13 +84,10 @@ class TransportBlock:
 class FlowQueueState:
     """Base-station side of one flow: RLC queue, usage and queue samples."""
 
-    def __init__(self, flow_id: int, wired_nd: float):
+    def __init__(self, flow_id: int):
         self.flow_id = flow_id
-        self.wired_nd = wired_nd
         self.segments: deque[QueuedSegment] = deque()
         self.queued_bytes = 0
-        self.uprb_last = 0
-        self.active = False
         self.samples: deque[tuple[float, int]] = deque(maxlen=RLC_SAMPLE_RING)
         self.harq_pending: deque[TransportBlock] = deque()
         self.harq_flight_payload = 0
@@ -132,7 +126,7 @@ def prbs_for_bytes(nbytes: int, bytes_per_prb: float) -> int:
     return int(math.ceil(nbytes / bytes_per_prb - 1e-9))
 
 
-def schedule_prbs(active_flows: list[FlowQueueState], prb_total: int,
+def schedule_prbs(flow_ids: list[int], prb_total: int,
                   demands: dict[int, int] | None = None,
                   rotation: int = 0) -> dict[int, int]:
     """Equal-share PRB split with rotating remainder and demand redistribution.
@@ -141,39 +135,38 @@ def schedule_prbs(active_flows: list[FlowQueueState], prb_total: int,
     cannot fill are handed round-robin to flows that still have demand.
 
     Args:
-        active_flows: flows with queued data this TTI, any order
+        flow_ids: flows with queued data this TTI, any order
         prb_total: PRBs available in this TTI
         demands: optional cap per flow_id, in PRBs; None means unbounded
         rotation: round-robin offset, advanced by the caller across TTIs
     """
     if prb_total <= 0:
         raise ValueError("prb_total must be positive")
-    if not active_flows:
+    if not flow_ids:
         return {}
-    order = sorted(active_flows, key=lambda f: f.flow_id)
+    order = sorted(flow_ids)
     n = len(order)
     base, rem = divmod(prb_total, n)
-    alloc = {f.flow_id: base for f in order}
+    alloc = {fid: base for fid in order}
     for i in range(rem):
-        alloc[order[(rotation + i) % n].flow_id] += 1
+        alloc[order[(rotation + i) % n]] += 1
     if demands is None:
         return alloc
     leftover = 0
     unsatisfied: set[int] = set()
-    for f in order:
-        cap = demands.get(f.flow_id)
+    for fid in order:
+        cap = demands.get(fid)
         if cap is None:
             continue
-        if alloc[f.flow_id] > cap:
-            leftover += alloc[f.flow_id] - cap
-            alloc[f.flow_id] = cap
-        elif alloc[f.flow_id] < cap:
-            unsatisfied.add(f.flow_id)
-    ring = [f.flow_id for f in order]
+        if alloc[fid] > cap:
+            leftover += alloc[fid] - cap
+            alloc[fid] = cap
+        elif alloc[fid] < cap:
+            unsatisfied.add(fid)
     pos = rotation % n
     stall = 0
     while leftover > 0 and unsatisfied and stall < n:
-        fid = ring[pos]
+        fid = order[pos]
         pos = (pos + 1) % n
         if fid in unsatisfied:
             alloc[fid] += 1
@@ -186,8 +179,8 @@ def schedule_prbs(active_flows: list[FlowQueueState], prb_total: int,
     return alloc
 
 
-def assemble_block(flow: FlowQueueState, capacity_bytes: int,
-                   created_tti: int) -> TransportBlock | None:
+def assemble_block(flow: FlowQueueState, capacity_bytes: int
+                   ) -> TransportBlock | None:
     """Pull queued segments into one transport block within capacity_bytes."""
     if capacity_bytes <= OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT:
         return None
@@ -214,7 +207,7 @@ def assemble_block(flow: FlowQueueState, capacity_bytes: int,
         return None
     return TransportBlock(
         flow_id=flow.flow_id, bytes=payload + overhead,
-        overhead_bytes=overhead, created_tti=created_tti, segments=segments)
+        overhead_bytes=overhead, segments=segments)
 
 
 class FailureScript:

@@ -103,7 +103,6 @@ class SenderState:
     """Mutable rate-control state of one sender."""
 
     epsilon: int = 1
-    rho: float = RHO_DEFAULT
     encoder_mode: str = "instant"        # "instant" | "ramp"
     initial_bps: float = INITIAL_BITRATE_BPS
     bitrate_hist: deque = field(default_factory=lambda: deque(maxlen=64))
@@ -119,16 +118,12 @@ class BaseSender:
     Subclasses define how feedback bytes turn into a guidance bitrate.
     """
 
-    def __init__(self, epsilon: int = 1, rho: float = RHO_DEFAULT,
-                 encoder_mode: str = "instant",
-                 initial_bps: float = INITIAL_BITRATE_BPS,
-                 frame_interval_ms: float = FRAME_INTERVAL_MS):
+    def __init__(self, epsilon: int = 1, encoder_mode: str = "instant",
+                 initial_bps: float = INITIAL_BITRATE_BPS):
         if encoder_mode not in ("instant", "ramp"):
             raise ValueError(f"unknown encoder mode {encoder_mode!r}")
-        self.state = SenderState(epsilon=epsilon, rho=rho,
-                                 encoder_mode=encoder_mode,
+        self.state = SenderState(epsilon=epsilon, encoder_mode=encoder_mode,
                                  initial_bps=initial_bps)
-        self.frame_interval_ms = frame_interval_ms
         self.frame_seq = 0
         self.last_pacing_bps = 0.0
 
@@ -169,9 +164,9 @@ class BaseSender:
             actual = st.actual_bps + (target - st.actual_bps) * RAMP_GAP_FRACTION
         st.actual_bps = actual
         st.bitrate_hist.append(actual)
-        nbytes = max(1, round(actual * self.frame_interval_ms / 8000.0))
+        nbytes = max(1, round(actual * FRAME_INTERVAL_MS / 8000.0))
         self.last_pacing_bps = max(
-            pacing_rate(st.recv_window.max_rate_bps(now), target, st.rho),
+            pacing_rate(st.recv_window.max_rate_bps(now), target),
             MIN_PACING_BPS)
         frame = VideoFrame(self.frame_seq, now, nbytes, target, actual,
                            guidance_ts=st.last_guidance_ts)

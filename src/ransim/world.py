@@ -67,10 +67,9 @@ class ReceiverState:
 
     ACK_TIMEOUT_SCALE = 1.2
 
-    def __init__(self, ack_per_frames: int,
-                 frame_interval_ms: float = FRAME_INTERVAL_MS):
+    def __init__(self, ack_per_frames: int):
         self.ack_per_frames = ack_per_frames
-        self.ack_timeout_ms = ack_per_frames * frame_interval_ms * \
+        self.ack_timeout_ms = ack_per_frames * FRAME_INTERVAL_MS * \
             self.ACK_TIMEOUT_SCALE
         self.remaining: dict[int, int] = {}
         self.frames_since_ack = 0
@@ -123,8 +122,7 @@ class FlowRuntime:
         self.estimator = estimator
         self.predictor = predictor
         self.receiver = ReceiverState(cfg.ack_per_frames)
-        self.frames: list[VideoFrame] = []
-        self.frame_by_id: dict[int, VideoFrame] = {}
+        self.frames: list[VideoFrame] = []  # indexed by frame_id
         self.start_ms = cfg.start_s * 1000.0
         self.stop_ms = math.inf if cfg.stop_s is None else cfg.stop_s * 1000.0
         self.tick_count = 0
@@ -132,8 +130,13 @@ class FlowRuntime:
         self.injected_payload = 0
         self.delivered_payload = 0
 
-    def started(self, now: float) -> bool:
-        return now >= self.start_ms
+    def present(self, now: float) -> bool:
+        """Started, and not yet stopped or still holding queued/HARQ bytes."""
+        if now < self.start_ms:
+            return False
+        q = self.queue
+        return (now < self.stop_ms or q.queued_bytes > 0
+                or q.harq_flight_payload > 0)
 
 
 def _make_sender(cfg: FlowConfig) -> BaseSender:
@@ -191,7 +194,7 @@ class SimWorld:
         if isinstance(sender, OracleSender):
             fid = cfg.flow_id
             sender.truth_fn = lambda now, _fid=fid: self.true_flow_rate(_fid)
-        queue = FlowQueueState(cfg.flow_id, cfg.wired_nd_ms)
+        queue = FlowQueueState(cfg.flow_id)
         estimator = FlowEstimator(self.cell, self.ran.prb_total, self.ran.tti_ms)
         predictor = FlowPredictor(self.ran.tti_ms, cfg.wired_nd_ms)
         fr = FlowRuntime(cfg, sender, queue, estimator, predictor)
@@ -210,11 +213,9 @@ class SimWorld:
                            nbytes=nbytes, target_bps=0.0, actual_bps=0.0)
         fr.sender.frame_seq += 1
         fr.frames.append(frame)
-        fr.frame_by_id[frame.frame_id] = frame
         fr.receiver.register(frame)
         self._pkt_counter += 1
-        pkt = Packet(self._pkt_counter, flow_id, frame.frame_id, nbytes,
-                     release_ts=ts)
+        pkt = Packet(self._pkt_counter, flow_id, frame.frame_id, nbytes)
         self._push_arrival(ts, flow_id, pkt)
         return frame
 
@@ -232,13 +233,13 @@ class SimWorld:
             self._bpp = self.ran.schedule.materialize(tti_index + 4096)
         return self._bpp[tti_index]
 
-    def _n_started(self, now: float) -> int:
-        return sum(1 for fr in self._flow_order if fr.started(now))
+    def _n_present(self, now: float) -> int:
+        return sum(1 for fr in self._flow_order if fr.present(now))
 
     def true_flow_rate(self, flow_id: int) -> float:
         """Ground-truth per-flow payload drain capacity, bytes/ms."""
         now = self.now_ms
-        n = max(1, self._n_started(now))
+        n = max(1, self._n_present(now))
         bpp = self._bpp_at(self.tti_index)
         share = self.ran.prb_total / n
         grant = share * bpp
@@ -255,7 +256,7 @@ class SimWorld:
         n_ttis = int(round(duration_s * 1000.0 / self.ran.tti_ms))
         self._bpp = self.ran.schedule.materialize(n_ttis + 8)
         for _ in range(n_ttis):
-            advance_tti(self)
+            self.step()
             if self.check_conservation:
                 self.assert_conservation()
         self.duration_ms = self.now_ms
@@ -285,7 +286,6 @@ class SimWorld:
         while heap and heap[0][0] <= t0:
             ts, _, flow_id, pkt = heapq.heappop(heap)
             fr = self.flows[flow_id]
-            pkt.arrive_ts = ts
             fr.queue.enqueue(pkt, ts)
             fr.injected_payload += pkt.payload_bytes
             fr.predictor.on_enqueue(ts, pkt.payload_bytes)
@@ -294,77 +294,60 @@ class SimWorld:
                              f"pkt={pkt.pkt_id};frame={pkt.frame_id}")
 
     def _estimate_and_predict(self, t0: float) -> None:
-        n_total = self._n_started(t0)
+        n_total = self._n_present(t0)
         for fr in self._flow_order:
-            if not fr.started(t0):
+            if not fr.present(t0):
                 continue
             queued = sample_rlc_queue(fr.queue, t0)
-            fr.queue.active = queued > 0
-            cap = fr.estimator.compute(t0, n_total)
-            fr.predictor.push_bw(cap.alloc_bw)
+            bw = fr.estimator.compute(t0, n_total)
+            fr.predictor.push_bw(bw)
             pred = fr.predictor.compute(t0, fr.queue.samples)
             if self._log_full:
                 self.log.add(
                     t0, "predict", fr.cfg.flow_id, queued,
                     f"pred_q={pred.pred_q!r};guidance={pred.guidance!r};"
-                    f"fi={pred.fi!r};bw={cap.alloc_bw!r};"
+                    f"fi={pred.fi!r};bw={bw!r};"
                     f"mean_bw={pred.mean_bw!r}")
 
     def _downlink(self, t0: float, t1: float, factor: float) -> None:
-        bpp = self._bpp_at(self.tti_index)
-        unit = bpp * factor
+        unit = self._bpp_at(self.tti_index) * factor
         active = [fr for fr in self._flow_order
-                  if fr.started(t0) and fr.queue.has_demand(t0)]
-        capable = factor if unit > 0.0 else 0.0
-        if not active or unit <= 0.0:
-            self.cell.close_tti(capable, False, False, True, 0, len(active))
-            for fr in self._flow_order:
-                fr.queue.uprb_last = 0
-                if fr.started(t0):
-                    fr.estimator.note_grant(0)
-            return
-        demands: dict[int, int] = {}
-        for fr in active:
-            q = fr.queue
-            if q.has_ready_retx(t0):
-                demands[q.flow_id] = max(1, prbs_for_bytes(
-                    q.harq_pending[0].bytes, unit))
-            else:
-                est_overhead = (OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT
-                                * (1 + q.queued_bytes // MTU_PAYLOAD))
-                demands[q.flow_id] = max(1, prbs_for_bytes(
-                    q.queued_bytes + est_overhead, unit))
-        alloc = schedule_prbs([fr.queue for fr in active], self.ran.prb_total,
-                              demands, self._rotation)
-        self._rotation += 1
+                  if fr.present(t0) and fr.queue.has_demand(t0)]
+        alloc: dict[int, int] = {}
+        if active and unit > 0.0:
+            demands: dict[int, int] = {}
+            for fr in active:
+                q = fr.queue
+                if q.has_ready_retx(t0):
+                    need = q.harq_pending[0].bytes
+                else:
+                    need = q.queued_bytes + (
+                        OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT
+                        * (1 + q.queued_bytes // MTU_PAYLOAD))
+                demands[q.flow_id] = max(1, prbs_for_bytes(need, unit))
+            alloc = schedule_prbs(list(demands), self.ran.prb_total,
+                                  demands, self._rotation)
+            self._rotation += 1
         prb_used = 0
         any_data = False
         any_retx = False
-        active_ids = {fr.cfg.flow_id for fr in active}
         for fr in self._flow_order:
-            if fr.cfg.flow_id not in active_ids:
-                fr.queue.uprb_last = 0
-                if fr.started(t0):
-                    fr.estimator.note_grant(0)
+            if not fr.present(t0):
                 continue
+            q = fr.queue
             prbs = alloc.get(fr.cfg.flow_id, 0)
-            if prbs <= 0:
-                fr.queue.uprb_last = 0
-                fr.estimator.note_grant(0)
-                continue
-            cap_bytes = int(prbs * unit + 1e-9)
-            is_retx = fr.queue.has_ready_retx(t0)
-            if is_retx:
-                block = fr.queue.harq_pending.popleft()
-                fr.queue.harq_flight_payload -= block.payload_bytes
-            else:
-                block = assemble_block(fr.queue, cap_bytes, self.tti_index)
+            block = None
+            if prbs > 0:
+                is_retx = q.has_ready_retx(t0)
+                if is_retx:
+                    block = q.harq_pending.popleft()
+                    q.harq_flight_payload -= block.payload_bytes
+                else:
+                    block = assemble_block(q, int(prbs * unit + 1e-9))
             if block is None:
-                fr.queue.uprb_last = 0
                 fr.estimator.note_grant(0)
                 continue
             uprb = min(prbs, max(1, prbs_for_bytes(block.bytes, unit)))
-            fr.queue.uprb_last = uprb
             fr.estimator.note_grant(uprb)
             prb_used += uprb
             any_data = True
@@ -372,8 +355,8 @@ class SimWorld:
             fr.estimator.note_block(t0, block.bytes, block.overhead_bytes,
                                     uprb, factor)
             self._transmit(fr, block, is_retx, t0, t1, uprb)
-        self.cell.close_tti(capable, any_data, any_retx, True,
-                            prb_used, len(active))
+        self.cell.close_tti(factor if unit > 0.0 else 0.0, any_data,
+                            any_retx, True, prb_used, len(active))
 
     def _transmit(self, fr: FlowRuntime, block, is_retx: bool,
                   t0: float, t1: float, uprb: int) -> None:
@@ -410,12 +393,11 @@ class SimWorld:
             fr.delivered_payload += nbytes
             done = fr.receiver.on_bytes(pkt.frame_id, nbytes, t1)
             if done:
-                frame = fr.frame_by_id.get(pkt.frame_id)
-                if frame is not None:
-                    frame.decode_ts = t1
-                    self.log.add(t1, "frame_done", fr.cfg.flow_id, frame.nbytes,
-                                 f"frame={frame.frame_id};"
-                                 f"delay={frame.delay_ms!r}")
+                frame = fr.frames[pkt.frame_id]
+                frame.decode_ts = t1
+                self.log.add(t1, "frame_done", fr.cfg.flow_id, frame.nbytes,
+                             f"frame={frame.frame_id};"
+                             f"delay={frame.delay_ms!r}")
                 fr.receiver.on_frame_complete(t1)
         fr.receiver.maybe_timeout_ack(t1)
         if self._log_full:
@@ -471,7 +453,6 @@ class SimWorld:
             return
         frame = fr.sender.encode_frame(ts)
         fr.frames.append(frame)
-        fr.frame_by_id[frame.frame_id] = frame
         fr.receiver.register(frame)
         self.log.add(ts, "frame_encode", fr.cfg.flow_id, frame.nbytes,
                      f"frame={frame.frame_id};target={frame.target_bps!r};"
@@ -479,11 +460,11 @@ class SimWorld:
         for nbytes, offset in fr.sender.packet_release_offsets(frame.nbytes):
             self._pkt_counter += 1
             pkt = Packet(self._pkt_counter, fr.cfg.flow_id, frame.frame_id,
-                         nbytes, release_ts=ts + offset)
+                         nbytes)
             self._push_arrival(ts + offset + fr.cfg.wired_nd_ms,
                                fr.cfg.flow_id, pkt)
         fr.tick_count += 1
-        next_ts = fr.start_ms + fr.tick_count * fr.sender.frame_interval_ms
+        next_ts = fr.start_ms + fr.tick_count * FRAME_INTERVAL_MS
         if next_ts < fr.stop_ms:
             self._push_sender_event(next_ts, "tick", fr.cfg.flow_id, None)
 
@@ -515,8 +496,3 @@ class SimWorld:
     def frames_by_flow(self) -> dict[int, list[VideoFrame]]:
         return {fid: fr.frames for fid, fr in sorted(self.flows.items())}
 
-
-def advance_tti(world: SimWorld) -> SimWorld:
-    """Process exactly one TTI of the world and return it."""
-    world.step()
-    return world

@@ -17,13 +17,14 @@ class TestSconeTargetRate:
             pytest.approx(1300)
 
     def test_drain_time_fixed_default(self):
-        assert SconeFeedback(1.0, 0.0).drain_time == 16.6
+        # the queue is drained over one 16.6 ms frame interval
+        assert scone_target_rate(SconeFeedback(2.0, 16.6)) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SconeFeedback(-1, 0)
         with pytest.raises(ValueError):
-            SconeFeedback(1, 0, drain_time=0)
+            SconeFeedback(1, -1)
 
     @given(st.floats(0, 1e5), st.floats(0, 1e7))
     def test_never_exceeds_capacity(self, cap, queue):

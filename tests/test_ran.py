@@ -6,23 +6,23 @@ from ransim.ran import (FlowQueueState, Packet, assemble_block,
                         prbs_for_bytes)
 
 
-def _queues(n):
-    return [FlowQueueState(i, wired_nd=1.0) for i in range(n)]
+def _ids(n):
+    return list(range(n))
 
 
 class TestSchedulePrbs:
     def test_exact_division(self):
-        alloc = schedule_prbs(_queues(4), 100)
+        alloc = schedule_prbs(_ids(4), 100)
         assert alloc == {0: 25, 1: 25, 2: 25, 3: 25}
 
     def test_sole_flow(self):
-        assert schedule_prbs(_queues(1), 100) == {0: 100}
+        assert schedule_prbs(_ids(1), 100) == {0: 100}
 
     def test_empty_active_set(self):
         assert schedule_prbs([], 100) == {}
 
     def test_remainder_rotates(self):
-        flows = _queues(3)
+        flows = _ids(3)
         a0 = schedule_prbs(flows, 100, rotation=0)
         a1 = schedule_prbs(flows, 100, rotation=1)
         assert sorted(a0.values()) == [33, 33, 34]
@@ -30,7 +30,7 @@ class TestSchedulePrbs:
 
     def test_long_run_mean_is_equal_share(self):
         # brute-force oracle: accumulate allocations over 3000 TTIs
-        flows = _queues(3)
+        flows = _ids(3)
         totals = {0: 0, 1: 0, 2: 0}
         for tti in range(3000):
             for fid, n in schedule_prbs(flows, 100, rotation=tti).items():
@@ -40,12 +40,12 @@ class TestSchedulePrbs:
 
     def test_conservation_never_exceeds_total(self):
         for n in (1, 2, 3, 7, 13):
-            alloc = schedule_prbs(_queues(n), 100, rotation=5)
+            alloc = schedule_prbs(_ids(n), 100, rotation=5)
             assert sum(alloc.values()) <= 100
             assert max(alloc.values()) - min(alloc.values()) <= 1
 
     def test_unneeded_prbs_redistributed(self):
-        flows = _queues(3)
+        flows = _ids(3)
         demands = {0: 5, 1: 200, 2: 200}
         alloc = schedule_prbs(flows, 100, demands=demands, rotation=0)
         assert alloc[0] == 5
@@ -53,36 +53,36 @@ class TestSchedulePrbs:
         assert abs(alloc[1] - alloc[2]) <= 1
 
     def test_inactive_flow_gets_nothing(self):
-        flows = _queues(2)
+        flows = _ids(2)
         alloc = schedule_prbs(flows[:1], 100)
         assert 1 not in alloc
 
     def test_all_demands_satisfied_leftover_unused(self):
-        flows = _queues(2)
+        flows = _ids(2)
         alloc = schedule_prbs(flows, 100, demands={0: 10, 1: 10})
         assert alloc == {0: 10, 1: 10}
 
 
 class TestRlcQueue:
     def test_empty_queue_sample(self):
-        q = FlowQueueState(0, 1.0)
+        q = FlowQueueState(0)
         assert sample_rlc_queue(q, 5.0) == 0
 
     def test_sum_of_segments(self):
-        q = FlowQueueState(0, 1.0)
+        q = FlowQueueState(0)
         q.enqueue(Packet(1, 0, 0, 700), ts=1.0)
         q.enqueue(Packet(2, 0, 0, 800), ts=1.1)
         assert sample_rlc_queue(q, 2.0) == 1500
 
     def test_dequeue_conservation(self):
-        q = FlowQueueState(0, 1.0)
+        q = FlowQueueState(0)
         q.enqueue(Packet(1, 0, 0, 1500), ts=1.0)
-        block = assemble_block(q, capacity_bytes=5000, created_tti=0)
+        block = assemble_block(q, capacity_bytes=5000)
         assert block.payload_bytes == 1500
         assert sample_rlc_queue(q, 2.0) == 0
 
     def test_sample_ring_records(self):
-        q = FlowQueueState(0, 1.0)
+        q = FlowQueueState(0)
         sample_rlc_queue(q, 1.0)
         q.enqueue(Packet(1, 0, 0, 99), ts=1.5)
         sample_rlc_queue(q, 2.0)
@@ -91,24 +91,24 @@ class TestRlcQueue:
 
 class TestAssembleBlock:
     def test_splits_packet_across_blocks(self):
-        q = FlowQueueState(0, 1.0)
+        q = FlowQueueState(0)
         q.enqueue(Packet(1, 0, 0, 3000), ts=0.0)
-        b1 = assemble_block(q, capacity_bytes=1000, created_tti=0)
+        b1 = assemble_block(q, capacity_bytes=1000)
         assert b1.bytes <= 1000
         assert q.queued_bytes == 3000 - b1.payload_bytes
-        b2 = assemble_block(q, capacity_bytes=5000, created_tti=1)
+        b2 = assemble_block(q, capacity_bytes=5000)
         assert b1.payload_bytes + b2.payload_bytes == 3000
 
     def test_overhead_below_total(self):
-        q = FlowQueueState(0, 1.0)
+        q = FlowQueueState(0)
         q.enqueue(Packet(1, 0, 0, 50), ts=0.0)
-        block = assemble_block(q, capacity_bytes=1000, created_tti=0)
+        block = assemble_block(q, capacity_bytes=1000)
         assert 0 < block.overhead_bytes < block.bytes
 
     def test_tiny_capacity_yields_no_block(self):
-        q = FlowQueueState(0, 1.0)
+        q = FlowQueueState(0)
         q.enqueue(Packet(1, 0, 0, 50), ts=0.0)
-        assert assemble_block(q, capacity_bytes=10, created_tti=0) is None
+        assert assemble_block(q, capacity_bytes=10) is None
         assert q.queued_bytes == 50
 
     def test_prbs_for_bytes(self):

@@ -127,6 +127,19 @@ class TestMultiFlowIsolation:
         late = [f.actual_bps for f in fr0 if 6000 < f.encode_ts < 7900]
         assert sum(late) / len(late) < 0.65 * sum(early) / len(early)
 
+    @pytest.mark.parametrize("controller", ["choir", "scone", "oracle"])
+    def test_leaver_frees_capacity(self, controller):
+        # once flow 1 leaves, flow 0 must climb to the single-flow capacity
+        single = make_world(bpp=30.0, flows=1, controller=controller)
+        capacity_bps = single.true_flow_rate(0) * 8000.0
+        w = make_world(bpp=30.0, flows=1, controller=controller)
+        w.add_flow(FlowConfig(flow_id=1, controller=controller,
+                              wired_nd_ms=1.0, stop_s=3.0))
+        w.run(8.0)
+        late = [f.actual_bps for f in w.flows[0].frames
+                if 5000 <= f.encode_ts < 8000]
+        assert sum(late) / len(late) == pytest.approx(capacity_bps, rel=0.10)
+
 
 class TestInjectedPacketPath:
     def test_injection_without_sender(self, capsys):
