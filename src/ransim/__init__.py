@@ -3,7 +3,7 @@
 from .baselines import (OracleSender, SconeFeedback, SconeSender,
                         oracle_rate, scone_target_rate)
 from .capacity import (alloc_bw, flow_capacity, initial_prb_share,
-                       per_prb_rate, retx_rate, update_prb_share)
+                       retx_rate, update_prb_share)
 from .codec import GuidanceFeedback, decode_rate, encode_rate
 from .harness import (Scenario, ScenarioError, load_scenario, run_scenario,
                       scenario_from_dict, sweep_scenario)
@@ -34,9 +34,9 @@ __all__ = [
     "frame_delay", "guidance_bw", "history_window", "inflight_frame_count",
     "initial_prb_share", "jain_index", "load_scenario", "load_trace",
     "mean_alloc_bw", "min_rlc_queue", "nearest_rank_percentile", "oracle_rate",
-    "pacing_rate", "per_prb_rate", "predict_queue", "random_walk_trace",
-    "retx_rate", "run_scenario", "sample_rlc_queue", "scenario_from_dict",
-    "schedule_prbs", "scone_target_rate", "square_trace", "step_trace",
-    "sweep_scenario", "target_bitrate", "update_error_correction",
-    "update_frame_interval", "update_prb_share",
+    "pacing_rate", "predict_queue", "random_walk_trace", "retx_rate",
+    "run_scenario", "sample_rlc_queue", "scenario_from_dict", "schedule_prbs",
+    "scone_target_rate", "square_trace", "step_trace", "sweep_scenario",
+    "target_bitrate", "update_error_correction", "update_frame_interval",
+    "update_prb_share",
 ]

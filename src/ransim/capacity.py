@@ -43,19 +43,13 @@ def update_prb_share(uprb: float, prb_total: float, prb_used: float,
     return max(grow, prb_total / n_total)
 
 
-def per_prb_rate(tbs: float, tti_len: float, prb_share: float,
-                 dn: float, tn: float) -> float:
-    """Physical bytes/ms per PRB, scaled by the downlink duty cycle dn/tn."""
+def flow_capacity(prb_share: float, bytes_per_prb: float, tti_len: float,
+                  dn: float, tn: float) -> float:
+    """Physical ceiling for the flow, bytes/ms: prb_share PRBs carrying
+    bytes_per_prb each per TTI, scaled by the downlink duty cycle dn/tn."""
     if tn <= 0:
         raise EstimatorError("insufficient window: no TTIs observed")
-    if prb_share <= 0:
-        raise EstimatorError("prb_share must be positive")
-    return (tbs / (tti_len * prb_share)) * (dn / tn)
-
-
-def flow_capacity(prb_share: float, rate_per_prb: float) -> float:
-    """Theoretical physical ceiling for the flow, bytes/ms."""
-    return prb_share * rate_per_prb
+    return prb_share * bytes_per_prb / tti_len * (dn / tn)
 
 
 def retx_rate(hn: float, dn_short: float) -> float:
@@ -230,12 +224,10 @@ class FlowEstimator:
         bpp = self._bpp_held
         if cell.tn == 0 or bpp <= 0.0:
             return 0.0
-        # TBS reconstructed at the current share from the measured per-PRB
-        # payload density; a partially used grant would otherwise bias the
-        # physical rate low.
-        rate = per_prb_rate(bpp * self.prb_share, self.tti_ms,
-                            self.prb_share, cell.dn, cell.tn)
-        cap = flow_capacity(self.prb_share, rate)
+        # capacity at the current share from the measured per-PRB payload
+        # density; a partially used grant would otherwise bias it low.
+        cap = flow_capacity(self.prb_share, bpp, self.tti_ms, cell.dn,
+                            cell.tn)
         if cell.dn_short > 0:
             self._retx_held = retx_rate(cell.hn, cell.dn_short)
         return alloc_bw(cap, self.gamma_mean(), self._retx_held)

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ransim.capacity import (EstimatorError, alloc_bw, flow_capacity,
-                             initial_prb_share, per_prb_rate, retx_rate,
-                             update_prb_share)
+                             initial_prb_share, retx_rate, update_prb_share)
 
 
 class TestInitialShare:
@@ -45,31 +44,27 @@ class TestUpdateShare:
         assert share >= 100 / n_total - 1e-12
 
 
-class TestPerPrbRate:
-    def test_duty_cycle_example(self):
-        assert per_prb_rate(1500, 0.5, 25, 70, 100) == pytest.approx(84.0)
+class TestFlowCapacity:
+    def test_product(self):
+        # 25 PRBs x 60 B/PRB per 0.5 ms TTI at a 70% downlink duty cycle
+        assert flow_capacity(25, 60, 0.5, 70, 100) == pytest.approx(2100)
 
     def test_all_downlink_identity(self):
-        assert per_prb_rate(1500, 0.5, 25, 100, 100) == \
-            pytest.approx(1500 / 12.5)
+        assert flow_capacity(25, 60, 0.5, 100, 100) == \
+            pytest.approx(25 * 60 / 0.5)
 
     def test_no_downlink_slots(self):
-        assert per_prb_rate(1500, 0.5, 25, 0, 100) == 0.0
+        assert flow_capacity(25, 60, 0.5, 0, 100) == 0.0
 
     def test_empty_window_rejected(self):
         with pytest.raises(EstimatorError):
-            per_prb_rate(1500, 0.5, 25, 0, 0)
-
-
-class TestFlowCapacity:
-    def test_product(self):
-        assert flow_capacity(25, 84) == 2100
+            flow_capacity(25, 60, 0.5, 0, 0)
 
     def test_zero_share(self):
-        assert flow_capacity(0, 84) == 0
+        assert flow_capacity(0, 60, 0.5, 70, 100) == 0
 
     def test_zero_rate(self):
-        assert flow_capacity(25, 0) == 0
+        assert flow_capacity(25, 0, 0.5, 70, 100) == 0
 
 
 class TestRetxRate:

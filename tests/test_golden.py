@@ -30,7 +30,7 @@ GOLDEN = {
         "frames.csv":
             "d724c071412667fa5746dc9ada2cb4b37861d979dfb4abd119883d945776121c",
         "events.log":
-            "6c150ba821abe277c093a8be5dd159e4558dd931f6e47d48079ed1e520640a41",
+            "b8c21d85d98582b87de3d21bb87a8fd1e7bde78885fb5af2b5fb5312a50a0578",
     },
     ("multi_flow_fairness", "frames"): {
         "metrics.csv":
@@ -46,7 +46,7 @@ GOLDEN = {
         "frames.csv":
             "6fc60c9da8067d6a4714e0fd0e27f3f4d4289a753d8c3b00b1c6215a2cd4ebb9",
         "events.log":
-            "8a3a3378dbcab4d704b8efd3e0edf2ace25d8ebe69d47c59dc5ce3b272153214",
+            "e932832f768ca58acaeb23d6b40d344866de9df7d75308bf4584ba6992dd9bc1",
     },
     ("single_flow", "frames"): {
         "metrics.csv":
@@ -62,7 +62,7 @@ GOLDEN = {
         "frames.csv":
             "65c5921189592b6c1caa373d1056eeab6276e302037c5eaa3c0cba132ad016bd",
         "events.log":
-            "82c5fc6a817624b11ea68cdbdda0ec4d93bfd1f9125c50aea35c0a0b1aaca39d",
+            "ada620f8136adc1c133c68b4626f4143d9975fac234d7615a61c25f975a02a4c",
     },
     ("step_drop", "frames"): {
         "metrics.csv":
@@ -78,7 +78,7 @@ GOLDEN = {
         "frames.csv":
             "9a8586051c7dcb84ce49573731b6f1ace995c57fc3d7af65a53461a549cd9425",
         "events.log":
-            "72ff2651c4c2f77e1ffaaab2f0b6f1814eeabd1f15f4ea9a7cd96c1ea9e402e6",
+            "6042d7594c48c842d91c4f22493dc1dbf230bc84f3b539d571af4b6630789616",
     },
 }
 
