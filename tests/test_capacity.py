@@ -45,9 +45,14 @@ class TestUpdateShare:
 
 
 class TestFlowCapacity:
-    def test_product(self):
+    def test_duty_cycle_example(self):
         # 25 PRBs x 60 B/PRB per 0.5 ms TTI at a 70% downlink duty cycle
         assert flow_capacity(25, 60, 0.5, 70, 100) == pytest.approx(2100)
+
+    def test_product(self):
+        # the share multiplies the capacity of a single PRB
+        assert flow_capacity(25, 60, 0.5, 70, 100) == \
+            pytest.approx(25 * flow_capacity(1, 60, 0.5, 70, 100))
 
     def test_all_downlink_identity(self):
         assert flow_capacity(25, 60, 0.5, 100, 100) == \
