@@ -24,6 +24,7 @@ their parameters). An explicit ``trace_path`` CSV overrides ``ran.trace``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -61,47 +62,94 @@ class Scenario:
             raise ScenarioError("scenario needs at least one flow")
 
 
+SCENARIO_KEYS = frozenset({"duration_s", "seed", "ran", "trace_path", "flows",
+                           "log_level"})
+RAN_KEYS = frozenset({"prb_total", "tti_ms", "tdd_pattern", "bler",
+                      "harq_rtx_delay_ms", "harq_max_rtx", "trace"})
+FLOW_KEYS = frozenset({"flow_id", "controller", "wired_nd_ms", "ack_per_frames",
+                       "epsilon", "encoder", "start_s", "stop_s",
+                       "initial_bitrate_mbps"})
+TRACE_KEYS = {
+    "constant": frozenset({"kind", "bytes_per_prb"}),
+    "step": frozenset({"kind", "before", "after", "step_tti"}),
+    "square": frozenset({"kind", "high", "low", "period_ttis", "n_periods"}),
+    "random_walk": frozenset({"kind", "low", "high", "seed", "step_fraction",
+                              "interval_ttis"}),
+}
+_REQUIRED = object()
+
+
 def _require(mapping: dict, key: str, ctx: str):
     if key not in mapping:
         raise ScenarioError(f"{ctx}: missing required key {key!r}")
     return mapping[key]
 
 
+def _check_keys(mapping, allowed: frozenset, ctx: str) -> None:
+    """Reject a non-object or a key the loader would silently ignore."""
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{ctx} must be a JSON object")
+    unknown = sorted(set(mapping) - allowed)
+    if unknown:
+        raise ScenarioError(f"{ctx}: unknown key {unknown[0]!r}; "
+                            f"expected one of {sorted(allowed)}")
+
+
+def _number(mapping: dict, key: str, ctx: str, default=_REQUIRED,
+            kind=float):
+    """mapping[key] (or default when absent) as a finite float or int."""
+    raw = (_require(mapping, key, ctx) if default is _REQUIRED
+           else mapping.get(key, default))
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{ctx}: {key} must be a finite number, "
+                            f"got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"{ctx}: {key} must be a finite number, "
+                            f"got {raw!r}")
+    return value
+
+
 def _build_trace(spec: dict, seed: int) -> CapacitySchedule:
-    kind = _require(spec, "kind", "ran.trace")
+    ctx = "ran.trace"
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{ctx} must be a JSON object")
+    kind = _require(spec, "kind", ctx)
+    if kind not in TRACE_KEYS:
+        raise ScenarioError(f"{ctx}: unknown kind {kind!r}")
+    _check_keys(spec, TRACE_KEYS[kind], ctx)
     try:
         if kind == "constant":
-            return traces.constant_trace(_require(spec, "bytes_per_prb",
-                                                  "constant trace"))
+            return traces.constant_trace(_number(spec, "bytes_per_prb", ctx))
         if kind == "step":
-            return traces.step_trace(_require(spec, "before", "step trace"),
-                                     _require(spec, "after", "step trace"),
-                                     int(_require(spec, "step_tti",
-                                                  "step trace")))
+            return traces.step_trace(_number(spec, "before", ctx),
+                                     _number(spec, "after", ctx),
+                                     _number(spec, "step_tti", ctx, kind=int))
         if kind == "square":
             return traces.square_trace(
-                _require(spec, "high", "square trace"),
-                _require(spec, "low", "square trace"),
-                int(_require(spec, "period_ttis", "square trace")),
-                n_periods=int(spec.get("n_periods", 64)))
-        if kind == "random_walk":
-            return traces.random_walk_trace(
-                _require(spec, "low", "random_walk trace"),
-                _require(spec, "high", "random_walk trace"),
-                seed=int(spec.get("seed", seed)),
-                step_fraction=float(spec.get("step_fraction", 0.08)),
-                interval_ttis=int(spec.get("interval_ttis", 200)))
+                _number(spec, "high", ctx), _number(spec, "low", ctx),
+                _number(spec, "period_ttis", ctx, kind=int),
+                n_periods=_number(spec, "n_periods", ctx, 64, int))
+        return traces.random_walk_trace(
+            _number(spec, "low", ctx), _number(spec, "high", ctx),
+            seed=_number(spec, "seed", ctx, seed, int),
+            step_fraction=_number(spec, "step_fraction", ctx, 0.08),
+            interval_ttis=_number(spec, "interval_ttis", ctx, 200, int))
     except TraceError as exc:
-        raise ScenarioError(str(exc)) from exc
-    raise ScenarioError(f"ran.trace: unknown kind {kind!r}")
+        raise ScenarioError(f"{ctx}: {exc}") from exc
 
 
 def scenario_from_dict(cfg: dict, name: str = "scenario") -> Scenario:
+    """Validate a scenario dict; unknown keys and non-finite numbers are
+    rejected with the offending key path."""
     if not isinstance(cfg, dict):
         raise ScenarioError("scenario root must be a JSON object")
-    duration_s = float(_require(cfg, "duration_s", "scenario"))
-    seed = int(cfg.get("seed", 0))
+    _check_keys(cfg, SCENARIO_KEYS, "scenario")
+    duration_s = _number(cfg, "duration_s", "scenario")
+    seed = _number(cfg, "seed", "scenario", 0, int)
     ran_cfg = _require(cfg, "ran", "scenario")
+    _check_keys(ran_cfg, RAN_KEYS, "ran")
     trace_path = cfg.get("trace_path")
     if trace_path:
         try:
@@ -112,13 +160,16 @@ def scenario_from_dict(cfg: dict, name: str = "scenario") -> Scenario:
         schedule = _build_trace(_require(ran_cfg, "trace", "ran"), seed)
     try:
         ran = RanConfig(
-            prb_total=int(ran_cfg.get("prb_total", 100)),
-            tti_ms=float(ran_cfg.get("tti_ms", 0.5)),
+            prb_total=_number(ran_cfg, "prb_total", "ran", 100, int),
+            tti_ms=_number(ran_cfg, "tti_ms", "ran", 0.5),
             tdd_pattern=ran_cfg.get("tdd_pattern", "DDDSU"),
-            bler=float(ran_cfg.get("bler", 0.0)),
-            harq_rtx_delay_ms=float(ran_cfg.get("harq_rtx_delay_ms", 5.5)),
-            harq_max_rtx=int(ran_cfg.get("harq_max_rtx", 3)),
+            bler=_number(ran_cfg, "bler", "ran", 0.0),
+            harq_rtx_delay_ms=_number(ran_cfg, "harq_rtx_delay_ms", "ran",
+                                      5.5),
+            harq_max_rtx=_number(ran_cfg, "harq_max_rtx", "ran", 3, int),
             schedule=schedule)
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"ran: {exc}") from exc
     flow_specs = _require(cfg, "flows", "scenario")
@@ -126,26 +177,30 @@ def scenario_from_dict(cfg: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError("flows must be a non-empty list")
     flows = []
     for i, spec in enumerate(flow_specs):
+        ctx = f"flows[{i}]"
+        _check_keys(spec, FLOW_KEYS, ctx)
         controller = spec.get("controller", "choir")
         if controller not in CONTROLLERS:
             raise ScenarioError(
-                f"flows[{i}]: unknown controller {controller!r}; "
+                f"{ctx}: unknown controller {controller!r}; "
                 f"expected one of {sorted(CONTROLLERS)}")
         try:
             flows.append(FlowConfig(
-                flow_id=int(spec.get("flow_id", i)),
+                flow_id=_number(spec, "flow_id", ctx, i, int),
                 controller=controller,
-                wired_nd_ms=float(spec.get("wired_nd_ms", 10.0)),
-                ack_per_frames=int(spec.get("ack_per_frames", 1)),
-                epsilon=int(spec.get("epsilon", 1)),
+                wired_nd_ms=_number(spec, "wired_nd_ms", ctx, 10.0),
+                ack_per_frames=_number(spec, "ack_per_frames", ctx, 1, int),
+                epsilon=_number(spec, "epsilon", ctx, 1, int),
                 encoder_mode=spec.get("encoder", "instant"),
-                start_s=float(spec.get("start_s", 0.0)),
+                start_s=_number(spec, "start_s", ctx, 0.0),
                 stop_s=(None if spec.get("stop_s") is None
-                        else float(spec["stop_s"])),
-                initial_bitrate_bps=float(
-                    spec.get("initial_bitrate_mbps", 5.0)) * 1e6))
+                        else _number(spec, "stop_s", ctx)),
+                initial_bitrate_bps=_number(
+                    spec, "initial_bitrate_mbps", ctx, 5.0) * 1e6))
+        except ScenarioError:
+            raise
         except ValueError as exc:
-            raise ScenarioError(f"flows[{i}]: {exc}") from exc
+            raise ScenarioError(f"{ctx}: {exc}") from exc
     ids = [f.flow_id for f in flows]
     if len(set(ids)) != len(ids):
         raise ScenarioError("duplicate flow_id in flows")

@@ -180,8 +180,9 @@ class FeedbackHistory:
 
 @dataclass(frozen=True)
 class QueuePrediction:
-    """Per-TTI prediction as read by ACK stamping and the event log."""
+    """Prediction made at time ts, as read by ACK stamping and the event log."""
 
+    ts: float
     fi: float
     mean_bw: float
     pred_q: float
@@ -235,7 +236,7 @@ class FlowPredictor:
             del self.bw_ring[:2048]
 
     def compute(self, now: float, queue_samples) -> QueuePrediction:
-        """Recompute the guidance for this TTI from current windows."""
+        """Recompute the guidance at now from current windows."""
         fi = self.pattern.fi_est if self.pattern.fi_est else FI_NOMINAL_MS
         n_tti = max(1, round(fi / self.tti_ms))
         mean_bw = mean_alloc_bw(self.bw_ring, n_tti)
@@ -254,7 +255,7 @@ class FlowPredictor:
                 pred_q = rlc_q_min
                 warm_up = True
         guidance = guidance_bw(mean_bw, pred_q / fi)
-        pred = QueuePrediction(fi=fi, mean_bw=mean_bw, pred_q=pred_q,
+        pred = QueuePrediction(ts=now, fi=fi, mean_bw=mean_bw, pred_q=pred_q,
                                guidance=guidance, warm_up=warm_up)
         self.last_prediction = pred
         return pred

@@ -269,10 +269,12 @@ class SimWorld:
         tti = self.ran.tti_ms
         t1 = t0 + tti
         self._process_arrivals(t0)
-        self._estimate_and_predict(t0)
+        # nothing before the downlink changes queued or HARQ bytes
+        present = [fr for fr in self._flow_order if fr.present(t0)]
+        self._estimate_and_predict(t0, present)
         factor = self.pattern.downlink_factor(self.tti_index)
         if factor > 0.0:
-            self._downlink(t0, t1, factor)
+            self._downlink(t0, t1, factor, present)
         else:
             self.cell.close_tti(0.0, False, False, False, 0, 0)
         if self.pattern.can_uplink(self.tti_index):
@@ -293,26 +295,18 @@ class SimWorld:
                 self.log.add(ts, "enqueue", flow_id, pkt.payload_bytes,
                              f"pkt={pkt.pkt_id};frame={pkt.frame_id}")
 
-    def _estimate_and_predict(self, t0: float) -> None:
-        n_total = self._n_present(t0)
-        for fr in self._flow_order:
-            if not fr.present(t0):
-                continue
-            queued = sample_rlc_queue(fr.queue, t0)
-            bw = fr.estimator.compute(t0, n_total)
-            fr.predictor.push_bw(bw)
-            pred = fr.predictor.compute(t0, fr.queue.samples)
-            if self._log_full:
-                self.log.add(
-                    t0, "predict", fr.cfg.flow_id, queued,
-                    f"pred_q={pred.pred_q!r};guidance={pred.guidance!r};"
-                    f"fi={pred.fi!r};bw={bw!r};"
-                    f"mean_bw={pred.mean_bw!r}")
+    def _estimate_and_predict(self, t0: float,
+                              present: list[FlowRuntime]) -> None:
+        """Sample queues and estimate bandwidth; predicting waits for a stamp."""
+        n_total = len(present)
+        for fr in present:
+            sample_rlc_queue(fr.queue, t0)
+            fr.predictor.push_bw(fr.estimator.compute(t0, n_total))
 
-    def _downlink(self, t0: float, t1: float, factor: float) -> None:
+    def _downlink(self, t0: float, t1: float, factor: float,
+                  present: list[FlowRuntime]) -> None:
         unit = self._bpp_at(self.tti_index) * factor
-        active = [fr for fr in self._flow_order
-                  if fr.present(t0) and fr.queue.has_demand(t0)]
+        active = [fr for fr in present if fr.queue.has_demand(t0)]
         alloc: dict[int, int] = {}
         if active and unit > 0.0:
             demands: dict[int, int] = {}
@@ -331,9 +325,7 @@ class SimWorld:
         prb_used = 0
         any_data = False
         any_retx = False
-        for fr in self._flow_order:
-            if not fr.present(t0):
-                continue
+        for fr in present:
             q = fr.queue
             prbs = alloc.get(fr.cfg.flow_id, 0)
             block = None
@@ -415,8 +407,23 @@ class SimWorld:
                            acked_bytes: int) -> None:
         kind = fr.cfg.controller
         if kind == "choir":
+            # One prediction per TTI, made before its first stamp: the
+            # estimate pass left every input in place, and later ACKs of
+            # this TTI reuse it.
             pred = fr.predictor.last_prediction
-            guidance = pred.guidance if pred is not None else 0.0
+            if pred is None or pred.ts != t0:
+                pred = fr.predictor.compute(t0, fr.queue.samples)
+                if self._log_full:
+                    # a flow that has left and drained was not sampled at
+                    # t0: its queue is empty
+                    ts, queued = fr.queue.samples[-1]
+                    self.log.add(
+                        t0, "predict", fr.cfg.flow_id,
+                        queued if ts == t0 else 0,
+                        f"pred_q={pred.pred_q!r};guidance={pred.guidance!r};"
+                        f"fi={pred.fi!r};bw={fr.predictor.bw_ring[-1]!r};"
+                        f"mean_bw={pred.mean_bw!r}")
+            guidance = pred.guidance
             fb = encode_rate(guidance * 8000.0, stamped_ts=t0)
             wire = fb.to_bytes()
             decoded = decode_rate(fb)

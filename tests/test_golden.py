@@ -30,7 +30,7 @@ GOLDEN = {
         "frames.csv":
             "d724c071412667fa5746dc9ada2cb4b37861d979dfb4abd119883d945776121c",
         "events.log":
-            "b8c21d85d98582b87de3d21bb87a8fd1e7bde78885fb5af2b5fb5312a50a0578",
+            "a53f37cdc522b4bf5e54b15958f1e8d5d4882d57d2510b8acc01a1b3b17c5d5c",
     },
     ("multi_flow_fairness", "frames"): {
         "metrics.csv":
@@ -46,7 +46,7 @@ GOLDEN = {
         "frames.csv":
             "6fc60c9da8067d6a4714e0fd0e27f3f4d4289a753d8c3b00b1c6215a2cd4ebb9",
         "events.log":
-            "e932832f768ca58acaeb23d6b40d344866de9df7d75308bf4584ba6992dd9bc1",
+            "3345d797ccc2558b761a8d0115b319d69168a97513250118b9cda140b688712f",
     },
     ("single_flow", "frames"): {
         "metrics.csv":
@@ -62,7 +62,7 @@ GOLDEN = {
         "frames.csv":
             "65c5921189592b6c1caa373d1056eeab6276e302037c5eaa3c0cba132ad016bd",
         "events.log":
-            "ada620f8136adc1c133c68b4626f4143d9975fac234d7615a61c25f975a02a4c",
+            "4000f0d6614ab078fbd3260854fcb6dd23898c13455c5a1c851c322eb0d59efe",
     },
     ("step_drop", "frames"): {
         "metrics.csv":
@@ -78,7 +78,7 @@ GOLDEN = {
         "frames.csv":
             "9a8586051c7dcb84ce49573731b6f1ace995c57fc3d7af65a53461a549cd9425",
         "events.log":
-            "6042d7594c48c842d91c4f22493dc1dbf230bc84f3b539d571af4b6630789616",
+            "d8e30c7f2cefa1ecaa088d9f177e95d8465cbb2ef68aeaf48eeb97054c3eb1e3",
     },
 }
 

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import pytest
 
@@ -88,6 +90,46 @@ class TestScenarioValidation:
         scn = scenario_from_dict(cfg)
         assert scn.ran.schedule.bytes_per_prb(0) == 12.5
 
+    def test_every_key_loads(self):
+        cfg = base_config(log_level="frames", trace_path=None)
+        cfg["ran"].update(harq_rtx_delay_ms=4.0, harq_max_rtx=2)
+        cfg["ran"]["trace"] = {"kind": "random_walk", "low": 20.0,
+                               "high": 40.0, "seed": 3, "step_fraction": 0.1,
+                               "interval_ttis": 100}
+        cfg["flows"] = [{"flow_id": 4, "controller": "scone",
+                         "wired_nd_ms": 2.0, "ack_per_frames": 2,
+                         "epsilon": 2, "encoder": "instant", "start_s": 0.5,
+                         "stop_s": None, "initial_bitrate_mbps": 3.0}]
+        scn = scenario_from_dict(cfg)
+        assert scn.ran.harq_max_rtx == 2
+        assert scn.flows[0].flow_id == 4 and scn.flows[0].stop_s is None
+
+    @pytest.mark.parametrize("where,key", [
+        ("scenario", "duraton_s"), ("ran", "blerr"),
+        ("ran.trace", "bytes_per_prbs"), ("flows[0]", "wired_nd")])
+    def test_unknown_key(self, where, key):
+        cfg = base_config()
+        target = {"scenario": cfg, "ran": cfg["ran"],
+                  "ran.trace": cfg["ran"]["trace"],
+                  "flows[0]": cfg["flows"][0]}[where]
+        target[key] = 50
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"{where}: unknown key {key!r}")):
+            scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where,key", [
+        ("scenario", "duration_s"), ("ran.trace", "bytes_per_prb"),
+        ("flows[0]", "wired_nd_ms")])
+    def test_non_finite_number(self, where, key, value):
+        cfg = base_config()
+        target = {"scenario": cfg, "ran.trace": cfg["ran"]["trace"],
+                  "flows[0]": cfg["flows"][0]}[where]
+        target[key] = value
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"{where}: {key} must be a finite number")):
+            scenario_from_dict(cfg)
+
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -168,6 +210,13 @@ class TestCli:
         p = write_scenario(tmp_path, cfg)
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_misspelled_key_exit_code(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["ran"]["blerr"] = 0.3
+        p = write_scenario(tmp_path, cfg)
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        assert "ran: unknown key 'blerr'" in capsys.readouterr().err
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == EXIT_CONFIG

@@ -68,9 +68,12 @@ def test_estimator_share_never_below_registered_floor():
 
 
 def test_guidance_respects_eta_ceiling_live():
+    checked = 0
     for w in _stepping_world(flows=2):
         for fr in w.flows.values():
             pred = fr.predictor.last_prediction
             if pred is None:
                 continue
             assert 0.0 <= pred.guidance <= 0.95 * pred.mean_bw + 1e-9
+            checked += 1
+    assert checked > 0

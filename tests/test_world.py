@@ -2,7 +2,9 @@ import pytest
 
 from conftest import make_world, run_metrics, saturate
 
-from ransim import FlowConfig, RanConfig, SimWorld, constant_trace
+from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
+                    constant_trace, square_trace)
+from ransim.harness import write_frames_csv, write_metrics_csv
 
 
 class TestFrameCadence:
@@ -139,6 +141,77 @@ class TestMultiFlowIsolation:
         late = [f.actual_bps for f in w.flows[0].frames
                 if 5000 <= f.encode_ts < 8000]
         assert sum(late) / len(late) == pytest.approx(capacity_bps, rel=0.10)
+
+
+class _EagerWorld(SimWorld):
+    """Also predicts for every present flow in every TTI, before any stamp."""
+
+    def _estimate_and_predict(self, t0, present):
+        super()._estimate_and_predict(t0, present)
+        for fr in present:
+            fr.predictor.compute(t0, fr.queue.samples)
+
+
+def _record_calls(world, method):
+    """Per flow id, the arguments of every call to its predictor's method."""
+    calls = {fid: [] for fid in world.flows}
+    for fid, fr in world.flows.items():
+        inner = getattr(fr.predictor, method)
+
+        def spy(*args, _inner=inner, _calls=calls[fid]):
+            _calls.append(args)
+            return _inner(*args)
+        setattr(fr.predictor, method, spy)
+    return calls
+
+
+class TestPredictionAtStamp:
+    def _mixed_world(self, world_cls, **flow_kwargs):
+        ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.1,
+                        schedule=square_trace(30.0, 6.0, 400, n_periods=20))
+        w = world_cls(ran, seed=4, log_level="frames")
+        for fid, controller in enumerate(("choir", "scone", "oracle",
+                                          "choir")):
+            w.add_flow(FlowConfig(flow_id=fid, controller=controller,
+                                  stop_s=2.0 if fid == 3 else None,
+                                  **flow_kwargs))
+        return w
+
+    def test_eager_prediction_changes_nothing(self, tmp_path):
+        # the estimate pass leaves every predictor input in place, so the
+        # prediction made there equals the one made at the ACK stamp
+        outputs, stamps = [], []
+        for world_cls in (SimWorld, _EagerWorld):
+            w = self._mixed_world(world_cls, wired_nd_ms=5.0)
+            stamps.append(_record_calls(w, "record_stamp"))
+            w.run(3.0)
+            out = tmp_path / world_cls.__name__
+            out.mkdir()
+            write_frames_csv(out / "frames.csv", w)
+            write_metrics_csv(out / "metrics.csv", compute_metrics(
+                w.frames_by_flow(), w.duration_ms, 2000.0))
+            outputs.append({f: (out / f).read_bytes()
+                            for f in ("frames.csv", "metrics.csv")})
+        assert outputs[0] == outputs[1]
+        assert stamps[0] == stamps[1]
+        assert len(stamps[0][0]) > 50 and len(stamps[0][3]) > 20
+
+    def test_one_prediction_per_stamping_tti(self):
+        w = self._mixed_world(SimWorld, wired_nd_ms=0.0, ack_per_frames=2)
+        computes = _record_calls(w, "compute")
+        stamps = _record_calls(w, "record_stamp")
+        w.run(3.0)
+        assert computes[1] == [] and computes[2] == []
+        shared = 0
+        for fid in (0, 3):
+            by_tti = {}
+            for ts, guidance in stamps[fid]:
+                by_tti.setdefault(ts, []).append(guidance)
+            assert [now for now, _ in computes[fid]] == list(by_tti)
+            for values in by_tti.values():
+                assert len(set(values)) == 1
+                shared += len(values) > 1
+        assert shared > 0
 
 
 class TestInjectedPacketPath:
