@@ -154,12 +154,20 @@ class CellWindows:
             return 0.0
         return self._usage_active / len(self._usage)
 
+    def terms(self, prb_total: int, n_present: int) -> tuple:
+        """This TTI's cell-wide estimator inputs, read once for every flow:
+        (n_active, prb_used, n_total, dn, tn, retx), where retx is None
+        while the short window holds no data TTIs."""
+        retx = retx_rate(self.hn, self.dn_short) if self.dn_short else None
+        return (max(1, round(self.n_active_mean)),
+                min(self.prb_used_mean, prb_total), max(1, n_present),
+                self.dn, self.tn, retx)
+
 
 class FlowEstimator:
     """Sliding per-flow measurements plus the capacity computation."""
 
-    def __init__(self, cell: CellWindows, prb_total: int, tti_ms: float):
-        self.cell = cell
+    def __init__(self, prb_total: int, tti_ms: float):
         self.prb_total = prb_total
         self.tti_ms = tti_ms
         self._uprb: deque[int] = deque()
@@ -204,32 +212,29 @@ class FlowEstimator:
         while self._gamma and self._gamma[0][0] <= cutoff:
             self._gamma_sum -= self._gamma.popleft()[1]
 
-    def compute(self, now: float, n_total: int) -> float:
+    def compute(self, now: float, terms: tuple) -> float:
         """Allocated bandwidth for the next TTI, bytes/ms, from current
-        windows."""
-        cell = self.cell
+        windows and this TTI's ``CellWindows.terms``."""
+        n_active, prb_used, n_total, dn, tn, retx = terms
         self._expire(now)
-        n_active = max(1, round(cell.n_active_mean))
         if not self._uprb:
             # connection start: even split over currently active flows
             self.prb_share = initial_prb_share(self.prb_total, n_active)
         else:
             uprb = self._uprb_sum / len(self._uprb)
             self.prb_share = update_prb_share(
-                min(uprb, self.prb_total), self.prb_total,
-                min(cell.prb_used_mean, self.prb_total),
-                n_active, max(1, n_total))
+                min(uprb, self.prb_total), self.prb_total, prb_used,
+                n_active, n_total)
         if self._density_prbs > 0:
             self._bpp_held = self._density_bytes / self._density_prbs
         bpp = self._bpp_held
-        if cell.tn == 0 or bpp <= 0.0:
+        if tn == 0 or bpp <= 0.0:
             return 0.0
         # capacity at the current share from the measured per-PRB payload
         # density; a partially used grant would otherwise bias it low.
-        cap = flow_capacity(self.prb_share, bpp, self.tti_ms, cell.dn,
-                            cell.tn)
-        if cell.dn_short > 0:
-            self._retx_held = retx_rate(cell.hn, cell.dn_short)
+        cap = flow_capacity(self.prb_share, bpp, self.tti_ms, dn, tn)
+        if retx is not None:
+            self._retx_held = retx
         return alloc_bw(cap, self.gamma_mean(), self._retx_held)
 
     def gamma_mean(self) -> float:

@@ -18,6 +18,7 @@ MIN_PACING_BPS = 6e6            # keeps in-frame packet spacing well under the
 RECV_BUCKET_MS = 100.0
 RECV_WINDOW_MS = 1000.0
 RAMP_GAP_FRACTION = 1.0 / 3.0   # slow-encoder convergence per frame
+ENCODER_MODES = ("instant", "ramp")
 
 
 def target_bitrate(guidance_bps: float | None, hist, epsilon: int
@@ -120,7 +121,7 @@ class BaseSender:
 
     def __init__(self, epsilon: int = 1, encoder_mode: str = "instant",
                  initial_bps: float = INITIAL_BITRATE_BPS):
-        if encoder_mode not in ("instant", "ramp"):
+        if encoder_mode not in ENCODER_MODES:
             raise ValueError(f"unknown encoder mode {encoder_mode!r}")
         self.state = SenderState(epsilon=epsilon, encoder_mode=encoder_mode,
                                  initial_bps=initial_bps)

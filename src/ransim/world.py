@@ -22,8 +22,8 @@ from .predictor import FlowPredictor, mean_alloc_bw
 from .ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FailureScript,
                   FlowQueueState, Packet, RanConfig, assemble_block,
                   prbs_for_bytes, sample_rlc_queue, schedule_prbs)
-from .sender import (FRAME_INTERVAL_MS, MTU_PAYLOAD, BaseSender, ChoirSender,
-                     VideoFrame)
+from .sender import (ENCODER_MODES, FRAME_INTERVAL_MS, MTU_PAYLOAD,
+                     BaseSender, ChoirSender, VideoFrame)
 
 SCONE_CAPACITY_WINDOW_MS = 16.6  # smoothing horizon for the scone capacity field
 
@@ -46,6 +46,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.source not in ("video", "none"):
             raise ValueError(f"unknown source {self.source!r}")
+        if self.encoder_mode not in ENCODER_MODES:
+            raise ValueError(f"unknown encoder {self.encoder_mode!r}")
         if self.ack_per_frames < 1:
             raise ValueError("ack_per_frames must be at least 1")
         if self.epsilon < 1:
@@ -125,6 +127,10 @@ class FlowRuntime:
         self.frames: list[VideoFrame] = []  # indexed by frame_id
         self.start_ms = cfg.start_s * 1000.0
         self.stop_ms = math.inf if cfg.stop_s is None else cfg.stop_s * 1000.0
+        # base-station upkeep only where a stamp reads it: choir predicts
+        # from queue, cadence and estimates, scone averages the estimates
+        self.predicts = cfg.controller == "choir"
+        self.estimates = cfg.controller != "oracle"
         self.tick_count = 0
         self.attempt_counter = 0
         self.injected_payload = 0
@@ -195,7 +201,7 @@ class SimWorld:
             fid = cfg.flow_id
             sender.truth_fn = lambda now, _fid=fid: self.true_flow_rate(_fid)
         queue = FlowQueueState(cfg.flow_id)
-        estimator = FlowEstimator(self.cell, self.ran.prb_total, self.ran.tti_ms)
+        estimator = FlowEstimator(self.ran.prb_total, self.ran.tti_ms)
         predictor = FlowPredictor(self.ran.tti_ms, cfg.wired_nd_ms)
         fr = FlowRuntime(cfg, sender, queue, estimator, predictor)
         self.flows[cfg.flow_id] = fr
@@ -290,7 +296,8 @@ class SimWorld:
             fr = self.flows[flow_id]
             fr.queue.enqueue(pkt, ts)
             fr.injected_payload += pkt.payload_bytes
-            fr.predictor.on_enqueue(ts, pkt.payload_bytes)
+            if fr.predicts:
+                fr.predictor.on_enqueue(ts, pkt.payload_bytes)
             if self._log_full:
                 self.log.add(ts, "enqueue", flow_id, pkt.payload_bytes,
                              f"pkt={pkt.pkt_id};frame={pkt.frame_id}")
@@ -298,10 +305,12 @@ class SimWorld:
     def _estimate_and_predict(self, t0: float,
                               present: list[FlowRuntime]) -> None:
         """Sample queues and estimate bandwidth; predicting waits for a stamp."""
-        n_total = len(present)
+        terms = self.cell.terms(self.ran.prb_total, len(present))
         for fr in present:
-            sample_rlc_queue(fr.queue, t0)
-            fr.predictor.push_bw(fr.estimator.compute(t0, n_total))
+            if fr.predicts:
+                sample_rlc_queue(fr.queue, t0)
+            if fr.estimates:
+                fr.predictor.push_bw(fr.estimator.compute(t0, terms))
 
     def _downlink(self, t0: float, t1: float, factor: float,
                   present: list[FlowRuntime]) -> None:
@@ -337,15 +346,17 @@ class SimWorld:
                 else:
                     block = assemble_block(q, int(prbs * unit + 1e-9))
             if block is None:
-                fr.estimator.note_grant(0)
+                if fr.estimates:
+                    fr.estimator.note_grant(0)
                 continue
             uprb = min(prbs, max(1, prbs_for_bytes(block.bytes, unit)))
-            fr.estimator.note_grant(uprb)
+            if fr.estimates:
+                fr.estimator.note_grant(uprb)
+                fr.estimator.note_block(t0, block.bytes,
+                                        block.overhead_bytes, uprb, factor)
             prb_used += uprb
             any_data = True
             any_retx = any_retx or is_retx
-            fr.estimator.note_block(t0, block.bytes, block.overhead_bytes,
-                                    uprb, factor)
             self._transmit(fr, block, is_retx, t0, t1, uprb)
         self.cell.close_tti(factor if unit > 0.0 else 0.0, any_data,
                             any_retx, True, prb_used, len(active))

@@ -2,6 +2,8 @@ import pytest
 
 from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
                     constant_trace)
+from ransim.capacity import (alloc_bw, flow_capacity, initial_prb_share,
+                             retx_rate, update_prb_share)
 from ransim.sender import BaseSender
 
 
@@ -13,6 +15,29 @@ class SaturatingSender(BaseSender):
 
     def on_feedback(self, fb, now):
         pass
+
+
+def reference_estimate(est, cell, now, n_total):
+    """``FlowEstimator.compute`` reading every ``CellWindows`` property on
+    each call, the reference for the once-per-TTI ``CellWindows.terms``."""
+    est._expire(now)
+    n_active = max(1, round(cell.n_active_mean))
+    if not est._uprb:
+        est.prb_share = initial_prb_share(est.prb_total, n_active)
+    else:
+        uprb = est._uprb_sum / len(est._uprb)
+        est.prb_share = update_prb_share(
+            min(uprb, est.prb_total), est.prb_total,
+            min(cell.prb_used_mean, est.prb_total), n_active, max(1, n_total))
+    if est._density_prbs > 0:
+        est._bpp_held = est._density_bytes / est._density_prbs
+    bpp = est._bpp_held
+    if cell.tn == 0 or bpp <= 0.0:
+        return 0.0
+    cap = flow_capacity(est.prb_share, bpp, est.tti_ms, cell.dn, cell.tn)
+    if cell.dn_short > 0:
+        est._retx_held = retx_rate(cell.hn, cell.dn_short)
+    return alloc_bw(cap, est.gamma_mean(), est._retx_held)
 
 
 def make_world(bpp=30.0, *, flows=1, controller="choir", wired_nd_ms=1.0,

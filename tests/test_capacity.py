@@ -1,8 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ransim.capacity import (EstimatorError, alloc_bw, flow_capacity,
-                             initial_prb_share, retx_rate, update_prb_share)
+from conftest import reference_estimate
+
+from ransim.capacity import (CellWindows, EstimatorError, FlowEstimator,
+                             alloc_bw, flow_capacity, initial_prb_share,
+                             retx_rate, update_prb_share)
 
 
 class TestInitialShare:
@@ -119,3 +122,41 @@ class TestAllocBw:
     def test_nondecreasing_in_capacity(self, c1, c2, gamma, retx):
         lo, hi = min(c1, c2), max(c1, c2)
         assert alloc_bw(hi, gamma, retx) >= alloc_bw(lo, gamma, retx) - 1e-9
+
+
+# one TTI: close_tti arguments, then an optional grant, block and estimate;
+# blocks are sparse so that the short windows empty between bursts
+_TTI = st.tuples(
+    st.sampled_from([0.0, 0.5, 1.0]), st.booleans(), st.booleans(),
+    st.integers(0, 100), st.integers(0, 6),
+    st.none() | st.integers(0, 100),
+    st.sampled_from([None] * 5) | st.tuples(
+        st.integers(1, 4000), st.integers(0, 200), st.integers(1, 100)),
+    st.none() | st.integers(0, 8))
+
+
+class TestTermsSnapshot:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([0.5, 1.0]), st.lists(_TTI, max_size=80))
+    def test_compute_equals_per_call_reads(self, tti_ms, ttis):
+        cell = CellWindows(tti_ms)
+        est, ref = FlowEstimator(100, tti_ms), FlowEstimator(100, tti_ms)
+        for k, tti in enumerate(ttis):
+            weight, data, retx, prb_used, n_active, grant, block, n_total = \
+                tti
+            now = k * tti_ms
+            if n_total is not None:
+                got = est.compute(now, cell.terms(100, n_total))
+                assert got == reference_estimate(ref, cell, now, n_total)
+                assert (est.prb_share, est._bpp_held, est._retx_held) == \
+                    (ref.prb_share, ref._bpp_held, ref._retx_held)
+            if grant is not None:
+                est.note_grant(grant)
+                ref.note_grant(grant)
+            if block is not None:
+                total, overhead, prbs = block
+                for e in (est, ref):
+                    e.note_block(now, total, min(overhead, total - 1), prbs,
+                                 weight or 0.5)
+            cell.close_tti(weight, data, data and retx, weight > 0,
+                           prb_used, n_active)

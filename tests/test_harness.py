@@ -45,6 +45,13 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="unknown controller"):
             scenario_from_dict(cfg)
 
+    def test_unknown_encoder(self):
+        cfg = base_config()
+        cfg["flows"].append({"controller": "scone", "encoder": "rmap"})
+        with pytest.raises(ScenarioError, match=re.escape(
+                "flows[1]: unknown encoder 'rmap'")):
+            scenario_from_dict(cfg)
+
     def test_missing_duration(self):
         cfg = base_config()
         del cfg["duration_s"]
@@ -217,6 +224,13 @@ class TestCli:
         p = write_scenario(tmp_path, cfg)
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert "ran: unknown key 'blerr'" in capsys.readouterr().err
+
+    def test_unknown_encoder_exit_code(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["flows"][0]["encoder"] = "rmap"
+        p = write_scenario(tmp_path, cfg)
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        assert "flows[0]: unknown encoder 'rmap'" in capsys.readouterr().err
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == EXIT_CONFIG

@@ -1,10 +1,12 @@
 import pytest
 
-from conftest import make_world, run_metrics, saturate
+from conftest import make_world, reference_estimate, run_metrics, saturate
 
+import ransim.world
 from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
                     constant_trace, square_trace)
 from ransim.harness import write_frames_csv, write_metrics_csv
+from ransim.ran import sample_rlc_queue
 
 
 class TestFrameCadence:
@@ -152,37 +154,39 @@ class _EagerWorld(SimWorld):
             fr.predictor.compute(t0, fr.queue.samples)
 
 
-def _record_calls(world, method):
-    """Per flow id, the arguments of every call to its predictor's method."""
+def _record_calls(world, method, part="predictor"):
+    """Per flow id, the arguments of every call to a method of its predictor
+    (or of another per-flow part, such as its estimator)."""
     calls = {fid: [] for fid in world.flows}
     for fid, fr in world.flows.items():
-        inner = getattr(fr.predictor, method)
+        inner = getattr(getattr(fr, part), method)
 
         def spy(*args, _inner=inner, _calls=calls[fid]):
             _calls.append(args)
             return _inner(*args)
-        setattr(fr.predictor, method, spy)
+        setattr(getattr(fr, part), method, spy)
     return calls
 
 
-class TestPredictionAtStamp:
-    def _mixed_world(self, world_cls, **flow_kwargs):
-        ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.1,
-                        schedule=square_trace(30.0, 6.0, 400, n_periods=20))
-        w = world_cls(ran, seed=4, log_level="frames")
-        for fid, controller in enumerate(("choir", "scone", "oracle",
-                                          "choir")):
-            w.add_flow(FlowConfig(flow_id=fid, controller=controller,
-                                  stop_s=2.0 if fid == 3 else None,
-                                  **flow_kwargs))
-        return w
+def _mixed_world(world_cls, log_level="frames", **flow_kwargs):
+    """choir, scone and oracle flows plus a choir flow that leaves at 2 s."""
+    ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.1,
+                    schedule=square_trace(30.0, 6.0, 400, n_periods=20))
+    w = world_cls(ran, seed=4, log_level=log_level)
+    for fid, controller in enumerate(("choir", "scone", "oracle", "choir")):
+        w.add_flow(FlowConfig(flow_id=fid, controller=controller,
+                              stop_s=2.0 if fid == 3 else None,
+                              **flow_kwargs))
+    return w
 
+
+class TestPredictionAtStamp:
     def test_eager_prediction_changes_nothing(self, tmp_path):
         # the estimate pass leaves every predictor input in place, so the
         # prediction made there equals the one made at the ACK stamp
         outputs, stamps = [], []
         for world_cls in (SimWorld, _EagerWorld):
-            w = self._mixed_world(world_cls, wired_nd_ms=5.0)
+            w = _mixed_world(world_cls, wired_nd_ms=5.0)
             stamps.append(_record_calls(w, "record_stamp"))
             w.run(3.0)
             out = tmp_path / world_cls.__name__
@@ -197,7 +201,7 @@ class TestPredictionAtStamp:
         assert len(stamps[0][0]) > 50 and len(stamps[0][3]) > 20
 
     def test_one_prediction_per_stamping_tti(self):
-        w = self._mixed_world(SimWorld, wired_nd_ms=0.0, ack_per_frames=2)
+        w = _mixed_world(SimWorld, wired_nd_ms=0.0, ack_per_frames=2)
         computes = _record_calls(w, "compute")
         stamps = _record_calls(w, "record_stamp")
         w.run(3.0)
@@ -212,6 +216,77 @@ class TestPredictionAtStamp:
                 assert len(set(values)) == 1
                 shared += len(values) > 1
         assert shared > 0
+
+
+class _EagerEstimateWorld(SimWorld):
+    """Samples queues, detects frames, keeps estimator windows and estimates
+    for every present flow whatever its controller, reading the cell windows
+    on each estimate."""
+
+    def add_flow(self, cfg):
+        fr = super().add_flow(cfg)
+        fr.predicts = fr.estimates = True
+        return fr
+
+    def _estimate_and_predict(self, t0, present):
+        for fr in present:
+            sample_rlc_queue(fr.queue, t0)
+            fr.predictor.push_bw(reference_estimate(
+                fr.estimator, self.cell, t0, len(present)))
+
+
+class TestEstimateUpkeep:
+    def test_eager_upkeep_changes_nothing(self, tmp_path):
+        # only stamps read the skipped state, and the snapshot holds the
+        # values each property read gave
+        outputs = []
+        for world_cls in (SimWorld, _EagerEstimateWorld):
+            w = _mixed_world(world_cls, log_level="full", wired_nd_ms=5.0)
+            w.run(3.0)
+            out = tmp_path / world_cls.__name__
+            out.mkdir()
+            w.log.write(out / "events.log")
+            write_frames_csv(out / "frames.csv", w)
+            write_metrics_csv(out / "metrics.csv", compute_metrics(
+                w.frames_by_flow(), w.duration_ms, 2000.0))
+            outputs.append({f: (out / f).read_bytes()
+                            for f in ("events.log", "frames.csv",
+                                      "metrics.csv")})
+        assert outputs[0] == outputs[1]
+        log = outputs[0]["events.log"]
+        assert b",ack_stamp,1," in log and b",predict,3," in log
+
+    def test_hooks_run_only_where_a_stamp_reads_them(self, monkeypatch):
+        w = _mixed_world(SimWorld, wired_nd_ms=5.0)
+        est = {m: _record_calls(w, m, "estimator")
+               for m in ("compute", "note_grant", "note_block")}
+        enqueues = _record_calls(w, "on_enqueue")
+        samples = {fid: [] for fid in w.flows}
+
+        def sample_spy(queue, now):
+            samples[queue.flow_id].append(now)
+            return sample_rlc_queue(queue, now)
+        monkeypatch.setattr(ransim.world, "sample_rlc_queue", sample_spy)
+        present = {fid: [] for fid in w.flows}
+        estimate = w._estimate_and_predict
+
+        def estimate_spy(t0, flows):
+            for fid, fr in w.flows.items():
+                if fr.present(t0):
+                    present[fid].append(t0)
+            estimate(t0, flows)
+        w._estimate_and_predict = estimate_spy
+        w.run(3.0)
+        for hook in (est["compute"], est["note_grant"], est["note_block"],
+                     enqueues, samples):
+            assert hook[2] == []
+        assert enqueues[1] == [] and samples[1] == []
+        assert est["note_block"][1] and enqueues[0] and enqueues[3]
+        assert len(present[3]) < len(present[0]) == 6000
+        for fid in (0, 1, 3):
+            assert [now for now, _ in est["compute"][fid]] == present[fid]
+        for fid in (0, 3):
+            assert samples[fid] == present[fid]
 
 
 class TestInjectedPacketPath:
