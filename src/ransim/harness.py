@@ -236,15 +236,22 @@ def build_world(scn: Scenario, seed: int | None = None) -> SimWorld:
 
 def run_scenario(scn: Scenario, out_dir=None, seed: int | None = None
                  ) -> RunMetrics:
-    """Run one scenario to completion and optionally persist its outputs."""
+    """Run one scenario to completion and optionally persist its outputs.
+
+    With out_dir, events.log is written while the run proceeds. A run that
+    fails leaves the lines logged until then, without the closing run_info.
+    """
     world = build_world(scn, seed)
-    world.run(scn.duration_s)
+    if out_dir is None:
+        world.run(scn.duration_s)
+    else:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with world.log.stream_to(out / EVENTS_LOG):
+            world.run(scn.duration_s)
     metrics = compute_metrics(world.frames_by_flow(), world.duration_ms,
                               scn.warmup_ms)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        world.log.write(out / EVENTS_LOG)
         write_metrics_csv(out / METRICS_CSV, metrics)
         write_frames_csv(out / FRAMES_CSV, world)
     return metrics
@@ -307,12 +314,19 @@ def sweep_scenario(scn: Scenario, key: str, values: list[float],
 
 def report_run_dir(run_dir, warmup_ms: float = WARMUP_EXCLUDE_MS
                    ) -> RunMetrics:
-    """Recompute metrics for one persisted run purely from its event log."""
+    """Recompute metrics for one persisted run purely from its event log.
+
+    Only the frame events are parsed into records. A malformed log, or one
+    without run_info such as a failed run leaves, raises ScenarioError.
+    """
     log_path = Path(run_dir) / EVENTS_LOG
     if not log_path.exists():
         raise ScenarioError(f"{run_dir}: no {EVENTS_LOG} found")
-    records = parse_event_log(log_path)
-    return metrics_from_event_records(records, warmup_ms)
+    try:
+        records = parse_event_log(log_path)
+        return metrics_from_event_records(records, warmup_ms)
+    except ValueError as exc:
+        raise ScenarioError(f"{log_path}: {exc}") from exc
 
 
 def find_run_dirs(root) -> list[Path]:

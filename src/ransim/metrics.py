@@ -104,10 +104,16 @@ def compute_metrics(frames_by_flow: dict[int, list[VideoFrame]],
                       warmup_ms=warmup_ms)
 
 
-def frames_from_event_records(records: list[EventRecord]
-                              ) -> dict[int, list[VideoFrame]]:
-    """Rebuild per-flow frame records from logged frame events."""
+def metrics_from_event_records(records: list[EventRecord],
+                               warmup_ms: float = WARMUP_EXCLUDE_MS
+                               ) -> RunMetrics:
+    """Recompute RunMetrics purely from a persisted event log.
+
+    Raises ValueError when no run_info record gives the run's duration, as
+    in the partial log of a run that failed.
+    """
     frames: dict[tuple[int, int], VideoFrame] = {}
+    duration_ms = None
     for rec in records:
         if rec.event == "frame_encode":
             fid = int(_detail_field(rec.detail, "frame"))
@@ -120,22 +126,14 @@ def frames_from_event_records(records: list[EventRecord]
             key = (rec.flow_id, fid)
             if key in frames:
                 frames[key].decode_ts = rec.time_ms
+        elif rec.event == "run_info":
+            duration_ms = float(_detail_field(rec.detail, "duration_ms"))
+    if duration_ms is None:
+        raise ValueError("no run_info record: the run did not finish")
     by_flow: dict[int, list[VideoFrame]] = {}
     for (flow_id, _), frame in sorted(frames.items()):
         by_flow.setdefault(flow_id, []).append(frame)
-    return by_flow
-
-
-def metrics_from_event_records(records: list[EventRecord],
-                               warmup_ms: float = WARMUP_EXCLUDE_MS
-                               ) -> RunMetrics:
-    """Recompute RunMetrics purely from a persisted event log."""
-    duration_ms = 0.0
-    for rec in records:
-        if rec.event == "run_info":
-            duration_ms = float(_detail_field(rec.detail, "duration_ms"))
-    return compute_metrics(frames_from_event_records(records), duration_ms,
-                           warmup_ms)
+    return compute_metrics(by_flow, duration_ms, warmup_ms)
 
 
 def _detail_field(detail: str, key: str) -> str:
@@ -143,4 +141,4 @@ def _detail_field(detail: str, key: str) -> str:
         k, _, v = part.partition("=")
         if k == key:
             return v
-    raise KeyError(f"{key!r} not in detail {detail!r}")
+    raise ValueError(f"{key!r} not in detail {detail!r}")

@@ -268,6 +268,7 @@ class SimWorld:
         self.duration_ms = self.now_ms
         self.log.add(self.now_ms, "run_info", -1, 0,
                      f"duration_ms={self.duration_ms!r};seed={self.seed}")
+        self.log.flush()  # a streamed log holds nothing once the run ends
 
     def step(self) -> None:
         """Advance exactly one TTI."""

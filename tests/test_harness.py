@@ -259,3 +259,15 @@ class TestCli:
 
     def test_report_empty_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_report_truncated_log_exit_code(self, tmp_path, capsys):
+        p = write_scenario(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == EXIT_OK
+        log = out / "events.log"
+        lines = log.read_text().splitlines(keepends=True)
+        log.write_text("".join(lines[:len(lines) // 2]))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{log}: no run_info record" in err
