@@ -32,6 +32,22 @@ GOLDEN = {
         "events.log":
             "a53f37cdc522b4bf5e54b15958f1e8d5d4882d57d2510b8acc01a1b3b17c5d5c",
     },
+    ("join_leave", "frames"): {
+        "metrics.csv":
+            "a9d8a0e612fd5b9e88de3261b5053bf051957fbce71a3f255b5349673d28361d",
+        "frames.csv":
+            "82f7bc4eba94091ff4387ec1089de0c201b8500228f7dc42cf83e6528db0162c",
+        "events.log":
+            "4166312e493d5b815e9cb35cd3422bcb3306c655a979c99db630a17aa3a947e3",
+    },
+    ("join_leave", "full"): {
+        "metrics.csv":
+            "a9d8a0e612fd5b9e88de3261b5053bf051957fbce71a3f255b5349673d28361d",
+        "frames.csv":
+            "82f7bc4eba94091ff4387ec1089de0c201b8500228f7dc42cf83e6528db0162c",
+        "events.log":
+            "a40242d57b63ff05c2577825cdf46aa1ca9f2e1d19470dc3106343ba9278a7fd",
+    },
     ("multi_flow_fairness", "frames"): {
         "metrics.csv":
             "558b3df3ed1f6646be0fb14401297d3a1a0b5e3e37425ceddce4972f4a2e864c",
