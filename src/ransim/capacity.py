@@ -174,12 +174,12 @@ class FlowEstimator:
         self._uprb_sum = 0
         self._uprb_n = max(1, int(round(SHORT_WINDOW_MS / tti_ms)))
         self.prb_share = float(prb_total)
-        # per-PRB payload density samples over the short window:
-        # (bytes, effective full-slot PRBs) per transmitting TTI
-        self._density: deque[tuple[float, float, float]] = deque()
+        # short-window samples, one per transmitting TTI: (time, bytes,
+        # effective full-slot PRBs, payload fraction); the sums give the
+        # per-PRB payload density and the mean payload fraction
+        self._blocks: deque[tuple[float, float, float, float]] = deque()
         self._density_bytes = 0.0
         self._density_prbs = 0.0
-        self._gamma: deque[tuple[float, float]] = deque()
         self._gamma_sum = 0.0
         self._bpp_held = 0.0
         self._retx_held = 0.0
@@ -193,51 +193,67 @@ class FlowEstimator:
 
     def note_block(self, now: float, total_bytes: int, overhead: int,
                    prbs_used: int, slot_factor: float) -> None:
-        """Record one transmitted block for density and payload statistics."""
+        """Record one transmitted block for density and payload statistics.
+
+        Expiry is left to ``compute``, which the TTI loop runs first.
+        """
         eff_prbs = prbs_used * slot_factor
-        self._density.append((now, float(total_bytes), eff_prbs))
+        ratio = (total_bytes - overhead) / total_bytes if total_bytes else 0.0
+        self._blocks.append((now, float(total_bytes), eff_prbs, ratio))
         self._density_bytes += total_bytes
         self._density_prbs += eff_prbs
-        ratio = (total_bytes - overhead) / total_bytes if total_bytes else 0.0
-        self._gamma.append((now, ratio))
         self._gamma_sum += ratio
-        self._expire(now)
 
     def _expire(self, now: float) -> None:
         cutoff = now - SHORT_WINDOW_MS
-        while self._density and self._density[0][0] <= cutoff:
-            _, b, p = self._density.popleft()
+        blocks = self._blocks
+        while blocks and blocks[0][0] <= cutoff:
+            _, b, p, ratio = blocks.popleft()
             self._density_bytes -= b
             self._density_prbs -= p
-        while self._gamma and self._gamma[0][0] <= cutoff:
-            self._gamma_sum -= self._gamma.popleft()[1]
+            self._gamma_sum -= ratio
 
     def compute(self, now: float, terms: tuple) -> float:
         """Allocated bandwidth for the next TTI, bytes/ms, from current
-        windows and this TTI's ``CellWindows.terms``."""
+        windows and this TTI's ``CellWindows.terms``.
+
+        The arithmetic is ``initial_prb_share`` or ``update_prb_share``,
+        then ``flow_capacity`` and ``alloc_bw``, in their float order, less
+        the checks that ``terms`` already guarantees.
+        """
         n_active, prb_used, n_total, dn, tn, retx = terms
-        self._expire(now)
-        if not self._uprb:
-            # connection start: even split over currently active flows
-            self.prb_share = initial_prb_share(self.prb_total, n_active)
-        else:
+        blocks = self._blocks
+        if blocks and blocks[0][0] <= now - SHORT_WINDOW_MS:
+            self._expire(now)
+        prb_total = self.prb_total
+        if self._uprb:
             uprb = self._uprb_sum / len(self._uprb)
-            self.prb_share = update_prb_share(
-                min(uprb, self.prb_total), self.prb_total, prb_used,
-                n_active, n_total)
+            if uprb > prb_total:
+                uprb = prb_total
+            share = uprb + (prb_total - prb_used) / n_active
+            floor = prb_total / n_total
+            if floor > share:
+                share = floor
+        else:
+            # connection start: even split over currently active flows
+            share = prb_total / n_active
+        self.prb_share = share
         if self._density_prbs > 0:
             self._bpp_held = self._density_bytes / self._density_prbs
         bpp = self._bpp_held
         if tn == 0 or bpp <= 0.0:
             return 0.0
-        # capacity at the current share from the measured per-PRB payload
-        # density; a partially used grant would otherwise bias it low.
-        cap = flow_capacity(self.prb_share, bpp, self.tti_ms, dn, tn)
         if retx is not None:
             self._retx_held = retx
-        return alloc_bw(cap, self.gamma_mean(), self._retx_held)
+        gamma = self._gamma_sum / len(blocks) if blocks else GAMMA_DEFAULT
+        if not 0 < gamma <= 1:
+            raise EstimatorError("gamma must be in (0, 1]")
+        # capacity at the current share from the measured per-PRB payload
+        # density; a partially used grant would otherwise bias it low.
+        return (share * bpp / self.tti_ms * (dn / tn)
+                * gamma / (1.0 + self._retx_held))
 
     def gamma_mean(self) -> float:
-        if not self._gamma:
+        if not self._blocks:
             return GAMMA_DEFAULT
-        return self._gamma_sum / len(self._gamma)
+        return self._gamma_sum / len(self._blocks)

@@ -46,7 +46,7 @@ class RanConfig:
             raise ValueError("harq_max_rtx must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One paced wire packet; identity survives segmentation at the RLC."""
 
@@ -56,7 +56,7 @@ class Packet:
     payload_bytes: int
 
 
-@dataclass
+@dataclass(slots=True)
 class QueuedSegment:
     """Contiguous byte range of a packet waiting in the RLC queue."""
 
@@ -65,7 +65,7 @@ class QueuedSegment:
     enqueue_ts: float
 
 
-@dataclass
+@dataclass(slots=True)
 class TransportBlock:
     """One MAC-layer block: payload segments plus framing overhead."""
 
@@ -102,12 +102,6 @@ class FlowQueueState:
         for packet, nbytes in block.segments:
             self.segments.append(QueuedSegment(packet, nbytes, ts))
             self.queued_bytes += nbytes
-
-    def has_ready_retx(self, now: float) -> bool:
-        return bool(self.harq_pending) and self.harq_pending[0].ready_ms <= now
-
-    def has_demand(self, now: float) -> bool:
-        return self.queued_bytes > 0 or self.has_ready_retx(now)
 
 
 def sample_rlc_queue(flow: FlowQueueState, now: float) -> int:
@@ -182,29 +176,28 @@ def schedule_prbs(flow_ids: list[int], prb_total: int,
 def assemble_block(flow: FlowQueueState, capacity_bytes: int
                    ) -> TransportBlock | None:
     """Pull queued segments into one transport block within capacity_bytes."""
-    if capacity_bytes <= OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT:
-        return None
+    queue = flow.segments
     segments: list[tuple[Packet, int]] = []
     payload = 0
-    overhead = OVERHEAD_FIXED
-    while flow.segments:
-        head = flow.segments[0]
-        room = capacity_bytes - payload - overhead - OVERHEAD_PER_SEGMENT
-        if room <= 0:
+    # payload bytes the next segment may carry after its own header
+    room = capacity_bytes - OVERHEAD_FIXED - OVERHEAD_PER_SEGMENT
+    while queue and room > 0:
+        head = queue[0]
+        take = head.nbytes
+        if take > room:
+            take = room
+            head.nbytes -= take
+        elif take > 0:
+            queue.popleft()
+        else:
             break
-        take = min(head.nbytes, room)
-        if take <= 0:
-            break
-        overhead += OVERHEAD_PER_SEGMENT
         payload += take
         segments.append((head.packet, take))
-        if take == head.nbytes:
-            flow.segments.popleft()
-        else:
-            head.nbytes -= take
-        flow.queued_bytes -= take
+        room -= take + OVERHEAD_PER_SEGMENT
     if payload == 0:
         return None
+    flow.queued_bytes -= payload
+    overhead = OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT * len(segments)
     return TransportBlock(
         flow_id=flow.flow_id, bytes=payload + overhead,
         overhead_bytes=overhead, segments=segments)

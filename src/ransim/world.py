@@ -292,15 +292,19 @@ class SimWorld:
 
     def _process_arrivals(self, t0: float) -> None:
         heap = self._gnb_arrivals
+        flows = self.flows
+        pop = heapq.heappop
+        log_full = self._log_full
         while heap and heap[0][0] <= t0:
-            ts, _, flow_id, pkt = heapq.heappop(heap)
-            fr = self.flows[flow_id]
+            ts, _, flow_id, pkt = pop(heap)
+            fr = flows[flow_id]
+            nbytes = pkt.payload_bytes
             fr.queue.enqueue(pkt, ts)
-            fr.injected_payload += pkt.payload_bytes
+            fr.injected_payload += nbytes
             if fr.predicts:
-                fr.predictor.on_enqueue(ts, pkt.payload_bytes)
-            if self._log_full:
-                self.log.add(ts, "enqueue", flow_id, pkt.payload_bytes,
+                fr.predictor.on_enqueue(ts, nbytes)
+            if log_full:
+                self.log.add(ts, "enqueue", flow_id, nbytes,
                              f"pkt={pkt.pkt_id};frame={pkt.frame_id}")
 
     def _estimate_and_predict(self, t0: float,
@@ -316,19 +320,26 @@ class SimWorld:
     def _downlink(self, t0: float, t1: float, factor: float,
                   present: list[FlowRuntime]) -> None:
         unit = self._bpp_at(self.tti_index) * factor
-        active = [fr for fr in present if fr.queue.has_demand(t0)]
+        # One read of each flow's HARQ head. Nothing later in this TTI
+        # changes another flow's queue, and a block that fails now is not
+        # ready again before t0 + harq_rtx_delay_ms.
+        demands: dict[int, int] = {}
+        ready: set[int] = set()  # flows whose HARQ head is due
+        for fr in present:
+            q = fr.queue
+            pending = q.harq_pending
+            if pending and pending[0].ready_ms <= t0:
+                ready.add(q.flow_id)
+                need = pending[0].bytes
+            elif q.queued_bytes:
+                need = q.queued_bytes + (
+                    OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT
+                    * (1 + q.queued_bytes // MTU_PAYLOAD))
+            else:
+                continue
+            demands[q.flow_id] = max(1, prbs_for_bytes(need, unit))
         alloc: dict[int, int] = {}
-        if active and unit > 0.0:
-            demands: dict[int, int] = {}
-            for fr in active:
-                q = fr.queue
-                if q.has_ready_retx(t0):
-                    need = q.harq_pending[0].bytes
-                else:
-                    need = q.queued_bytes + (
-                        OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT
-                        * (1 + q.queued_bytes // MTU_PAYLOAD))
-                demands[q.flow_id] = max(1, prbs_for_bytes(need, unit))
+        if demands and unit > 0.0:
             alloc = schedule_prbs(list(demands), self.ran.prb_total,
                                   demands, self._rotation)
             self._rotation += 1
@@ -337,10 +348,10 @@ class SimWorld:
         any_retx = False
         for fr in present:
             q = fr.queue
-            prbs = alloc.get(fr.cfg.flow_id, 0)
+            prbs = alloc.get(q.flow_id, 0)
             block = None
             if prbs > 0:
-                is_retx = q.has_ready_retx(t0)
+                is_retx = q.flow_id in ready
                 if is_retx:
                     block = q.harq_pending.popleft()
                     q.harq_flight_payload -= block.payload_bytes
@@ -360,7 +371,7 @@ class SimWorld:
             any_retx = any_retx or is_retx
             self._transmit(fr, block, is_retx, t0, t1, uprb)
         self.cell.close_tti(factor if unit > 0.0 else 0.0, any_data,
-                            any_retx, True, prb_used, len(active))
+                            any_retx, True, prb_used, len(demands))
 
     def _transmit(self, fr: FlowRuntime, block, is_retx: bool,
                   t0: float, t1: float, uprb: int) -> None:
@@ -393,17 +404,27 @@ class SimWorld:
                              block.payload_bytes, f"rtx={block.rtx_count}")
 
     def _deliver_block(self, fr: FlowRuntime, block, t1: float) -> None:
-        for pkt, nbytes in block.segments:
-            fr.delivered_payload += nbytes
-            done = fr.receiver.on_bytes(pkt.frame_id, nbytes, t1)
-            if done:
-                frame = fr.frames[pkt.frame_id]
+        receiver = fr.receiver
+        fr.delivered_payload += block.payload_bytes
+        # one credit per run of consecutive segments from one frame; after
+        # an RLC requeue a block can interleave frames (A, B, A)
+        segments = block.segments
+        n = len(segments)
+        i = 0
+        while i < n:
+            pkt, nbytes = segments[i]
+            frame_id = pkt.frame_id
+            i += 1
+            while i < n and segments[i][0].frame_id == frame_id:
+                nbytes += segments[i][1]
+                i += 1
+            if receiver.on_bytes(frame_id, nbytes, t1):
+                frame = fr.frames[frame_id]
                 frame.decode_ts = t1
                 self.log.add(t1, "frame_done", fr.cfg.flow_id, frame.nbytes,
-                             f"frame={frame.frame_id};"
-                             f"delay={frame.delay_ms!r}")
-                fr.receiver.on_frame_complete(t1)
-        fr.receiver.maybe_timeout_ack(t1)
+                             f"frame={frame_id};delay={frame.delay_ms!r}")
+                receiver.on_frame_complete(t1)
+        receiver.maybe_timeout_ack(t1)
         if self._log_full:
             self.log.add(t1, "deliver", fr.cfg.flow_id, block.payload_bytes,
                          f"segs={len(block.segments)}")
@@ -476,16 +497,23 @@ class SimWorld:
         self.log.add(ts, "frame_encode", fr.cfg.flow_id, frame.nbytes,
                      f"frame={frame.frame_id};target={frame.target_bps!r};"
                      f"actual={frame.actual_bps!r}")
+        flow_id = fr.cfg.flow_id
+        wired = fr.cfg.wired_nd_ms
+        heap = self._gnb_arrivals
+        seq = self._seq
+        pkt_id = self._pkt_counter
         for nbytes, offset in fr.sender.packet_release_offsets(frame.nbytes):
-            self._pkt_counter += 1
-            pkt = Packet(self._pkt_counter, fr.cfg.flow_id, frame.frame_id,
-                         nbytes)
-            self._push_arrival(ts + offset + fr.cfg.wired_nd_ms,
-                               fr.cfg.flow_id, pkt)
+            seq += 1
+            pkt_id += 1
+            heapq.heappush(heap, (ts + offset + wired, seq, flow_id,
+                                  Packet(pkt_id, flow_id, frame.frame_id,
+                                         nbytes)))
+        self._seq = seq
+        self._pkt_counter = pkt_id
         fr.tick_count += 1
         next_ts = fr.start_ms + fr.tick_count * FRAME_INTERVAL_MS
         if next_ts < fr.stop_ms:
-            self._push_sender_event(next_ts, "tick", fr.cfg.flow_id, None)
+            self._push_sender_event(next_ts, "tick", flow_id, None)
 
     def _apply_feedback(self, fr: FlowRuntime, ts: float, payload) -> None:
         kind, wire, stamp_ts, acked_bytes = payload
