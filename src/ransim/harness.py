@@ -97,17 +97,25 @@ def _check_keys(mapping, allowed: frozenset, ctx: str) -> None:
 
 def _number(mapping: dict, key: str, ctx: str, default=_REQUIRED,
             kind=float):
-    """mapping[key] (or default when absent) as a finite float or int."""
+    """mapping[key] (or default when absent) as a finite float, or as an int
+    when kind is int. Strings, booleans and fractions of an int are errors,
+    not coerced."""
     raw = (_require(mapping, key, ctx) if default is _REQUIRED
            else mapping.get(key, default))
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioError(f"{ctx}: {key} must be a number, got {raw!r}")
     try:
-        value = kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{ctx}: {key} must be a finite number, "
-                            f"got {raw!r}") from exc
+        value = float(raw)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise ScenarioError(f"{ctx}: {key} must be a finite number, "
                             f"got {raw!r}")
+    if kind is int:
+        if not value.is_integer():
+            raise ScenarioError(f"{ctx}: {key} must be an integer, "
+                                f"got {raw!r}")
+        return int(raw)
     return value
 
 
@@ -151,6 +159,9 @@ def scenario_from_dict(cfg: dict, name: str = "scenario") -> Scenario:
     ran_cfg = _require(cfg, "ran", "scenario")
     _check_keys(ran_cfg, RAN_KEYS, "ran")
     trace_path = cfg.get("trace_path")
+    if trace_path is not None and not isinstance(trace_path, str):
+        raise ScenarioError(f"scenario: trace_path must be a string, "
+                            f"got {trace_path!r}")
     if trace_path:
         try:
             schedule = traces.load_trace(trace_path)
@@ -179,6 +190,10 @@ def scenario_from_dict(cfg: dict, name: str = "scenario") -> Scenario:
     for i, spec in enumerate(flow_specs):
         ctx = f"flows[{i}]"
         _check_keys(spec, FLOW_KEYS, ctx)
+        mbps = _number(spec, "initial_bitrate_mbps", ctx, 5.0)
+        if mbps <= 0:
+            raise ScenarioError(f"{ctx}: initial_bitrate_mbps must be "
+                                f"positive, got {mbps!r}")
         controller = spec.get("controller", "choir")
         if controller not in CONTROLLERS:
             raise ScenarioError(
@@ -195,8 +210,7 @@ def scenario_from_dict(cfg: dict, name: str = "scenario") -> Scenario:
                 start_s=_number(spec, "start_s", ctx, 0.0),
                 stop_s=(None if spec.get("stop_s") is None
                         else _number(spec, "stop_s", ctx)),
-                initial_bitrate_bps=_number(
-                    spec, "initial_bitrate_mbps", ctx, 5.0) * 1e6))
+                initial_bitrate_bps=mbps * 1e6))
         except ScenarioError:
             raise
         except ValueError as exc:

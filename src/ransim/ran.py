@@ -34,6 +34,9 @@ class RanConfig:
     def __post_init__(self):
         if isinstance(self.tdd_pattern, str):
             self.tdd_pattern = TddPattern.parse(self.tdd_pattern)
+        elif not isinstance(self.tdd_pattern, TddPattern):
+            raise ValueError(f"tdd_pattern must be a string such as "
+                             f"'DDDSU', got {self.tdd_pattern!r}")
         if self.prb_total <= 0:
             raise ValueError("prb_total must be positive")
         if self.tti_ms not in (0.5, 1.0):

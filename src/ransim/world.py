@@ -54,6 +54,10 @@ class FlowConfig:
             raise ValueError("epsilon must be at least 1")
         if self.wired_nd_ms < 0:
             raise ValueError("wired_nd_ms must be nonnegative")
+        if self.start_s < 0:
+            raise ValueError("start_s must be nonnegative")
+        if not self.initial_bitrate_bps > 0:
+            raise ValueError("initial_bitrate_bps must be positive")
         if self.stop_s is not None and self.stop_s <= self.start_s:
             raise ValueError("stop_s must exceed start_s")
 

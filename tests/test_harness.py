@@ -137,6 +137,36 @@ class TestScenarioValidation:
                 f"{where}: {key} must be a finite number")):
             scenario_from_dict(cfg)
 
+    @pytest.mark.parametrize("where,key,value,message", [
+        ("ran", "tdd_pattern", 5, "tdd_pattern must be a string"),
+        ("scenario", "trace_path", 5, "trace_path must be a string"),
+        ("ran", "prb_total", 100.9, "prb_total must be an integer"),
+        ("flows[0]", "ack_per_frames", 1.5,
+         "ack_per_frames must be an integer"),
+        ("ran", "harq_max_rtx", True, "harq_max_rtx must be a number"),
+        ("scenario", "duration_s", "10", "duration_s must be a number"),
+        ("flows[0]", "initial_bitrate_mbps", -5,
+         "initial_bitrate_mbps must be positive"),
+        ("flows[0]", "initial_bitrate_mbps", 0,
+         "initial_bitrate_mbps must be positive"),
+        ("flows[0]", "start_s", -0.5, "start_s must be nonnegative")])
+    def test_value_is_rejected_not_coerced(self, where, key, value, message):
+        cfg = base_config()
+        target = {"scenario": cfg, "ran": cfg["ran"],
+                  "flows[0]": cfg["flows"][0]}[where]
+        target[key] = value
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"{where}: {message}")):
+            scenario_from_dict(cfg)
+
+    def test_whole_float_loads_as_int(self):
+        cfg = base_config()
+        cfg["ran"]["prb_total"] = 100.0
+        cfg["flows"][0]["ack_per_frames"] = 2.0
+        scn = scenario_from_dict(cfg)
+        assert scn.ran.prb_total == 100 and type(scn.ran.prb_total) is int
+        assert type(scn.flows[0].ack_per_frames) is int
+
     def test_invalid_json_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -231,6 +261,13 @@ class TestCli:
         p = write_scenario(tmp_path, cfg)
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert "flows[0]: unknown encoder 'rmap'" in capsys.readouterr().err
+
+    def test_non_string_tdd_pattern_exit_code(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["ran"]["tdd_pattern"] = 5
+        p = write_scenario(tmp_path, cfg)
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        assert "ran: tdd_pattern must be a string" in capsys.readouterr().err
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == EXIT_CONFIG

@@ -6,7 +6,8 @@ import ransim.world
 from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
                     constant_trace, square_trace)
 from ransim.harness import write_frames_csv, write_metrics_csv
-from ransim.ran import sample_rlc_queue
+from ransim.ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, Packet,
+                        TransportBlock, sample_rlc_queue)
 
 
 class TestFrameCadence:
@@ -296,3 +297,63 @@ class TestInjectedPacketPath:
         w.run(0.1)
         assert frame.decode_ts is not None
         assert w.flows[0].delivered_payload == 500
+
+
+def _credit_each_segment(world, fr, block, t1):
+    """Per-segment crediting, the reference for ``_deliver_block``."""
+    for pkt, nbytes in block.segments:
+        fr.delivered_payload += nbytes
+        if fr.receiver.on_bytes(pkt.frame_id, nbytes, t1):
+            frame = fr.frames[pkt.frame_id]
+            frame.decode_ts = t1
+            world.log.add(t1, "frame_done", fr.cfg.flow_id, frame.nbytes,
+                          f"frame={frame.frame_id};delay={frame.delay_ms!r}")
+            fr.receiver.on_frame_complete(t1)
+    fr.receiver.maybe_timeout_ack(t1)
+
+
+class TestDeliverBlock:
+    # frame sizes, then blocks of (frame, bytes) segments; the second block
+    # interleaves A, B, A as an RLC requeue can, and A completes last in it
+    SIZES = (3000, 1200, 800)
+    BLOCKS = ([(0, 1000), (0, 500)],
+              [(0, 800), (1, 1200), (0, 700)],
+              [(2, 300), (2, 500)])
+
+    def _deliver(self, ack_per_frames, deliver):
+        w = make_world(wired_nd_ms=0.0, source="none",
+                       ack_per_frames=ack_per_frames)
+        fr = w.flows[0]
+        packets = [Packet(i, 0, w.inject_packet(0, 0.0, n).frame_id, n)
+                   for i, n in enumerate(self.SIZES)]
+        credits = []
+        on_bytes = fr.receiver.on_bytes
+        fr.receiver.on_bytes = lambda *a: credits.append(a) or on_bytes(*a)
+        for k, segs in enumerate(self.BLOCKS):
+            payload = sum(n for _, n in segs)
+            overhead = OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT * len(segs)
+            block = TransportBlock(0, payload + overhead, overhead,
+                                   [(packets[f], n) for f, n in segs])
+            deliver(w, fr, block, 10.0 * (k + 1))
+            yield fr, list(w.log.records), credits
+
+    @pytest.mark.parametrize("ack_per_frames", [1, 2])
+    def test_runs_credit_like_segments(self, ack_per_frames):
+        got = self._deliver(ack_per_frames, SimWorld._deliver_block)
+        want = self._deliver(ack_per_frames, _credit_each_segment)
+        for (fr, log, _), (ref, ref_log, _) in zip(got, want, strict=True):
+            assert log == ref_log
+            assert fr.delivered_payload == ref.delivered_payload
+            rx, ref_rx = fr.receiver, ref.receiver
+            assert rx.bytes_since_ack == ref_rx.bytes_since_ack
+            assert rx.pending_acks == ref_rx.pending_acks
+            assert rx.remaining == ref_rx.remaining
+        # B completes before A in the interleaved block
+        assert [r.detail.split(";")[0] for r in log] == \
+            ["frame=1", "frame=0", "frame=2"]
+
+    def test_one_credit_per_run(self):
+        *_, (fr, _, credits) = self._deliver(1, SimWorld._deliver_block)
+        assert [(f, n) for f, n, _ in credits] == \
+            [(0, 1500), (0, 800), (1, 1200), (0, 700), (2, 800)]
+        assert fr.delivered_payload == sum(self.SIZES)
