@@ -174,9 +174,8 @@ class FlowEstimator:
         self._uprb_sum = 0
         self._uprb_n = max(1, int(round(SHORT_WINDOW_MS / tti_ms)))
         self.prb_share = float(prb_total)
-        # short-window samples, one per transmitting TTI: (time, bytes,
-        # effective full-slot PRBs, payload fraction); the sums give the
-        # per-PRB payload density and the mean payload fraction
+        # short window, one entry per transmitting TTI: (time, bytes,
+        # effective full-slot PRBs, payload fraction)
         self._blocks: deque[tuple[float, float, float, float]] = deque()
         self._density_bytes = 0.0
         self._density_prbs = 0.0
@@ -193,10 +192,7 @@ class FlowEstimator:
 
     def note_block(self, now: float, total_bytes: int, overhead: int,
                    prbs_used: int, slot_factor: float) -> None:
-        """Record one transmitted block for density and payload statistics.
-
-        Expiry is left to ``compute``, which the TTI loop runs first.
-        """
+        """Record one transmitted block for density and payload statistics."""
         eff_prbs = prbs_used * slot_factor
         ratio = (total_bytes - overhead) / total_bytes if total_bytes else 0.0
         self._blocks.append((now, float(total_bytes), eff_prbs, ratio))
@@ -215,27 +211,20 @@ class FlowEstimator:
 
     def compute(self, now: float, terms: tuple) -> float:
         """Allocated bandwidth for the next TTI, bytes/ms, from current
-        windows and this TTI's ``CellWindows.terms``.
-
-        The arithmetic is ``initial_prb_share`` or ``update_prb_share``,
-        then ``flow_capacity`` and ``alloc_bw``, in their float order, less
-        the checks that ``terms`` already guarantees.
-        """
+        windows and this TTI's ``CellWindows.terms``: ``update_prb_share``
+        (``initial_prb_share`` at connection start), ``flow_capacity`` and
+        ``alloc_bw`` in their float order, less the checks ``terms`` makes
+        redundant. The only expiry: ``note_block`` follows in the TTI."""
         n_active, prb_used, n_total, dn, tn, retx = terms
         blocks = self._blocks
         if blocks and blocks[0][0] <= now - SHORT_WINDOW_MS:
             self._expire(now)
         prb_total = self.prb_total
         if self._uprb:
-            uprb = self._uprb_sum / len(self._uprb)
-            if uprb > prb_total:
-                uprb = prb_total
-            share = uprb + (prb_total - prb_used) / n_active
-            floor = prb_total / n_total
-            if floor > share:
-                share = floor
+            uprb = min(self._uprb_sum / len(self._uprb), prb_total)
+            share = max(uprb + (prb_total - prb_used) / n_active,
+                        prb_total / n_total)
         else:
-            # connection start: even split over currently active flows
             share = prb_total / n_active
         self.prb_share = share
         if self._density_prbs > 0:
@@ -246,8 +235,6 @@ class FlowEstimator:
         if retx is not None:
             self._retx_held = retx
         gamma = self._gamma_sum / len(blocks) if blocks else GAMMA_DEFAULT
-        if not 0 < gamma <= 1:
-            raise EstimatorError("gamma must be in (0, 1]")
         # capacity at the current share from the measured per-PRB payload
         # density; a partially used grant would otherwise bias it low.
         return (share * bpp / self.tti_ms * (dn / tn)

@@ -97,25 +97,22 @@ def _check_keys(mapping, allowed: frozenset, ctx: str) -> None:
 
 def _number(mapping: dict, key: str, ctx: str, default=_REQUIRED,
             kind=float):
-    """mapping[key] (or default when absent) as a finite float, or as an int
-    when kind is int. Strings, booleans and fractions of an int are errors,
-    not coerced."""
+    """mapping[key] (or default when absent) as a finite float or int;
+    a string, a boolean or a fraction for an int is an error."""
     raw = (_require(mapping, key, ctx) if default is _REQUIRED
            else mapping.get(key, default))
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(f"{ctx}: {key} must be a number, got {raw!r}")
     try:
-        value = float(raw)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
+        value = kind(raw)
+        finite = math.isfinite(value)
+    except (ValueError, OverflowError):  # NaN or beyond the float range
+        finite = False
+    if not finite:
         raise ScenarioError(f"{ctx}: {key} must be a finite number, "
                             f"got {raw!r}")
-    if kind is int:
-        if not value.is_integer():
-            raise ScenarioError(f"{ctx}: {key} must be an integer, "
-                                f"got {raw!r}")
-        return int(raw)
+    if value != raw:
+        raise ScenarioError(f"{ctx}: {key} must be an integer, got {raw!r}")
     return value
 
 

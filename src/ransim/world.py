@@ -225,18 +225,15 @@ class SimWorld:
         fr.frames.append(frame)
         fr.receiver.register(frame)
         self._pkt_counter += 1
-        pkt = Packet(self._pkt_counter, flow_id, frame.frame_id, nbytes)
-        self._push_arrival(ts, flow_id, pkt)
+        self._seq += 1
+        heapq.heappush(self._gnb_arrivals, (ts, self._seq, flow_id, Packet(
+            self._pkt_counter, flow_id, frame.frame_id, nbytes)))
         return frame
 
     def _push_sender_event(self, ts: float, kind: str, flow_id: int,
                            payload) -> None:
         self._seq += 1
         heapq.heappush(self._sender_events, (ts, self._seq, kind, flow_id, payload))
-
-    def _push_arrival(self, ts: float, flow_id: int, packet: Packet) -> None:
-        self._seq += 1
-        heapq.heappush(self._gnb_arrivals, (ts, self._seq, flow_id, packet))
 
     def _bpp_at(self, tti_index: int) -> float:
         if tti_index >= len(self._bpp):
@@ -296,9 +293,7 @@ class SimWorld:
 
     def _process_arrivals(self, t0: float) -> None:
         heap = self._gnb_arrivals
-        flows = self.flows
-        pop = heapq.heappop
-        log_full = self._log_full
+        flows, pop, log_full = self.flows, heapq.heappop, self._log_full
         while heap and heap[0][0] <= t0:
             ts, _, flow_id, pkt = pop(heap)
             fr = flows[flow_id]
@@ -324,9 +319,8 @@ class SimWorld:
     def _downlink(self, t0: float, t1: float, factor: float,
                   present: list[FlowRuntime]) -> None:
         unit = self._bpp_at(self.tti_index) * factor
-        # One read of each flow's HARQ head. Nothing later in this TTI
-        # changes another flow's queue, and a block that fails now is not
-        # ready again before t0 + harq_rtx_delay_ms.
+        # one read of each HARQ head: no transmission changes another flow's
+        # queue, and a block that fails now waits harq_rtx_delay_ms > 0
         demands: dict[int, int] = {}
         ready: set[int] = set()  # flows whose HARQ head is due
         for fr in present:
@@ -408,27 +402,24 @@ class SimWorld:
                              block.payload_bytes, f"rtx={block.rtx_count}")
 
     def _deliver_block(self, fr: FlowRuntime, block, t1: float) -> None:
-        receiver = fr.receiver
         fr.delivered_payload += block.payload_bytes
         # one credit per run of consecutive segments from one frame; after
         # an RLC requeue a block can interleave frames (A, B, A)
         segments = block.segments
-        n = len(segments)
-        i = 0
-        while i < n:
-            pkt, nbytes = segments[i]
-            frame_id = pkt.frame_id
-            i += 1
-            while i < n and segments[i][0].frame_id == frame_id:
-                nbytes += segments[i][1]
-                i += 1
-            if receiver.on_bytes(frame_id, nbytes, t1):
-                frame = fr.frames[frame_id]
+        run = 0
+        for i, (pkt, nbytes) in enumerate(segments, 1):
+            run += nbytes
+            if i < len(segments) and segments[i][0].frame_id == pkt.frame_id:
+                continue
+            if fr.receiver.on_bytes(pkt.frame_id, run, t1):
+                frame = fr.frames[pkt.frame_id]
                 frame.decode_ts = t1
                 self.log.add(t1, "frame_done", fr.cfg.flow_id, frame.nbytes,
-                             f"frame={frame_id};delay={frame.delay_ms!r}")
-                receiver.on_frame_complete(t1)
-        receiver.maybe_timeout_ack(t1)
+                             f"frame={frame.frame_id};"
+                             f"delay={frame.delay_ms!r}")
+                fr.receiver.on_frame_complete(t1)
+            run = 0
+        fr.receiver.maybe_timeout_ack(t1)
         if self._log_full:
             self.log.add(t1, "deliver", fr.cfg.flow_id, block.payload_bytes,
                          f"segs={len(block.segments)}")
@@ -501,19 +492,15 @@ class SimWorld:
         self.log.add(ts, "frame_encode", fr.cfg.flow_id, frame.nbytes,
                      f"frame={frame.frame_id};target={frame.target_bps!r};"
                      f"actual={frame.actual_bps!r}")
-        flow_id = fr.cfg.flow_id
-        wired = fr.cfg.wired_nd_ms
-        heap = self._gnb_arrivals
-        seq = self._seq
-        pkt_id = self._pkt_counter
+        flow_id, wired = fr.cfg.flow_id, fr.cfg.wired_nd_ms
+        heap, seq, pkt_id = self._gnb_arrivals, self._seq, self._pkt_counter
         for nbytes, offset in fr.sender.packet_release_offsets(frame.nbytes):
             seq += 1
             pkt_id += 1
             heapq.heappush(heap, (ts + offset + wired, seq, flow_id,
                                   Packet(pkt_id, flow_id, frame.frame_id,
                                          nbytes)))
-        self._seq = seq
-        self._pkt_counter = pkt_id
+        self._seq, self._pkt_counter = seq, pkt_id
         fr.tick_count += 1
         next_ts = fr.start_ms + fr.tick_count * FRAME_INTERVAL_MS
         if next_ts < fr.stop_ms:
