@@ -214,7 +214,7 @@ class FlowEstimator:
         windows and this TTI's ``CellWindows.terms``: ``update_prb_share``
         (``initial_prb_share`` at connection start), ``flow_capacity`` and
         ``alloc_bw`` in their float order, less the checks ``terms`` makes
-        redundant. The only expiry: ``note_block`` follows in the TTI."""
+        redundant. Expires the window, which ``note_block`` then extends."""
         n_active, prb_used, n_total, dn, tn, retx = terms
         blocks = self._blocks
         if blocks and blocks[0][0] <= now - SHORT_WINDOW_MS:
