@@ -234,11 +234,10 @@ class FlowEstimator:
             return 0.0
         if retx is not None:
             self._retx_held = retx
-        gamma = self._gamma_sum / len(blocks) if blocks else GAMMA_DEFAULT
         # capacity at the current share from the measured per-PRB payload
         # density; a partially used grant would otherwise bias it low.
         return (share * bpp / self.tti_ms * (dn / tn)
-                * gamma / (1.0 + self._retx_held))
+                * self.gamma_mean() / (1.0 + self._retx_held))
 
     def gamma_mean(self) -> float:
         if not self._blocks:
