@@ -1,7 +1,7 @@
 """Trace-driven 5G downlink simulator with base-station-guided rate control."""
 
 from .baselines import (OracleSender, SconeFeedback, SconeSender,
-                        oracle_rate, scone_target_rate)
+                        scone_target_rate)
 from .capacity import (alloc_bw, flow_capacity, initial_prb_share,
                        retx_rate, update_prb_share)
 from .codec import GuidanceFeedback, decode_rate, encode_rate
@@ -33,7 +33,7 @@ __all__ = [
     "decode_rate", "detect_frame_boundary", "encode_rate", "flow_capacity",
     "frame_delay", "guidance_bw", "history_window", "inflight_frame_count",
     "initial_prb_share", "jain_index", "load_scenario", "load_trace",
-    "mean_alloc_bw", "min_rlc_queue", "nearest_rank_percentile", "oracle_rate",
+    "mean_alloc_bw", "min_rlc_queue", "nearest_rank_percentile",
     "pacing_rate", "predict_queue", "random_walk_trace", "retx_rate",
     "run_scenario", "sample_rlc_queue", "scenario_from_dict", "schedule_prbs",
     "scone_target_rate", "square_trace", "step_trace", "sweep_scenario",

@@ -26,11 +26,6 @@ def scone_target_rate(fb: SconeFeedback) -> float:
     return max(0.0, fb.capacity - fb.queue_len / SCONE_DRAIN_TIME_MS)
 
 
-def oracle_rate(true_capacity: float) -> float:
-    """Reference controller: follow the ground-truth capacity verbatim."""
-    return true_capacity
-
-
 def encode_scone(fb: SconeFeedback, stamped_ts: float | None = None
                  ) -> bytes:
     """Two 4-byte codec fields: capacity as a rate, queue as bit volume."""
@@ -65,7 +60,7 @@ class OracleSender(BaseSender):
     def guidance_bps(self, now: float) -> float | None:
         if self.truth_fn is None:
             return None
-        return oracle_rate(self.truth_fn(now)) * 8000.0
+        return self.truth_fn(now) * 8000.0
 
     def on_feedback(self, fb, now: float) -> None:
         pass  # ACK byte counts still update the receive-rate window

@@ -309,16 +309,27 @@ def parse_vary(text: str) -> tuple[str, list[float]]:
 
 def sweep_scenario(scn: Scenario, key: str, values: list[float],
                    out_dir=None) -> dict[float, RunMetrics]:
-    """Re-run the scenario once per value, applying the key to every flow."""
-    results: dict[float, RunMetrics] = {}
+    """Re-run the scenario once per value, applying the key to every flow.
+
+    Every value is checked as the scenario loader checks the key, and
+    must name its own run, before the first run starts.
+    """
+    kind = int if key in ("ack_per_frames", "epsilon") else float
+    subs: dict[str, tuple[float, Scenario]] = {}
     for value in values:
-        typed = int(value) if key in ("ack_per_frames", "epsilon") else value
-        sub = replace(scn, flows=[replace(f, **{key: typed})
-                                  for f in scn.flows],
-                      name=f"{scn.name}_{key}={value:g}")
-        sub_out = None
-        if out_dir is not None:
-            sub_out = Path(out_dir) / f"{key}={value:g}"
+        typed = _number({key: value}, key, "--vary", kind=kind)
+        label = f"{key}={value:g}"
+        if label in subs:
+            raise ScenarioError(f"--vary: {label} is given twice")
+        try:
+            flows = [replace(f, **{key: typed}) for f in scn.flows]
+        except ValueError as exc:
+            raise ScenarioError(f"--vary {label}: {exc}") from exc
+        subs[label] = value, replace(scn, flows=flows,
+                                     name=f"{scn.name}_{label}")
+    results: dict[float, RunMetrics] = {}
+    for label, (value, sub) in subs.items():
+        sub_out = None if out_dir is None else Path(out_dir) / label
         results[value] = run_scenario(sub, sub_out)
     return results
 

@@ -123,56 +123,45 @@ def prbs_for_bytes(nbytes: int, bytes_per_prb: float) -> int:
     return int(math.ceil(nbytes / bytes_per_prb - 1e-9))
 
 
-def schedule_prbs(flow_ids: list[int], prb_total: int,
-                  demands: dict[int, int] | None = None,
-                  rotation: int = 0) -> dict[int, int]:
+def schedule_prbs(demands: list[int], prb_total: int,
+                  rotation: int = 0) -> list[int]:
     """Equal-share PRB split with rotating remainder and demand redistribution.
 
-    Allocations differ by at most one PRB before demand capping; PRBs a flow
+    Shares differ by at most one PRB before demand capping; PRBs a flow
     cannot fill are handed round-robin to flows that still have demand.
 
     Args:
-        flow_ids: flows with queued data this TTI, any order
+        demands: PRBs each flow with data can fill, in flow-id order
         prb_total: PRBs available in this TTI
-        demands: optional cap per flow_id, in PRBs; None means unbounded
         rotation: round-robin offset, advanced by the caller across TTIs
+
+    Returns the grants, aligned with demands.
     """
     if prb_total <= 0:
         raise ValueError("prb_total must be positive")
-    if not flow_ids:
-        return {}
-    order = sorted(flow_ids)
-    n = len(order)
+    n = len(demands)
+    if not n:
+        return []
     base, rem = divmod(prb_total, n)
-    alloc = {fid: base for fid in order}
+    alloc = [base] * n
     for i in range(rem):
-        alloc[order[(rotation + i) % n]] += 1
-    if demands is None:
-        return alloc
+        alloc[(rotation + i) % n] += 1
     leftover = 0
-    unsatisfied: set[int] = set()
-    for fid in order:
-        cap = demands.get(fid)
-        if cap is None:
-            continue
-        if alloc[fid] > cap:
-            leftover += alloc[fid] - cap
-            alloc[fid] = cap
-        elif alloc[fid] < cap:
-            unsatisfied.add(fid)
+    for i, cap in enumerate(demands):
+        if alloc[i] > cap:
+            leftover += alloc[i] - cap
+            alloc[i] = cap
+    # a full lap without a grant means every demand is met
     pos = rotation % n
     stall = 0
-    while leftover > 0 and unsatisfied and stall < n:
-        fid = order[pos]
-        pos = (pos + 1) % n
-        if fid in unsatisfied:
-            alloc[fid] += 1
+    while leftover > 0 and stall < n:
+        if alloc[pos] < demands[pos]:
+            alloc[pos] += 1
             leftover -= 1
             stall = 0
-            if alloc[fid] >= demands[fid]:
-                unsatisfied.discard(fid)
         else:
             stall += 1
+        pos = (pos + 1) % n
     return alloc
 
 

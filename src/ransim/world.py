@@ -188,7 +188,10 @@ class SimWorld:
         self._sender_events: list = []   # (ts, seq, kind, flow_id, payload)
         self._gnb_arrivals: list = []    # (ts, seq, flow_id, packet)
         self._pkt_counter = 0
-        self._bpp: list[float] = []
+        # bytes per PRB at tti_index, read from the trace's breakpoints
+        self._breaks = iter(ran.schedule.breakpoints)
+        _, self._bpp = next(self._breaks)
+        self._next_break = next(self._breaks, None)
         self.duration_ms = 0.0
 
     # -- wiring -------------------------------------------------------------
@@ -235,11 +238,6 @@ class SimWorld:
         self._seq += 1
         heapq.heappush(self._sender_events, (ts, self._seq, kind, flow_id, payload))
 
-    def _bpp_at(self, tti_index: int) -> float:
-        if tti_index >= len(self._bpp):
-            self._bpp = self.ran.schedule.materialize(tti_index + 4096)
-        return self._bpp[tti_index]
-
     def _n_present(self, now: float) -> int:
         return sum(1 for fr in self._flow_order if fr.present(now))
 
@@ -247,9 +245,7 @@ class SimWorld:
         """Ground-truth per-flow payload drain capacity, bytes/ms."""
         now = self.now_ms
         n = max(1, self._n_present(now))
-        bpp = self._bpp_at(self.tti_index)
-        share = self.ran.prb_total / n
-        grant = share * bpp
+        grant = self.ran.prb_total / n * self._bpp
         if grant <= OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT + 1:
             return 0.0
         nseg = max(1, math.ceil(grant / MTU_PAYLOAD))
@@ -261,7 +257,6 @@ class SimWorld:
 
     def run(self, duration_s: float) -> None:
         n_ttis = int(round(duration_s * 1000.0 / self.ran.tti_ms))
-        self._bpp = self.ran.schedule.materialize(n_ttis + 8)
         for _ in range(n_ttis):
             self.step()
             if self.check_conservation:
@@ -290,6 +285,10 @@ class SimWorld:
         self._process_sender_events(t0, t1)
         self.tti_index += 1
         self.duration_ms = self.now_ms
+        nxt = self._next_break
+        if nxt is not None and nxt[0] <= self.tti_index:
+            self._bpp = nxt[1]
+            self._next_break = next(self._breaks, None)
 
     def _process_arrivals(self, t0: float) -> None:
         heap = self._gnb_arrivals
@@ -318,38 +317,40 @@ class SimWorld:
 
     def _downlink(self, t0: float, t1: float, factor: float,
                   present: list[FlowRuntime]) -> None:
-        unit = self._bpp_at(self.tti_index) * factor
+        unit = self._bpp * factor
         # one read of each HARQ head: no transmission changes another flow's
         # queue, and a block that fails now waits harq_rtx_delay_ms > 0
-        demands: dict[int, int] = {}
-        ready: set[int] = set()  # flows whose HARQ head is due
+        demands: list[int] = []
+        sending: list[tuple[FlowRuntime, bool]] = []  # (flow, is_retx)
         for fr in present:
             q = fr.queue
             pending = q.harq_pending
             if pending and pending[0].ready_ms <= t0:
-                ready.add(q.flow_id)
+                is_retx = True
                 need = pending[0].bytes
             elif q.queued_bytes:
+                is_retx = False
                 need = q.queued_bytes + (
                     OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT
                     * (1 + q.queued_bytes // MTU_PAYLOAD))
             else:
+                if fr.estimates:
+                    fr.estimator.note_grant(0)
                 continue
-            demands[q.flow_id] = max(1, prbs_for_bytes(need, unit))
-        alloc: dict[int, int] = {}
+            demands.append(max(1, prbs_for_bytes(need, unit)))
+            sending.append((fr, is_retx))
+        grants = [0] * len(demands)
         if demands and unit > 0.0:
-            alloc = schedule_prbs(list(demands), self.ran.prb_total,
-                                  demands, self._rotation)
+            grants = schedule_prbs(demands, self.ran.prb_total,
+                                   self._rotation)
             self._rotation += 1
         prb_used = 0
         any_data = False
         any_retx = False
-        for fr in present:
+        for (fr, is_retx), prbs in zip(sending, grants):
             q = fr.queue
-            prbs = alloc.get(q.flow_id, 0)
             block = None
             if prbs > 0:
-                is_retx = q.flow_id in ready
                 if is_retx:
                     block = q.harq_pending.popleft()
                     q.harq_flight_payload -= block.payload_bytes

@@ -88,7 +88,6 @@ def test_criterion_03_estimator_tracking():
     """BLER 0.1, constant trace: BW_i within 10% of goodput, retx ~0.1."""
     w = _choir_world(constant_trace(30.0), 1.0, seed=11, bler=0.1)
     n = int(10_000 / TTI)
-    w._bpp = w.ran.schedule.materialize(n + 8)
     fr = w.flows[0]
     bw_sum = bw_n = 0.0
     retx_sum = retx_n = 0.0
@@ -143,7 +142,6 @@ def _step_drop_drain(wired_nd_ms, drain_budget_fi):
     w = _choir_world(step_trace(30.0, 15.0, drop_tti), wired_nd_ms, seed=1)
     fr = w.flows[0]
     n = int(9_000 / TTI)
-    w._bpp = w.ran.schedule.materialize(n + 8)
     queue = []
     for _ in range(n):
         w.step()

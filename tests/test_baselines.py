@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ransim.baselines import (SconeFeedback, decode_scone, encode_scone,
-                              oracle_rate, scone_target_rate)
+                              scone_target_rate)
 
 
 class TestSconeTargetRate:
@@ -32,18 +32,6 @@ class TestSconeTargetRate:
         assert 0.0 <= rate <= cap
         if queue == 0:
             assert rate == cap
-
-
-class TestOracleRate:
-    def test_identity(self):
-        assert oracle_rate(1800) == 1800
-
-    def test_follows_step(self):
-        assert [oracle_rate(x) for x in (1800, 900)] == [1800, 900]
-
-    def test_follows_any_trace(self):
-        trace = [1200.0, 850.5, 2100.25]
-        assert [oracle_rate(x) for x in trace] == trace
 
 
 class TestSconeWire:

@@ -294,6 +294,36 @@ class TestCli:
         assert "wired_nd_ms=1" in report
         assert "wired_nd_ms=5" in report
 
+    def _sweep_rejects(self, tmp_path, capsys, vary, message):
+        # the bad value comes after a good one: no run may start
+        p = write_scenario(tmp_path, base_config())
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(p), "--vary", vary,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects_fraction_for_integer_key(self, tmp_path, capsys):
+        self._sweep_rejects(tmp_path, capsys, "ack_per_frames=1,1.5",
+                            "ack_per_frames must be an integer, got 1.5")
+
+    @pytest.mark.parametrize("vary,message", [
+        ("ack_per_frames=1,0", "ack_per_frames must be at least 1"),
+        ("wired_nd=1,-1", "wired_nd_ms must be nonnegative"),
+    ])
+    def test_sweep_rejects_out_of_range(self, tmp_path, capsys, vary,
+                                        message):
+        self._sweep_rejects(tmp_path, capsys, vary, message)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_sweep_rejects_non_finite(self, tmp_path, capsys, bad):
+        self._sweep_rejects(tmp_path, capsys, f"wired_nd=1,{bad}",
+                            "wired_nd_ms must be a finite number")
+
+    def test_sweep_rejects_duplicate_value(self, tmp_path, capsys):
+        self._sweep_rejects(tmp_path, capsys, "epsilon=2,2.0",
+                            "epsilon=2 is given twice")
+
     def test_report_empty_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == EXIT_CONFIG
 

@@ -10,7 +10,6 @@ def _stepping_world(bler=0.12, flows=3, log_level="frames"):
     for i in range(flows):
         w.add_flow(FlowConfig(flow_id=i, controller="choir", wired_nd_ms=5.0))
     n = int(3_000 / 0.5)
-    w._bpp = ran.schedule.materialize(n + 8)
     for _ in range(n):
         w.step()
         yield w

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from ransim import (FailureScript, FlowConfig, RanConfig, SimWorld,
                     constant_trace, sample_rlc_queue, schedule_prbs)
@@ -6,61 +7,64 @@ from ransim.ran import (FlowQueueState, Packet, assemble_block,
                         prbs_for_bytes)
 
 
-def _ids(n):
-    return list(range(n))
+def _full(n, prb_total=100):
+    """n flows that could each fill the whole cell."""
+    return [prb_total] * n
 
 
 class TestSchedulePrbs:
     def test_exact_division(self):
-        alloc = schedule_prbs(_ids(4), 100)
-        assert alloc == {0: 25, 1: 25, 2: 25, 3: 25}
+        assert schedule_prbs(_full(4), 100) == [25, 25, 25, 25]
 
     def test_sole_flow(self):
-        assert schedule_prbs(_ids(1), 100) == {0: 100}
+        assert schedule_prbs(_full(1), 100) == [100]
 
     def test_empty_active_set(self):
-        assert schedule_prbs([], 100) == {}
+        assert schedule_prbs([], 100) == []
 
     def test_remainder_rotates(self):
-        flows = _ids(3)
-        a0 = schedule_prbs(flows, 100, rotation=0)
-        a1 = schedule_prbs(flows, 100, rotation=1)
-        assert sorted(a0.values()) == [33, 33, 34]
+        a0 = schedule_prbs(_full(3), 100, rotation=0)
+        a1 = schedule_prbs(_full(3), 100, rotation=1)
+        assert sorted(a0) == [33, 33, 34]
         assert a0[0] == 34 and a1[1] == 34
 
     def test_long_run_mean_is_equal_share(self):
         # brute-force oracle: accumulate allocations over 3000 TTIs
-        flows = _ids(3)
-        totals = {0: 0, 1: 0, 2: 0}
+        totals = [0, 0, 0]
         for tti in range(3000):
-            for fid, n in schedule_prbs(flows, 100, rotation=tti).items():
-                totals[fid] += n
-        for fid in totals:
-            assert totals[fid] / 3000 == pytest.approx(100 / 3, abs=1e-9)
+            for i, n in enumerate(schedule_prbs(_full(3), 100, rotation=tti)):
+                totals[i] += n
+        for total in totals:
+            assert total / 3000 == pytest.approx(100 / 3, abs=1e-9)
 
     def test_conservation_never_exceeds_total(self):
         for n in (1, 2, 3, 7, 13):
-            alloc = schedule_prbs(_ids(n), 100, rotation=5)
-            assert sum(alloc.values()) <= 100
-            assert max(alloc.values()) - min(alloc.values()) <= 1
+            alloc = schedule_prbs(_full(n), 100, rotation=5)
+            assert sum(alloc) <= 100
+            assert max(alloc) - min(alloc) <= 1
 
     def test_unneeded_prbs_redistributed(self):
-        flows = _ids(3)
-        demands = {0: 5, 1: 200, 2: 200}
-        alloc = schedule_prbs(flows, 100, demands=demands, rotation=0)
+        alloc = schedule_prbs([5, 200, 200], 100, rotation=0)
         assert alloc[0] == 5
         assert alloc[1] + alloc[2] == 95
         assert abs(alloc[1] - alloc[2]) <= 1
 
-    def test_inactive_flow_gets_nothing(self):
-        flows = _ids(2)
-        alloc = schedule_prbs(flows[:1], 100)
-        assert 1 not in alloc
-
     def test_all_demands_satisfied_leftover_unused(self):
-        flows = _ids(2)
-        alloc = schedule_prbs(flows, 100, demands={0: 10, 1: 10})
-        assert alloc == {0: 10, 1: 10}
+        assert schedule_prbs([10, 10], 100) == [10, 10]
+
+    @given(st.lists(st.integers(1, 150), min_size=1, max_size=60),
+           st.integers(1, 106), st.integers(0, 10**6))
+    def test_grants_within_demand_and_cell(self, demands, prb_total,
+                                           rotation):
+        grants = schedule_prbs(demands, prb_total, rotation)
+        assert len(grants) == len(demands)
+        assert all(0 <= g <= d for g, d in zip(grants, demands))
+        assert sum(grants) == min(prb_total, sum(demands))
+        n = len(demands)
+        if min(demands) >= prb_total:
+            base, rem = divmod(prb_total, n)
+            extra = {(rotation + i) % n for i in range(rem)}
+            assert grants == [base + (i in extra) for i in range(n)]
 
 
 class TestRlcQueue:

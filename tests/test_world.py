@@ -51,7 +51,6 @@ class TestClosedLoopConvergence:
         # absorbing transient queue samples at TDD/frame beat phases)
         w = make_world(bpp=30.0, wired_nd_ms=1.0, seed=2)
         n = int(6.0 * 1000 / 0.5)
-        w._bpp = w.ran.schedule.materialize(n + 8)
         guide, bw = [], []
         for _ in range(n):
             w.step()
@@ -71,6 +70,43 @@ class TestOracleController:
         m = run_metrics(w, 6.0)
         # oracle sends at the ground-truth drain rate: ~33.2 Mbps payload
         assert m.flow(0).avg_mbps == pytest.approx(33.2, rel=0.05)
+
+
+class TestCapacityCursor:
+    # breakpoints at TTIs 0, 5, ..., 25; the last one falls on the last TTI
+    SCHEDULE = square_trace(30.0, 15.0, 10, n_periods=3)
+    N = 26
+
+    def _world(self, schedule):
+        w = SimWorld(RanConfig(schedule=schedule), log_level="frames")
+        w.add_flow(FlowConfig(flow_id=0, controller="oracle"))
+        return w
+
+    def test_follows_materialized_trace(self):
+        w = self._world(self.SCHEDULE)
+        seen = []
+        for _ in range(self.N):
+            seen.append(w._bpp)
+            w.step()
+        assert seen == self.SCHEDULE.materialize(self.N)
+
+    def test_truth_after_run_reads_tti_index(self):
+        w = self._world(self.SCHEDULE)
+        # stop on the last breakpoint, where the value differs from the
+        # last stepped TTI's
+        w.run((self.N - 1) * 0.5 / 1000.0)
+        assert w.tti_index == self.N - 1
+        bpp = self.SCHEDULE.bytes_per_prb(w.tti_index)
+        assert bpp != self.SCHEDULE.bytes_per_prb(w.tti_index - 1)
+        ref = self._world(constant_trace(bpp))
+        assert w.true_flow_rate(0) == ref.true_flow_rate(0)
+
+    def test_holds_last_breakpoint(self):
+        w = self._world(self.SCHEDULE)
+        for _ in range(self.N + 40):
+            w.step()
+            assert w._bpp == self.SCHEDULE.materialize(w.tti_index + 1)[-1]
+        assert w._bpp == self.SCHEDULE.breakpoints[-1][1]
 
 
 class TestSconeController:
