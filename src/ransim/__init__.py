@@ -10,11 +10,11 @@ from .harness import (Scenario, ScenarioError, load_scenario, run_scenario,
 from .metrics import (FlowMetrics, RunMetrics, compute_metrics, frame_delay,
                       jain_index, nearest_rank_percentile)
 from .predictor import (FlowPredictor, decision_horizon,
-                        detect_frame_boundary, guidance_bw, history_window,
+                        detect_frame_boundary, guidance_bw,
                         inflight_frame_count, mean_alloc_bw, min_rlc_queue,
                         predict_queue, update_error_correction,
                         update_frame_interval)
-from .ran import (FailureScript, FlowQueueState, Packet, RanConfig,
+from .ran import (FailureScript, FlowQueueState, RanConfig,
                   TransportBlock, sample_rlc_queue, schedule_prbs)
 from .sender import (ChoirSender, SenderState, VideoFrame, pacing_rate,
                      target_bitrate)
@@ -26,12 +26,12 @@ from .world import CONTROLLERS, FlowConfig, SimWorld
 __all__ = [
     "CONTROLLERS", "CapacitySchedule", "ChoirSender", "FailureScript",
     "FlowConfig", "FlowMetrics", "FlowPredictor", "FlowQueueState",
-    "GuidanceFeedback", "OracleSender", "Packet", "RanConfig", "RunMetrics",
+    "GuidanceFeedback", "OracleSender", "RanConfig", "RunMetrics",
     "Scenario", "ScenarioError", "SconeFeedback", "SconeSender", "SenderState",
     "SimWorld", "TddPattern", "TraceError", "TransportBlock", "VideoFrame",
     "alloc_bw", "compute_metrics", "constant_trace", "decision_horizon",
     "decode_rate", "detect_frame_boundary", "encode_rate", "flow_capacity",
-    "frame_delay", "guidance_bw", "history_window", "inflight_frame_count",
+    "frame_delay", "guidance_bw", "inflight_frame_count",
     "initial_prb_share", "jain_index", "load_scenario", "load_trace",
     "mean_alloc_bw", "min_rlc_queue", "nearest_rank_percentile",
     "pacing_rate", "predict_queue", "random_walk_trace", "retx_rate",

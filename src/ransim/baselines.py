@@ -26,17 +26,16 @@ def scone_target_rate(fb: SconeFeedback) -> float:
     return max(0.0, fb.capacity - fb.queue_len / SCONE_DRAIN_TIME_MS)
 
 
-def encode_scone(fb: SconeFeedback, stamped_ts: float | None = None
-                 ) -> bytes:
+def encode_scone(fb: SconeFeedback) -> bytes:
     """Two 4-byte codec fields: capacity as a rate, queue as bit volume."""
-    cap = encode_rate(fb.capacity * 8000.0, stamped_ts)
-    queue = encode_rate(fb.queue_len * 8000.0, stamped_ts)
+    cap = encode_rate(fb.capacity * 8000.0)
+    queue = encode_rate(fb.queue_len * 8000.0)
     return cap.to_bytes() + queue.to_bytes()
 
 
-def decode_scone(raw: bytes, stamped_ts: float | None = None) -> SconeFeedback:
-    cap = decode_rate(GuidanceFeedback.from_bytes(raw[:4], stamped_ts))
-    queue = decode_rate(GuidanceFeedback.from_bytes(raw[4:8], stamped_ts))
+def decode_scone(raw: bytes) -> SconeFeedback:
+    cap = decode_rate(GuidanceFeedback.from_bytes(raw[:4]))
+    queue = decode_rate(GuidanceFeedback.from_bytes(raw[4:8]))
     return SconeFeedback(capacity=(cap or 0.0) / 8000.0,
                          queue_len=(queue or 0.0) / 8000.0)
 
@@ -44,10 +43,8 @@ def decode_scone(raw: bytes, stamped_ts: float | None = None) -> SconeFeedback:
 class SconeSender(BaseSender):
     """Applies the linear drain rule to capacity/queue feedback."""
 
-    def on_feedback(self, fb, now: float) -> None:
-        scone_fb, stamped_ts = fb
-        rate_bps = scone_target_rate(scone_fb) * 8000.0
-        self.apply_guidance(rate_bps, stamped_ts)
+    def on_feedback(self, fb: SconeFeedback, stamp_ts: float) -> None:
+        self.apply_guidance(scone_target_rate(fb) * 8000.0, stamp_ts)
 
 
 class OracleSender(BaseSender):
@@ -62,5 +59,5 @@ class OracleSender(BaseSender):
             return None
         return self.truth_fn(now) * 8000.0
 
-    def on_feedback(self, fb, now: float) -> None:
+    def on_feedback(self, fb, stamp_ts: float) -> None:
         pass  # ACK byte counts still update the receive-rate window

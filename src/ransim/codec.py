@@ -30,12 +30,11 @@ WIRE_SIZE = _WIRE.size
 
 @dataclass(frozen=True)
 class GuidanceFeedback:
-    """One guidance value as carried on the wire, plus its stamp time."""
+    """One guidance value as carried on the wire."""
 
     mantissa: int
     unit_exp: int
     flags: int = FLAG_VALID
-    stamped_ts: float | None = None
 
     @property
     def valid(self) -> bool:
@@ -45,20 +44,17 @@ class GuidanceFeedback:
         return _WIRE.pack(self.mantissa, self.unit_exp, self.flags)
 
     @classmethod
-    def from_bytes(cls, raw: bytes, stamped_ts: float | None = None
-                   ) -> "GuidanceFeedback":
-        mantissa, unit_exp, flags = _WIRE.unpack(raw[:WIRE_SIZE])
-        return cls(mantissa, unit_exp, flags, stamped_ts)
+    def from_bytes(cls, raw: bytes) -> "GuidanceFeedback":
+        return cls(*_WIRE.unpack(raw[:WIRE_SIZE]))
 
 
-def encode_rate(rate_bps: float, stamped_ts: float | None = None
-                ) -> GuidanceFeedback:
+def encode_rate(rate_bps: float) -> GuidanceFeedback:
     """Encode a rate in bits/s; negative rates yield an invalid-flag record."""
     if rate_bps < 0 or math.isnan(rate_bps):
-        return GuidanceFeedback(0, 0, 0, stamped_ts)
+        return GuidanceFeedback(0, 0, 0)
     kbps = rate_bps / 1000.0
     if kbps == 0.0:
-        return GuidanceFeedback(0, 0, FLAG_VALID, stamped_ts)
+        return GuidanceFeedback(0, 0, FLAG_VALID)
     # Start from the frexp estimate, then walk to the smallest exponent whose
     # rounded mantissa still fits.
     _, bin_exp = math.frexp(kbps)
@@ -70,7 +66,7 @@ def encode_rate(rate_bps: float, stamped_ts: float | None = None
     mantissa = round(kbps / 2.0 ** exp)
     if mantissa > _MANTISSA_MAX:
         mantissa = _MANTISSA_MAX  # saturate: rate beyond 0xFFFF * 2**127 kbps
-    return GuidanceFeedback(int(mantissa), exp, FLAG_VALID, stamped_ts)
+    return GuidanceFeedback(int(mantissa), exp, FLAG_VALID)
 
 
 def decode_rate(fb: GuidanceFeedback) -> float | None:

@@ -65,18 +65,6 @@ def decision_horizon(tti_len: float, fi: float, fnum: int) -> float:
     return tti_len + fi * fnum
 
 
-def history_window(now: float, fi: float, fnum: int, wired_nd: float
-                   ) -> tuple[float, float]:
-    """Lookback interval for the feedback that governed in-flight frame fnum.
-
-    The raw bound arithmetic yields an inverted pair, so the result is
-    normalized to (min, max).
-    """
-    a = now - fi * (fnum - 1) - 2.0 * wired_nd
-    b = now - fi * fnum - 2.0 * wired_nd
-    return (min(a, b), max(a, b))
-
-
 def min_rlc_queue(samples, window: float, now: float) -> float:
     """Minimum queue sample in (now - window, now]; 0 when none fall inside."""
     lo = now - window
@@ -136,16 +124,14 @@ class FramePatternState:
 class FeedbackHistory:
     """Ring of stamped guidance values plus the error-correction state."""
 
-    capacity: int = HISTORY_CAPACITY
     err_est: float = 0.0
-    entries: deque = field(default_factory=deque)
+    entries: deque = field(
+        default_factory=lambda: deque(maxlen=HISTORY_CAPACITY))
 
     def record(self, ts: float, bw: float) -> None:
         if self.entries and ts <= self.entries[-1][0]:
             return  # keep timestamps strictly increasing
         self.entries.append((ts, bw))
-        if len(self.entries) > self.capacity:
-            self.entries.popleft()
 
     def latest_at_or_before(self, ts: float) -> tuple[float, float] | None:
         for entry in reversed(self.entries):
@@ -153,26 +139,18 @@ class FeedbackHistory:
                 return entry
         return None
 
-    def latest_in(self, lo: float, hi: float) -> tuple[float, float] | None:
-        for entry in reversed(self.entries):
-            if entry[0] < lo:
-                return None
-            if entry[0] <= hi:
-                return entry
-        return None
-
     def select(self, now: float, fi: float, fnum: int, wired_nd: float
                ) -> list[float]:
         """Governing feedback rate for each of the fnum in-flight frames.
 
-        Per frame k the most recent entry inside its lookback window is
-        taken; an empty window falls back to the nearest entry below the
-        window's upper bound. Frames with no usable entry are skipped.
+        Frame k was encoded under the latest entry stamped at or before
+        now - fi * (k - 1) - 2 * wired_nd. Frames with no such entry are
+        skipped.
         """
         rates: list[float] = []
         for k in range(1, fnum + 1):
-            lo, hi = history_window(now, fi, k, wired_nd)
-            entry = self.latest_in(lo, hi) or self.latest_at_or_before(hi)
+            entry = self.latest_at_or_before(
+                now - fi * (k - 1) - 2.0 * wired_nd)
             if entry is not None:
                 rates.append(entry[1])
         return rates
@@ -187,7 +165,6 @@ class QueuePrediction:
     mean_bw: float
     pred_q: float
     guidance: float
-    warm_up: bool
 
 
 class FlowPredictor:
@@ -237,26 +214,21 @@ class FlowPredictor:
 
     def compute(self, now: float, queue_samples) -> QueuePrediction:
         """Recompute the guidance at now from current windows."""
-        fi = self.pattern.fi_est if self.pattern.fi_est else FI_NOMINAL_MS
+        fi_est = self.pattern.fi_est
+        fi = fi_est if fi_est else FI_NOMINAL_MS
         n_tti = max(1, round(fi / self.tti_ms))
         mean_bw = mean_alloc_bw(self.bw_ring, n_tti)
         rlc_q_min = min_rlc_queue(queue_samples, fi, now)
         fnum = inflight_frame_count(self.wired_nd, fi)
         t_horizon = decision_horizon(self.tti_ms, fi, fnum)
-        warm_up = self.pattern.fi_est is None or not self.history.entries
-        if warm_up:
-            pred_q = rlc_q_min
-        else:
-            hist = self.history.select(now, fi, fnum, self.wired_nd)
-            if hist:
-                pred_q = predict_queue(hist, self.history.err_est, fi,
-                                       rlc_q_min, mean_bw, t_horizon)
-            else:
-                pred_q = rlc_q_min
-                warm_up = True
+        # until the cadence is learned only the queue itself is drained
+        hist = (self.history.select(now, fi, fnum, self.wired_nd)
+                if fi_est else [])
+        pred_q = predict_queue(hist, self.history.err_est, fi, rlc_q_min,
+                               mean_bw, t_horizon) if hist else rlc_q_min
         guidance = guidance_bw(mean_bw, pred_q / fi)
         pred = QueuePrediction(ts=now, fi=fi, mean_bw=mean_bw, pred_q=pred_q,
-                               guidance=guidance, warm_up=warm_up)
+                               guidance=guidance)
         self.last_prediction = pred
         return pred
 

@@ -50,32 +50,20 @@ class RanConfig:
 
 
 @dataclass(slots=True)
-class Packet:
-    """One paced wire packet; identity survives segmentation at the RLC."""
-
-    pkt_id: int
-    flow_id: int
-    frame_id: int
-    payload_bytes: int
-
-
-@dataclass(slots=True)
 class QueuedSegment:
-    """Contiguous byte range of a packet waiting in the RLC queue."""
+    """Bytes of one frame waiting in the RLC queue."""
 
-    packet: Packet
+    frame_id: int
     nbytes: int
-    enqueue_ts: float
 
 
 @dataclass(slots=True)
 class TransportBlock:
-    """One MAC-layer block: payload segments plus framing overhead."""
+    """One MAC-layer block: (frame_id, nbytes) segments plus framing overhead."""
 
-    flow_id: int
     bytes: int
     overhead_bytes: int
-    segments: list[tuple[Packet, int]]
+    segments: list[tuple[int, int]]
     rtx_count: int = 0
     ready_ms: float = 0.0  # earliest retransmission time while HARQ-pending
 
@@ -87,24 +75,21 @@ class TransportBlock:
 class FlowQueueState:
     """Base-station side of one flow: RLC queue, usage and queue samples."""
 
-    def __init__(self, flow_id: int):
-        self.flow_id = flow_id
+    def __init__(self):
         self.segments: deque[QueuedSegment] = deque()
         self.queued_bytes = 0
         self.samples: deque[tuple[float, int]] = deque(maxlen=RLC_SAMPLE_RING)
         self.harq_pending: deque[TransportBlock] = deque()
         self.harq_flight_payload = 0
 
-    def enqueue(self, packet: Packet, ts: float, nbytes: int | None = None) -> None:
-        n = packet.payload_bytes if nbytes is None else nbytes
-        self.segments.append(QueuedSegment(packet, n, ts))
-        self.queued_bytes += n
+    def enqueue(self, frame_id: int, nbytes: int) -> None:
+        self.segments.append(QueuedSegment(frame_id, nbytes))
+        self.queued_bytes += nbytes
 
-    def requeue_tail(self, block: TransportBlock, ts: float) -> None:
+    def requeue_tail(self, block: TransportBlock) -> None:
         """RLC AM: a block that exhausted HARQ re-enters the queue tail."""
-        for packet, nbytes in block.segments:
-            self.segments.append(QueuedSegment(packet, nbytes, ts))
-            self.queued_bytes += nbytes
+        for frame_id, nbytes in block.segments:
+            self.enqueue(frame_id, nbytes)
 
 
 def sample_rlc_queue(flow: FlowQueueState, now: float) -> int:
@@ -169,7 +154,7 @@ def assemble_block(flow: FlowQueueState, capacity_bytes: int
                    ) -> TransportBlock | None:
     """Pull queued segments into one transport block within capacity_bytes."""
     queue = flow.segments
-    segments: list[tuple[Packet, int]] = []
+    segments: list[tuple[int, int]] = []
     payload = 0
     # payload bytes the next segment may carry after its own header
     room = capacity_bytes - OVERHEAD_FIXED - OVERHEAD_PER_SEGMENT
@@ -184,15 +169,13 @@ def assemble_block(flow: FlowQueueState, capacity_bytes: int
         else:
             break
         payload += take
-        segments.append((head.packet, take))
+        segments.append((head.frame_id, take))
         room -= take + OVERHEAD_PER_SEGMENT
     if payload == 0:
         return None
     flow.queued_bytes -= payload
     overhead = OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT * len(segments)
-    return TransportBlock(
-        flow_id=flow.flow_id, bytes=payload + overhead,
-        overhead_bytes=overhead, segments=segments)
+    return TransportBlock(payload + overhead, overhead, segments)
 
 
 class FailureScript:

@@ -106,11 +106,14 @@ class SenderState:
     epsilon: int = 1
     encoder_mode: str = "instant"        # "instant" | "ramp"
     initial_bps: float = INITIAL_BITRATE_BPS
-    bitrate_hist: deque = field(default_factory=lambda: deque(maxlen=64))
+    bitrate_hist: deque = field(init=False)  # the last epsilon-1 bitrates
     recv_window: ReceiveRateWindow = field(default_factory=ReceiveRateWindow)
     last_guidance_bps: float | None = None
     last_guidance_ts: float = -math.inf
     actual_bps: float | None = None      # encoder's current operating point
+
+    def __post_init__(self):
+        self.bitrate_hist = deque(maxlen=self.epsilon - 1)
 
 
 class BaseSender:
@@ -133,21 +136,21 @@ class BaseSender:
     def guidance_bps(self, now: float) -> float | None:
         return self.state.last_guidance_bps
 
-    def apply_guidance(self, rate_bps: float | None, stamped_ts: float) -> None:
+    def apply_guidance(self, rate_bps: float | None, stamp_ts: float) -> None:
         """Latest stamp wins; stale or duplicate feedback is ignored."""
         st = self.state
-        if stamped_ts <= st.last_guidance_ts:
+        if stamp_ts <= st.last_guidance_ts:
             return
         if rate_bps is None:
             return  # invalid feedback: hold the previous value
         st.last_guidance_bps = rate_bps
-        st.last_guidance_ts = stamped_ts
+        st.last_guidance_ts = stamp_ts
 
     def on_ack_bytes(self, arrive_ts: float, acked_bytes: int) -> None:
         self.state.recv_window.add(arrive_ts, acked_bytes)
 
-    def on_feedback(self, fb, now: float) -> None:
-        """Consume one controller-specific feedback record."""
+    def on_feedback(self, fb, stamp_ts: float) -> None:
+        """Consume one decoded feedback record stamped at stamp_ts."""
         raise NotImplementedError
 
     # -- frame generation --------------------------------------------------
@@ -189,6 +192,5 @@ class BaseSender:
 class ChoirSender(BaseSender):
     """Consumes base-station guidance carried as codec-encoded ACK options."""
 
-    def on_feedback(self, fb: GuidanceFeedback, now: float) -> None:
-        stamped = fb.stamped_ts if fb.stamped_ts is not None else now
-        self.apply_guidance(decode_rate(fb), stamped)
+    def on_feedback(self, fb: GuidanceFeedback, stamp_ts: float) -> None:
+        self.apply_guidance(decode_rate(fb), stamp_ts)

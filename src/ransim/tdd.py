@@ -34,9 +34,6 @@ class TddPattern:
             raise ValueError("TDD pattern needs at least one downlink slot")
         return cls(slots)
 
-    def __len__(self) -> int:
-        return len(self.slots)
-
     def slot_at(self, tti_index: int) -> str:
         return self.slots[tti_index % len(self.slots)]
 
@@ -51,15 +48,3 @@ class TddPattern:
     def downlink_duty(self) -> float:
         """Average downlink capacity fraction over one cycle (0.7 for DDDSU)."""
         return sum(_DL_FACTOR[s] for s in self.slots) / len(self.slots)
-
-    def max_non_downlink_span_ms(self, tti_ms: float) -> float:
-        """Longest circular run of slots that are not plain downlink."""
-        doubled = self.slots + self.slots
-        best = run = 0
-        for s in doubled:
-            if s != DOWNLINK:
-                run += 1
-                best = max(best, run)
-            else:
-                run = 0
-        return min(best, len(self.slots)) * tti_ms

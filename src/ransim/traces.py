@@ -35,16 +35,8 @@ class CapacitySchedule:
         if self.breakpoints[0][0] != 0:
             raise TraceError("schedule must start at tti_index 0")
 
-    def bytes_per_prb(self, tti_index: int) -> float:
-        value = self.breakpoints[0][1]
-        for tti, bpp in self.breakpoints:
-            if tti > tti_index:
-                break
-            value = bpp
-        return value
-
     def materialize(self, n_ttis: int) -> list[float]:
-        """Expand to a dense per-TTI lookup for the simulation hot loop."""
+        """Expand to a dense per-TTI list of bytes per PRB."""
         out: list[float] = []
         value = self.breakpoints[0][1]
         bi = 0

@@ -20,7 +20,7 @@ from .codec import GuidanceFeedback, decode_rate, encode_rate
 from .eventlog import LEVEL_FULL, EventLog
 from .predictor import FlowPredictor, mean_alloc_bw
 from .ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FailureScript,
-                  FlowQueueState, Packet, RanConfig, assemble_block,
+                  FlowQueueState, RanConfig, assemble_block,
                   prbs_for_bytes, sample_rlc_queue, schedule_prbs)
 from .sender import (ENCODER_MODES, FRAME_INTERVAL_MS, MTU_PAYLOAD,
                      BaseSender, ChoirSender, VideoFrame)
@@ -86,7 +86,7 @@ class ReceiverState:
     def register(self, frame: VideoFrame) -> None:
         self.remaining[frame.frame_id] = frame.nbytes
 
-    def on_bytes(self, frame_id: int, nbytes: int, now: float) -> bool:
+    def on_bytes(self, frame_id: int, nbytes: int) -> bool:
         """Credit delivered payload; True when the frame just completed."""
         self.bytes_since_ack += nbytes
         left = self.remaining.get(frame_id)
@@ -186,7 +186,8 @@ class SimWorld:
         self._rotation = 0
         self._seq = 0
         self._sender_events: list = []   # (ts, seq, kind, flow_id, payload)
-        self._gnb_arrivals: list = []    # (ts, seq, flow_id, packet)
+        # (ts, seq, flow_id, pkt_id, frame_id, nbytes)
+        self._gnb_arrivals: list = []
         self._pkt_counter = 0
         # bytes per PRB at tti_index, read from the trace's breakpoints
         self._breaks = iter(ran.schedule.breakpoints)
@@ -207,7 +208,7 @@ class SimWorld:
         if isinstance(sender, OracleSender):
             fid = cfg.flow_id
             sender.truth_fn = lambda now, _fid=fid: self.true_flow_rate(_fid)
-        queue = FlowQueueState(cfg.flow_id)
+        queue = FlowQueueState()
         estimator = FlowEstimator(self.ran.prb_total, self.ran.tti_ms)
         predictor = FlowPredictor(self.ran.tti_ms, cfg.wired_nd_ms)
         fr = FlowRuntime(cfg, sender, queue, estimator, predictor)
@@ -229,8 +230,9 @@ class SimWorld:
         fr.receiver.register(frame)
         self._pkt_counter += 1
         self._seq += 1
-        heapq.heappush(self._gnb_arrivals, (ts, self._seq, flow_id, Packet(
-            self._pkt_counter, flow_id, frame.frame_id, nbytes)))
+        heapq.heappush(self._gnb_arrivals, (ts, self._seq, flow_id,
+                                            self._pkt_counter, frame.frame_id,
+                                            nbytes))
         return frame
 
     def _push_sender_event(self, ts: float, kind: str, flow_id: int,
@@ -294,16 +296,15 @@ class SimWorld:
         heap = self._gnb_arrivals
         flows, pop, log_full = self.flows, heapq.heappop, self._log_full
         while heap and heap[0][0] <= t0:
-            ts, _, flow_id, pkt = pop(heap)
+            ts, _, flow_id, pkt_id, frame_id, nbytes = pop(heap)
             fr = flows[flow_id]
-            nbytes = pkt.payload_bytes
-            fr.queue.enqueue(pkt, ts)
+            fr.queue.enqueue(frame_id, nbytes)
             fr.injected_payload += nbytes
             if fr.predicts:
                 fr.predictor.on_enqueue(ts, nbytes)
             if log_full:
                 self.log.add(ts, "enqueue", flow_id, nbytes,
-                             f"pkt={pkt.pkt_id};frame={pkt.frame_id}")
+                             f"pkt={pkt_id};frame={frame_id}")
 
     def _estimate_and_predict(self, t0: float,
                               present: list[FlowRuntime]) -> None:
@@ -397,7 +398,7 @@ class SimWorld:
                              f"rtx={block.rtx_count};ready={block.ready_ms!r}")
         else:
             # HARQ exhausted: RLC AM pushes the payload back through the queue
-            fr.queue.requeue_tail(block, t0)
+            fr.queue.requeue_tail(block)
             if self._log_full:
                 self.log.add(t0, "rlc_requeue", fr.cfg.flow_id,
                              block.payload_bytes, f"rtx={block.rtx_count}")
@@ -408,12 +409,12 @@ class SimWorld:
         # an RLC requeue a block can interleave frames (A, B, A)
         segments = block.segments
         run = 0
-        for i, (pkt, nbytes) in enumerate(segments, 1):
+        for i, (frame_id, nbytes) in enumerate(segments, 1):
             run += nbytes
-            if i < len(segments) and segments[i][0].frame_id == pkt.frame_id:
+            if i < len(segments) and segments[i][0] == frame_id:
                 continue
-            if fr.receiver.on_bytes(pkt.frame_id, run, t1):
-                frame = fr.frames[pkt.frame_id]
+            if fr.receiver.on_bytes(frame_id, run):
+                frame = fr.frames[frame_id]
                 frame.decode_ts = t1
                 self.log.add(t1, "frame_done", fr.cfg.flow_id, frame.nbytes,
                              f"frame={frame.frame_id};"
@@ -453,7 +454,7 @@ class SimWorld:
                         f"fi={pred.fi!r};bw={fr.predictor.bw_ring[-1]!r};"
                         f"mean_bw={pred.mean_bw!r}")
             guidance = pred.guidance
-            fb = encode_rate(guidance * 8000.0, stamped_ts=t0)
+            fb = encode_rate(guidance * 8000.0)
             wire = fb.to_bytes()
             decoded = decode_rate(fb)
             fr.predictor.record_stamp(t0, (decoded or 0.0) / 8000.0)
@@ -463,7 +464,7 @@ class SimWorld:
             capacity = mean_alloc_bw(fr.predictor.bw_ring, window)
             scone_fb = SconeFeedback(capacity=capacity,
                                      queue_len=float(fr.queue.queued_bytes))
-            wire = encode_scone(scone_fb, stamped_ts=t0)
+            wire = encode_scone(scone_fb)
             detail = f"capacity={capacity!r};queue={fr.queue.queued_bytes}"
         else:
             wire = b""
@@ -498,9 +499,8 @@ class SimWorld:
         for nbytes, offset in fr.sender.packet_release_offsets(frame.nbytes):
             seq += 1
             pkt_id += 1
-            heapq.heappush(heap, (ts + offset + wired, seq, flow_id,
-                                  Packet(pkt_id, flow_id, frame.frame_id,
-                                         nbytes)))
+            heapq.heappush(heap, (ts + offset + wired, seq, flow_id, pkt_id,
+                                  frame.frame_id, nbytes))
         self._seq, self._pkt_counter = seq, pkt_id
         fr.tick_count += 1
         next_ts = fr.start_ms + fr.tick_count * FRAME_INTERVAL_MS
@@ -511,11 +511,9 @@ class SimWorld:
         kind, wire, stamp_ts, acked_bytes = payload
         fr.sender.on_ack_bytes(ts, acked_bytes)
         if kind == "choir":
-            fb = GuidanceFeedback.from_bytes(wire, stamped_ts=stamp_ts)
-            fr.sender.on_feedback(fb, ts)
+            fr.sender.on_feedback(GuidanceFeedback.from_bytes(wire), stamp_ts)
         elif kind == "scone":
-            scone_fb = decode_scone(wire, stamped_ts=stamp_ts)
-            fr.sender.on_feedback((scone_fb, stamp_ts), ts)
+            fr.sender.on_feedback(decode_scone(wire), stamp_ts)
         if self._log_full:
             self.log.add(ts, "feedback_apply", fr.cfg.flow_id, acked_bytes,
                          f"stamp={stamp_ts!r}")

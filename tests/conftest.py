@@ -13,7 +13,7 @@ class SaturatingSender(BaseSender):
     def guidance_bps(self, now):
         return 500e6
 
-    def on_feedback(self, fb, now):
+    def on_feedback(self, fb, stamp_ts):
         pass
 
 

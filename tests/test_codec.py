@@ -2,8 +2,7 @@ import math
 
 from hypothesis import given, strategies as st
 
-from ransim.codec import (FLAG_VALID, WIRE_SIZE, GuidanceFeedback,
-                          decode_rate, encode_rate)
+from ransim.codec import WIRE_SIZE, GuidanceFeedback, decode_rate, encode_rate
 
 
 def test_30mbps_round_trips_exactly():
@@ -78,9 +77,3 @@ def test_mantissa_normalized(rate):
 
 def test_nan_is_invalid():
     assert not encode_rate(math.nan).valid
-
-def test_stamp_is_metadata_only():
-    a = encode_rate(10e6, stamped_ts=5.0)
-    b = encode_rate(10e6, stamped_ts=99.0)
-    assert a.to_bytes() == b.to_bytes()
-    assert a.flags & FLAG_VALID

@@ -95,7 +95,7 @@ class TestScenarioValidation:
         trace.write_text("tti_index,bytes_per_prb\n0,12.5\n")
         cfg = base_config(trace_path=str(trace))
         scn = scenario_from_dict(cfg)
-        assert scn.ran.schedule.bytes_per_prb(0) == 12.5
+        assert scn.ran.schedule.materialize(1) == [12.5]
 
     def test_every_key_loads(self):
         cfg = base_config(log_level="frames", trace_path=None)

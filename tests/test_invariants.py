@@ -28,15 +28,6 @@ def test_prb_conservation_every_tti():
     assert busiest > 0
 
 
-def test_queue_timestamps_nondecreasing():
-    for w in _stepping_world():
-        for fr in w.flows.values():
-            last = -1.0
-            for seg in fr.queue.segments:
-                assert seg.enqueue_ts >= last
-                last = seg.enqueue_ts
-
-
 def test_window_stats_internal_ordering():
     for w in _stepping_world():
         cell = w.cell

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ransim.predictor import (FeedbackHistory, FlowPredictor,
-                              decision_horizon, detect_frame_boundary,
-                              guidance_bw, history_window,
+from ransim.predictor import (HISTORY_CAPACITY, FeedbackHistory,
+                              FlowPredictor, decision_horizon,
+                              detect_frame_boundary, guidance_bw,
                               inflight_frame_count, mean_alloc_bw,
                               min_rlc_queue, predict_queue,
                               update_error_correction, update_frame_interval)
@@ -77,15 +77,6 @@ class TestHorizon:
 
 
 class TestHistoryWindow:
-    def test_normalized_bounds(self):
-        lo, hi = history_window(1000, 16.6, 2, 10)
-        assert lo == pytest.approx(946.8)
-        assert hi == pytest.approx(963.4)
-
-    def test_degenerate_local_case(self):
-        lo, hi = history_window(1000, 16.6, 1, 0)
-        assert (lo, hi) == (pytest.approx(983.4), 1000)
-
     def test_single_entry_inside_selected(self):
         h = FeedbackHistory()
         h.record(950.0, 1700.0)
@@ -211,11 +202,11 @@ class TestHistorySelection:
         assert list(h.entries) == [(10.0, 1.0)]
 
     def test_ring_bounded(self):
-        h = FeedbackHistory(capacity=8)
-        for i in range(100):
+        h = FeedbackHistory()
+        for i in range(HISTORY_CAPACITY + 100):
             h.record(float(i), float(i))
-        assert len(h.entries) == 8
-        assert h.entries[0][0] == 92.0
+        assert len(h.entries) == HISTORY_CAPACITY
+        assert h.entries[0][0] == 100.0
 
 
 def _monolithic_transcription(fi_prev, fi_new, alpha, bw_samples, tti_ms,
@@ -292,7 +283,6 @@ class TestFlowPredictorStateMachine:
         for _ in range(40):
             p.push_bw(2000.0)
         pred = p.compute(100.0, [(100.0, 0)])
-        assert pred.warm_up
         assert pred.guidance == pytest.approx(0.95 * 2000.0)
 
     def test_warm_up_drains_existing_queue(self):

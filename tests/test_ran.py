@@ -3,8 +3,7 @@ from hypothesis import given, strategies as st
 
 from ransim import (FailureScript, FlowConfig, RanConfig, SimWorld,
                     constant_trace, sample_rlc_queue, schedule_prbs)
-from ransim.ran import (FlowQueueState, Packet, assemble_block,
-                        prbs_for_bytes)
+from ransim.ran import FlowQueueState, assemble_block, prbs_for_bytes
 
 
 def _full(n, prb_total=100):
@@ -69,34 +68,34 @@ class TestSchedulePrbs:
 
 class TestRlcQueue:
     def test_empty_queue_sample(self):
-        q = FlowQueueState(0)
+        q = FlowQueueState()
         assert sample_rlc_queue(q, 5.0) == 0
 
     def test_sum_of_segments(self):
-        q = FlowQueueState(0)
-        q.enqueue(Packet(1, 0, 0, 700), ts=1.0)
-        q.enqueue(Packet(2, 0, 0, 800), ts=1.1)
+        q = FlowQueueState()
+        q.enqueue(0, 700)
+        q.enqueue(0, 800)
         assert sample_rlc_queue(q, 2.0) == 1500
 
     def test_dequeue_conservation(self):
-        q = FlowQueueState(0)
-        q.enqueue(Packet(1, 0, 0, 1500), ts=1.0)
+        q = FlowQueueState()
+        q.enqueue(0, 1500)
         block = assemble_block(q, capacity_bytes=5000)
         assert block.payload_bytes == 1500
         assert sample_rlc_queue(q, 2.0) == 0
 
     def test_sample_ring_records(self):
-        q = FlowQueueState(0)
+        q = FlowQueueState()
         sample_rlc_queue(q, 1.0)
-        q.enqueue(Packet(1, 0, 0, 99), ts=1.5)
+        q.enqueue(0, 99)
         sample_rlc_queue(q, 2.0)
         assert list(q.samples) == [(1.0, 0), (2.0, 99)]
 
 
 class TestAssembleBlock:
     def test_splits_packet_across_blocks(self):
-        q = FlowQueueState(0)
-        q.enqueue(Packet(1, 0, 0, 3000), ts=0.0)
+        q = FlowQueueState()
+        q.enqueue(0, 3000)
         b1 = assemble_block(q, capacity_bytes=1000)
         assert b1.bytes <= 1000
         assert q.queued_bytes == 3000 - b1.payload_bytes
@@ -104,14 +103,14 @@ class TestAssembleBlock:
         assert b1.payload_bytes + b2.payload_bytes == 3000
 
     def test_overhead_below_total(self):
-        q = FlowQueueState(0)
-        q.enqueue(Packet(1, 0, 0, 50), ts=0.0)
+        q = FlowQueueState()
+        q.enqueue(0, 50)
         block = assemble_block(q, capacity_bytes=1000)
         assert 0 < block.overhead_bytes < block.bytes
 
     def test_tiny_capacity_yields_no_block(self):
-        q = FlowQueueState(0)
-        q.enqueue(Packet(1, 0, 0, 50), ts=0.0)
+        q = FlowQueueState()
+        q.enqueue(0, 50)
         assert assemble_block(q, capacity_bytes=10) is None
         assert q.queued_bytes == 50
 

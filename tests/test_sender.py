@@ -47,7 +47,7 @@ class TestPacingRate:
 class TestEncodeFrame:
     def test_instant_mode_frame_bytes(self):
         s = ChoirSender(epsilon=1)
-        s.apply_guidance(30e6, stamped_ts=1.0)
+        s.apply_guidance(30e6, stamp_ts=1.0)
         frame = s.encode_frame(100.0)
         assert frame.nbytes == 62250
         assert frame.actual_bps == 30e6
@@ -55,7 +55,7 @@ class TestEncodeFrame:
     def test_ramp_mode_geometric_approach(self):
         s = ChoirSender(epsilon=1, encoder_mode="ramp", initial_bps=30e6)
         s.encode_frame(0.0)  # seeds the encoder at 30 Mbps
-        s.apply_guidance(60e6, stamped_ts=1.0)
+        s.apply_guidance(60e6, stamp_ts=1.0)
         rates = [s.encode_frame(16.6 * (k + 1)).actual_bps / 1e6
                  for k in range(3)]
         assert rates == [pytest.approx(40.0), pytest.approx(46.6667, abs=1e-3),
@@ -63,7 +63,7 @@ class TestEncodeFrame:
 
     def test_unchanged_bitrate_unchanged_size(self):
         s = ChoirSender(epsilon=1)
-        s.apply_guidance(24e6, stamped_ts=1.0)
+        s.apply_guidance(24e6, stamp_ts=1.0)
         f1 = s.encode_frame(0.0)
         f2 = s.encode_frame(16.6)
         assert f1.nbytes == f2.nbytes
@@ -75,7 +75,7 @@ class TestEncodeFrame:
 
     def test_zero_guidance_emits_marker_frame(self):
         s = ChoirSender(epsilon=1)
-        s.apply_guidance(0.0, stamped_ts=1.0)
+        s.apply_guidance(0.0, stamp_ts=1.0)
         frame = s.encode_frame(0.0)
         assert frame.nbytes == 1  # keeps the flow's frame pattern alive
 
@@ -84,13 +84,13 @@ class TestPacingDominance:
     def test_pacing_at_least_rho_times_target(self):
         s = ChoirSender(epsilon=1)
         for k, g in enumerate([5e6, 30e6, 80e6, 12e6]):
-            s.apply_guidance(g, stamped_ts=float(k + 1))
+            s.apply_guidance(g, stamp_ts=float(k + 1))
             frame = s.encode_frame(16.6 * k)
             assert s.last_pacing_bps >= 1.25 * frame.target_bps - 1e-6
 
     def test_release_schedule_spacing_matches_pacing(self):
         s = ChoirSender(epsilon=1)
-        s.apply_guidance(30e6, stamped_ts=1.0)
+        s.apply_guidance(30e6, stamp_ts=1.0)
         frame = s.encode_frame(0.0)
         packets = s.packet_release_offsets(frame.nbytes)
         assert sum(n for n, _ in packets) == frame.nbytes
@@ -104,27 +104,27 @@ class TestPacingDominance:
 class TestFeedbackOrdering:
     def test_newer_stamp_replaces(self):
         s = ChoirSender(epsilon=1)
-        s.on_feedback(encode_rate(10e6, stamped_ts=5.0), now=6.0)
-        s.on_feedback(encode_rate(20e6, stamped_ts=7.0), now=8.0)
+        s.on_feedback(encode_rate(10e6), 5.0)
+        s.on_feedback(encode_rate(20e6), 7.0)
         assert s.state.last_guidance_bps == pytest.approx(20e6, rel=1e-4)
 
     def test_stale_stamp_ignored(self):
         s = ChoirSender(epsilon=1)
-        s.on_feedback(encode_rate(20e6, stamped_ts=7.0), now=8.0)
-        s.on_feedback(encode_rate(10e6, stamped_ts=5.0), now=9.0)
+        s.on_feedback(encode_rate(20e6), 7.0)
+        s.on_feedback(encode_rate(10e6), 5.0)
         assert s.state.last_guidance_bps == pytest.approx(20e6, rel=1e-4)
 
     def test_duplicate_stamp_idempotent(self):
         s = ChoirSender(epsilon=1)
-        s.on_feedback(encode_rate(20e6, stamped_ts=7.0), now=8.0)
+        s.on_feedback(encode_rate(20e6), 7.0)
         before = s.state.last_guidance_bps
-        s.on_feedback(encode_rate(11e6, stamped_ts=7.0), now=9.0)
+        s.on_feedback(encode_rate(11e6), 7.0)
         assert s.state.last_guidance_bps == before
 
     def test_invalid_feedback_holds_last(self):
         s = ChoirSender(epsilon=1)
-        s.on_feedback(encode_rate(20e6, stamped_ts=7.0), now=8.0)
-        s.on_feedback(encode_rate(-1.0, stamped_ts=9.0), now=10.0)
+        s.on_feedback(encode_rate(20e6), 7.0)
+        s.on_feedback(encode_rate(-1.0), 9.0)
         assert s.state.last_guidance_bps == pytest.approx(20e6, rel=1e-4)
 
 
@@ -139,11 +139,21 @@ class TestSmoothingOpenLoop:
             s = ChoirSender(epsilon=eps, initial_bps=25e6)
             rates = []
             for k, g in enumerate(guidance):
-                s.apply_guidance(g, stamped_ts=float(k + 1))
+                s.apply_guidance(g, stamp_ts=float(k + 1))
                 rates.append(s.encode_frame(16.6 * k).actual_bps)
             steady = rates[50:]
             covs.append(statistics.pstdev(steady) / statistics.mean(steady))
         assert all(covs[i + 1] <= covs[i] + 1e-12 for i in range(3))
+
+    def test_epsilon_beyond_64_means_over_epsilon_frames(self):
+        # the target is the mean of the guidance and the last 99 bitrates
+        s = ChoirSender(epsilon=100)
+        targets = []
+        for k in range(150):
+            s.apply_guidance(1e5 * k, stamp_ts=float(k + 1))
+            targets.append(s.encode_frame(16.6 * k).target_bps)
+        assert targets[-1] == pytest.approx(
+            (1e5 * 149 + sum(targets[-100:-1])) / 100, rel=1e-12)
 
     def test_epsilon_one_transparency(self):
         # the emitted target sequence equals the guidance sequence shifted
@@ -152,7 +162,7 @@ class TestSmoothingOpenLoop:
         guidance = [7e6, 21e6, 14e6, 28e6]
         targets = []
         for k, g in enumerate(guidance):
-            s.apply_guidance(g, stamped_ts=float(k + 1))
+            s.apply_guidance(g, stamp_ts=float(k + 1))
             targets.append(s.encode_frame(16.6 * k).target_bps)
         assert targets == guidance
 

@@ -6,7 +6,6 @@ from ransim.tdd import TddPattern
 def test_parse_dddsu():
     p = TddPattern.parse("DDDSU")
     assert p.slots == ("D", "D", "D", "S", "U")
-    assert len(p) == 5
 
 
 def test_parse_rejects_empty_and_unknown():
@@ -37,9 +36,9 @@ def test_downlink_duty_matches_ratio():
 
 
 def test_max_non_downlink_span_wraps():
-    p = TddPattern.parse("DDDSU")
-    assert p.max_non_downlink_span_ms(0.5) == pytest.approx(1.0)  # S+U
-    # span that wraps around the cycle boundary
+    # the S and U slots of UDDDS are adjacent across the cycle boundary
     q = TddPattern.parse("UDDDS")
-    assert q.max_non_downlink_span_ms(0.5) == pytest.approx(1.0)  # S..U wrap
-    assert TddPattern.parse("DDDDD").max_non_downlink_span_ms(0.5) == 0.0
+    assert [q.slot_at(i) for i in range(3, 7)] == ["D", "S", "U", "D"]
+    assert [q.downlink_factor(i) for i in range(3, 7)] == [1.0, 0.5, 0.0, 1.0]
+    d = TddPattern.parse("DDDDD")
+    assert [d.downlink_factor(i) for i in range(6)] == [1.0] * 6

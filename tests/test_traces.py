@@ -14,15 +14,15 @@ class TestLoadTrace:
     def test_constant_two_rows(self, tmp_path):
         p = self._write(tmp_path, "tti_index,bytes_per_prb\n0,1000\n500,1000\n")
         sched = load_trace(p)
-        assert sched.bytes_per_prb(0) == 1000
-        assert sched.bytes_per_prb(9999) == 1000
+        assert sched.materialize(1)[0] == 1000
+        assert sched.materialize(10000)[9999] == 1000
 
     def test_step_semantics(self, tmp_path):
         p = self._write(tmp_path, "tti_index,bytes_per_prb\n0,1000\n600,500\n")
         sched = load_trace(p)
-        assert sched.bytes_per_prb(599) == 1000
-        assert sched.bytes_per_prb(600) == 500
-        assert sched.bytes_per_prb(601) == 500
+        assert sched.materialize(600)[599] == 1000
+        assert sched.materialize(601)[600] == 500
+        assert sched.materialize(602)[601] == 500
 
     def test_out_of_order_rejected(self, tmp_path):
         p = self._write(tmp_path, "tti_index,bytes_per_prb\n0,1000\n600,500\n"
@@ -56,23 +56,23 @@ class TestLoadTrace:
 
     def test_nonzero_start_backfilled(self, tmp_path):
         p = self._write(tmp_path, "tti_index,bytes_per_prb\n100,700\n")
-        assert load_trace(p).bytes_per_prb(0) == 700
+        assert load_trace(p).materialize(1)[0] == 700
 
 
 class TestSyntheticTraces:
     def test_constant(self):
-        assert constant_trace(42.0).bytes_per_prb(12345) == 42.0
+        assert constant_trace(42.0).materialize(12346)[12345] == 42.0
 
     def test_step(self):
         s = step_trace(30.0, 15.0, 600)
-        assert s.bytes_per_prb(599) == 30.0
-        assert s.bytes_per_prb(600) == 15.0
+        assert s.materialize(600)[599] == 30.0
+        assert s.materialize(601)[600] == 15.0
 
     def test_square_alternates(self):
         s = square_trace(30.0, 10.0, period_ttis=100, n_periods=4)
-        assert s.bytes_per_prb(0) == 30.0
-        assert s.bytes_per_prb(50) == 10.0
-        assert s.bytes_per_prb(100) == 30.0
+        assert s.materialize(1)[0] == 30.0
+        assert s.materialize(51)[50] == 10.0
+        assert s.materialize(101)[100] == 30.0
 
     def test_random_walk_bounded_and_deterministic(self):
         a = random_walk_trace(10.0, 40.0, seed=7)
@@ -84,8 +84,8 @@ class TestSyntheticTraces:
 
     def test_materialize_matches_lookup(self):
         s = square_trace(30.0, 10.0, period_ttis=10, n_periods=3)
-        dense = s.materialize(50)
-        assert dense == [s.bytes_per_prb(i) for i in range(50)]
+        # high for half a period, then low; the last value holds
+        assert s.materialize(50) == ([30.0] * 5 + [10.0] * 5) * 3 + [10.0] * 20
 
     def test_validation(self):
         with pytest.raises(TraceError):

@@ -6,8 +6,8 @@ import ransim.world
 from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
                     constant_trace, square_trace)
 from ransim.harness import write_frames_csv, write_metrics_csv
-from ransim.ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, Packet,
-                        TransportBlock, sample_rlc_queue)
+from ransim.ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, TransportBlock,
+                        sample_rlc_queue)
 
 
 class TestFrameCadence:
@@ -96,8 +96,8 @@ class TestCapacityCursor:
         # last stepped TTI's
         w.run((self.N - 1) * 0.5 / 1000.0)
         assert w.tti_index == self.N - 1
-        bpp = self.SCHEDULE.bytes_per_prb(w.tti_index)
-        assert bpp != self.SCHEDULE.bytes_per_prb(w.tti_index - 1)
+        *_, before, bpp = self.SCHEDULE.materialize(w.tti_index + 1)
+        assert bpp != before
         ref = self._world(constant_trace(bpp))
         assert w.true_flow_rate(0) == ref.true_flow_rate(0)
 
@@ -299,9 +299,10 @@ class TestEstimateUpkeep:
                for m in ("compute", "note_grant", "note_block")}
         enqueues = _record_calls(w, "on_enqueue")
         samples = {fid: [] for fid in w.flows}
+        flow_of = {fr.queue: fid for fid, fr in w.flows.items()}
 
         def sample_spy(queue, now):
-            samples[queue.flow_id].append(now)
+            samples[flow_of[queue]].append(now)
             return sample_rlc_queue(queue, now)
         monkeypatch.setattr(ransim.world, "sample_rlc_queue", sample_spy)
         present = {fid: [] for fid in w.flows}
@@ -337,10 +338,10 @@ class TestInjectedPacketPath:
 
 def _credit_each_segment(world, fr, block, t1):
     """Per-segment crediting, the reference for ``_deliver_block``."""
-    for pkt, nbytes in block.segments:
+    for frame_id, nbytes in block.segments:
         fr.delivered_payload += nbytes
-        if fr.receiver.on_bytes(pkt.frame_id, nbytes, t1):
-            frame = fr.frames[pkt.frame_id]
+        if fr.receiver.on_bytes(frame_id, nbytes):
+            frame = fr.frames[frame_id]
             frame.decode_ts = t1
             world.log.add(t1, "frame_done", fr.cfg.flow_id, frame.nbytes,
                           f"frame={frame.frame_id};delay={frame.delay_ms!r}")
@@ -360,16 +361,15 @@ class TestDeliverBlock:
         w = make_world(wired_nd_ms=0.0, source="none",
                        ack_per_frames=ack_per_frames)
         fr = w.flows[0]
-        packets = [Packet(i, 0, w.inject_packet(0, 0.0, n).frame_id, n)
-                   for i, n in enumerate(self.SIZES)]
+        frame_ids = [w.inject_packet(0, 0.0, n).frame_id for n in self.SIZES]
         credits = []
         on_bytes = fr.receiver.on_bytes
         fr.receiver.on_bytes = lambda *a: credits.append(a) or on_bytes(*a)
         for k, segs in enumerate(self.BLOCKS):
             payload = sum(n for _, n in segs)
             overhead = OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT * len(segs)
-            block = TransportBlock(0, payload + overhead, overhead,
-                                   [(packets[f], n) for f, n in segs])
+            block = TransportBlock(payload + overhead, overhead,
+                                   [(frame_ids[f], n) for f, n in segs])
             deliver(w, fr, block, 10.0 * (k + 1))
             yield fr, list(w.log.records), credits
 
@@ -390,6 +390,5 @@ class TestDeliverBlock:
 
     def test_one_credit_per_run(self):
         *_, (fr, _, credits) = self._deliver(1, SimWorld._deliver_block)
-        assert [(f, n) for f, n, _ in credits] == \
-            [(0, 1500), (0, 800), (1, 1200), (0, 700), (2, 800)]
+        assert credits == [(0, 1500), (0, 800), (1, 1200), (0, 700), (2, 800)]
         assert fr.delivered_payload == sum(self.SIZES)
