@@ -3,7 +3,6 @@ transport blocks and HARQ retry state.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -97,15 +96,6 @@ def sample_rlc_queue(flow: FlowQueueState, now: float) -> int:
     value = flow.queued_bytes
     flow.samples.append((now, value))
     return value
-
-
-def prbs_for_bytes(nbytes: int, bytes_per_prb: float) -> int:
-    """Whole PRBs needed to carry nbytes at the given per-PRB capacity."""
-    if nbytes <= 0:
-        return 0
-    if bytes_per_prb <= 0:
-        return 0
-    return int(math.ceil(nbytes / bytes_per_prb - 1e-9))
 
 
 def schedule_prbs(demands: list[int], prb_total: int,

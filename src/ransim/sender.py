@@ -59,7 +59,6 @@ class VideoFrame:
     target_bps: float
     actual_bps: float
     decode_ts: float | None = None
-    guidance_ts: float = -math.inf  # stamp time of the guidance applied
 
     @property
     def delay_ms(self) -> float | None:
@@ -172,8 +171,7 @@ class BaseSender:
         self.last_pacing_bps = max(
             pacing_rate(st.recv_window.max_rate_bps(now), target),
             MIN_PACING_BPS)
-        frame = VideoFrame(self.frame_seq, now, nbytes, target, actual,
-                           guidance_ts=st.last_guidance_ts)
+        frame = VideoFrame(self.frame_seq, now, nbytes, target, actual)
         self.frame_seq += 1
         return frame
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
+from math import ceil
 
 from .baselines import (OracleSender, SconeFeedback, SconeSender,
                         decode_scone, encode_scone)
@@ -21,7 +23,7 @@ from .eventlog import LEVEL_FULL, EventLog
 from .predictor import FlowPredictor, mean_alloc_bw
 from .ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FailureScript,
                   FlowQueueState, RanConfig, assemble_block,
-                  prbs_for_bytes, sample_rlc_queue, schedule_prbs)
+                  sample_rlc_queue, schedule_prbs)
 from .sender import (ENCODER_MODES, FRAME_INTERVAL_MS, MTU_PAYLOAD,
                      BaseSender, ChoirSender, VideoFrame)
 
@@ -81,7 +83,7 @@ class ReceiverState:
         self.frames_since_ack = 0
         self.bytes_since_ack = 0
         self.last_ack_ts = -math.inf
-        self.pending_acks: list[tuple[float, int]] = []
+        self.pending_acks: deque[tuple[float, int]] = deque()
 
     def register(self, frame: VideoFrame) -> None:
         self.remaining[frame.frame_id] = frame.nbytes
@@ -136,6 +138,7 @@ class FlowRuntime:
         self.predicts = cfg.controller == "choir"
         self.estimates = cfg.controller != "oracle"
         self.tick_count = 0
+        self.on_wire = 0  # packets sent towards the base station, not arrived
         self.attempt_counter = 0
         self.injected_payload = 0
         self.delivered_payload = 0
@@ -178,6 +181,8 @@ class SimWorld:
         self.tti_index = 0
         self.flows: dict[int, FlowRuntime] = {}
         self._flow_order: list[FlowRuntime] = []
+        self._live: list[FlowRuntime] = []  # the flows a step visits
+        self._next_change = math.inf  # next start, or earliest live stop
         self.cell = CellWindows(ran.tti_ms)
         self.log = EventLog(log_level)
         self._log_full = log_level == LEVEL_FULL
@@ -214,9 +219,24 @@ class SimWorld:
         fr = FlowRuntime(cfg, sender, queue, estimator, predictor)
         self.flows[cfg.flow_id] = fr
         self._flow_order = [self.flows[k] for k in sorted(self.flows)]
+        self._update_live(self.now_ms)
         if cfg.source == "video":
             self._push_sender_event(fr.start_ms, "tick", cfg.flow_id, None)
         return fr
+
+    def _update_live(self, now: float) -> None:
+        """Live flows, in flow-id order: started by now, and not retired. A
+        flow retires once it has stopped and holds nothing in the system: no
+        queued or HARQ bytes, no packet on the wire to the base station and
+        no pending ACK. Only a packet injected for it brings it back."""
+        self._live = live = [
+            fr for fr in self._flow_order if fr.start_ms <= now and (
+                now < fr.stop_ms or fr.queue.queued_bytes or fr.on_wire
+                or fr.queue.harq_flight_payload or fr.receiver.pending_acks)]
+        self._next_change = min(
+            [fr.stop_ms for fr in live]
+            + [fr.start_ms for fr in self._flow_order if fr.start_ms > now],
+            default=math.inf)
 
     def inject_packet(self, flow_id: int, ts: float, nbytes: int
                       ) -> VideoFrame:
@@ -228,6 +248,8 @@ class SimWorld:
         fr.sender.frame_seq += 1
         fr.frames.append(frame)
         fr.receiver.register(frame)
+        fr.on_wire += 1
+        self._update_live(self.now_ms)  # a flow that had retired is back
         self._pkt_counter += 1
         self._seq += 1
         heapq.heappush(self._gnb_arrivals, (ts, self._seq, flow_id,
@@ -241,7 +263,7 @@ class SimWorld:
         heapq.heappush(self._sender_events, (ts, self._seq, kind, flow_id, payload))
 
     def _n_present(self, now: float) -> int:
-        return sum(1 for fr in self._flow_order if fr.present(now))
+        return sum(1 for fr in self._live if fr.present(now))
 
     def true_flow_rate(self, flow_id: int) -> float:
         """Ground-truth per-flow payload drain capacity, bytes/ms."""
@@ -274,8 +296,11 @@ class SimWorld:
         tti = self.ran.tti_ms
         t1 = t0 + tti
         self._process_arrivals(t0)
-        # nothing before the downlink changes queued or HARQ bytes
-        present = [fr for fr in self._flow_order if fr.present(t0)]
+        # nothing before the downlink changes queued or HARQ bytes; a live
+        # flow is present until its stop, and after it while it holds bytes
+        present = self._live
+        if t0 >= self._next_change:  # a live flow has stopped
+            present = [fr for fr in present if fr.present(t0)]
         self._estimate_and_predict(t0, present)
         factor = self.pattern.downlink_factor(self.tti_index)
         if factor > 0.0:
@@ -287,6 +312,8 @@ class SimWorld:
         self._process_sender_events(t0, t1)
         self.tti_index += 1
         self.duration_ms = self.now_ms
+        if self.duration_ms >= self._next_change:
+            self._update_live(self.duration_ms)
         nxt = self._next_break
         if nxt is not None and nxt[0] <= self.tti_index:
             self._bpp = nxt[1]
@@ -298,6 +325,7 @@ class SimWorld:
         while heap and heap[0][0] <= t0:
             ts, _, flow_id, pkt_id, frame_id, nbytes = pop(heap)
             fr = flows[flow_id]
+            fr.on_wire -= 1
             fr.queue.enqueue(frame_id, nbytes)
             fr.injected_payload += nbytes
             if fr.predicts:
@@ -338,7 +366,8 @@ class SimWorld:
                 if fr.estimates:
                     fr.estimator.note_grant(0)
                 continue
-            demands.append(max(1, prbs_for_bytes(need, unit)))
+            # a TTI without capacity grants nothing, whatever the demand
+            demands.append(max(1, ceil(need / unit - 1e-9)) if unit else 1)
             sending.append((fr, is_retx))
         grants = [0] * len(demands)
         if demands and unit > 0.0:
@@ -361,7 +390,7 @@ class SimWorld:
                 if fr.estimates:
                     fr.estimator.note_grant(0)
                 continue
-            uprb = min(prbs, max(1, prbs_for_bytes(block.bytes, unit)))
+            uprb = min(prbs, max(1, ceil(block.bytes / unit - 1e-9)))
             if fr.estimates:
                 fr.estimator.note_grant(uprb)
                 fr.estimator.note_block(t0, block.bytes,
@@ -427,11 +456,10 @@ class SimWorld:
                          f"segs={len(block.segments)}")
 
     def _uplink(self, t0: float) -> None:
-        for fr in self._flow_order:
+        for fr in self._live:
             pending = fr.receiver.pending_acks
             while pending and pending[0][0] <= t0:
-                ready, acked = pending.pop(0)
-                self._stamp_and_forward(fr, t0, acked)
+                self._stamp_and_forward(fr, t0, pending.popleft()[1])
 
     def _stamp_and_forward(self, fr: FlowRuntime, t0: float,
                            acked_bytes: int) -> None:
@@ -501,6 +529,7 @@ class SimWorld:
             pkt_id += 1
             heapq.heappush(heap, (ts + offset + wired, seq, flow_id, pkt_id,
                                   frame.frame_id, nbytes))
+        fr.on_wire += pkt_id - self._pkt_counter
         self._seq, self._pkt_counter = seq, pkt_id
         fr.tick_count += 1
         next_ts = fr.start_ms + fr.tick_count * FRAME_INTERVAL_MS

@@ -141,6 +141,14 @@ def _step_drop_drain(wired_nd_ms, drain_budget_fi):
     drop_ms = drop_tti * TTI
     w = _choir_world(step_trace(30.0, 15.0, drop_tti), wired_nd_ms, seed=1)
     fr = w.flows[0]
+    # (encode time, stamp time of the guidance applied) per frame
+    encodes = []
+    encode_frame = fr.sender.encode_frame
+
+    def record_encode(now):
+        encodes.append((now, fr.sender.state.last_guidance_ts))
+        return encode_frame(now)
+    fr.sender.encode_frame = record_encode
     n = int(9_000 / TTI)
     queue = []
     for _ in range(n):
@@ -150,9 +158,9 @@ def _step_drop_drain(wired_nd_ms, drain_budget_fi):
     # first guidance whose estimation window is fully post-drop, applied at
     # a frame tick: that is when the post-drop guidance takes effect
     t_eff = None
-    for f in fr.frames:
-        if f.encode_ts >= drop_ms and f.guidance_ts >= drop_ms + fi:
-            t_eff = f.encode_ts
+    for encode_ts, guidance_ts in encodes:
+        if encode_ts >= drop_ms and guidance_ts >= drop_ms + fi:
+            t_eff = encode_ts
             break
     assert t_eff is not None
     post_capacity = 100 * 15.0 * 0.7 / TTI  # bytes/ms raw

@@ -19,8 +19,18 @@ class _CheckedWorld(SimWorld):
     """Checks the live invariants wherever the conservation check runs: after
     every TTI."""
 
+    _retired = frozenset()  # ids of the flows that joined and left the list
+
     def assert_conservation(self) -> None:
         super().assert_conservation()
+        now = self.now_ms
+        live = {fr.cfg.flow_id for fr in self._live}
+        retired = {fid for fid, fr in self.flows.items()
+                   if fr.start_ms <= now} - live
+        assert self._retired <= retired
+        self._retired = retired
+        assert all(fr.cfg.flow_id in live
+                   for fr in self._flow_order if fr.present(now))
         cell = self.cell
         assert cell.dn <= cell.tn and cell.hn <= cell.dn_short
         assert cell.prb_used_mean <= self.ran.prb_total
@@ -39,7 +49,7 @@ class _CheckedWorld(SimWorld):
 
 _FLOW = st.fixed_dictionaries({
     "controller": st.sampled_from(["choir", "scone", "oracle"]),
-    "wired_nd_ms": st.sampled_from([0.0, 1.0, 5.0, 10.0]),
+    "wired_nd_ms": st.sampled_from([0.0, 1.0, 5.0, 10.0, 20.0]),
     "ack_per_frames": st.integers(1, 3),
     "epsilon": st.integers(1, 3),
     "encoder": st.sampled_from(["instant", "ramp"]),

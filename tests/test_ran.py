@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from ransim import (FailureScript, FlowConfig, RanConfig, SimWorld,
                     constant_trace, sample_rlc_queue, schedule_prbs)
-from ransim.ran import FlowQueueState, assemble_block, prbs_for_bytes
+from ransim.ran import FlowQueueState, assemble_block
 
 
 def _full(n, prb_total=100):
@@ -113,12 +113,6 @@ class TestAssembleBlock:
         q.enqueue(0, 50)
         assert assemble_block(q, capacity_bytes=10) is None
         assert q.queued_bytes == 50
-
-    def test_prbs_for_bytes(self):
-        assert prbs_for_bytes(0, 30.0) == 0
-        assert prbs_for_bytes(1, 30.0) == 1
-        assert prbs_for_bytes(30, 30.0) == 1
-        assert prbs_for_bytes(31, 30.0) == 2
 
 
 class TestTddDelayMechanics:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import make_world, reference_estimate, run_metrics, saturate
@@ -5,7 +8,8 @@ from conftest import make_world, reference_estimate, run_metrics, saturate
 import ransim.world
 from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
                     constant_trace, square_trace)
-from ransim.harness import write_frames_csv, write_metrics_csv
+from ransim.harness import (build_world, scenario_from_dict,
+                            write_frames_csv, write_metrics_csv)
 from ransim.ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, TransportBlock,
                         sample_rlc_queue)
 
@@ -334,6 +338,56 @@ class TestInjectedPacketPath:
         w.run(0.1)
         assert frame.decode_ts is not None
         assert w.flows[0].delivered_payload == 500
+
+
+class TestLiveFlows:
+    SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / \
+        "join_leave.json"
+
+    def test_step_visits_exactly_the_present_flows(self):
+        # join_leave plus a leaver whose last packets are still on the wire
+        # after its stop, so it is present again once they arrive
+        cfg = json.loads(self.SCENARIO.read_text())
+        cfg["flows"].append({"controller": "choir", "wired_nd_ms": 20.0,
+                             "start_s": 0.4, "stop_s": 1.3})
+        w = build_world(scenario_from_dict(cfg))
+
+        def scan(now):
+            return [fr for fr in w._flow_order if fr.present(now)]
+        visits, reads = [], []
+        estimate, n_present = w._estimate_and_predict, w._n_present
+
+        def estimate_spy(t0, flows):
+            visits.append((list(flows), scan(t0)))
+            estimate(t0, flows)
+
+        def n_present_spy(now):
+            reads.append((n_present(now), len(scan(now))))
+            return reads[-1][0]
+        w._estimate_and_predict = estimate_spy
+        w._n_present = n_present_spy
+        w.run(cfg["duration_s"])
+        assert len(visits) == 4000 and len(reads) > 300
+        for flows, want in visits:
+            assert flows == want
+        for n, want in reads:
+            assert n == want
+        assert len(w._live) == 4  # flows 0, 2, 6 and 7 never stop
+
+
+class TestTxBlockPrbs:
+    def test_block_of_unit_bytes_takes_one_prb(self):
+        # a D slot at 30 B per PRB: 17 B of payload plus one segment's
+        # framing fill one PRB exactly, and one byte more needs two
+        prbs = {}
+        for payload in (17, 18):
+            w = make_world(bpp=30.0, wired_nd_ms=0.0, source="none",
+                           log_level="full")
+            w.inject_packet(0, 50.0, payload)
+            w.run(0.1)
+            tx, = [r for r in w.log.records if r.event == "tx_block"]
+            prbs[tx.nbytes] = tx.detail.split(";")[1]
+        assert prbs == {30: "prbs=1", 31: "prbs=2"}
 
 
 def _credit_each_segment(world, fr, block, t1):
