@@ -52,12 +52,12 @@ class OracleSender(BaseSender):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.truth_fn = None  # set by the world at wiring time
+        # set by the world before each frame; a plain value, so the sender
+        # holds no reference back to the world
+        self.truth_bps: float | None = None
 
     def guidance_bps(self, now: float) -> float | None:
-        if self.truth_fn is None:
-            return None
-        return self.truth_fn(now) * 8000.0
+        return self.truth_bps
 
     def on_feedback(self, fb, stamp_ts: float) -> None:
         pass  # ACK byte counts still update the receive-rate window

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 
 LEVEL_FRAMES = "frames"
@@ -111,20 +111,21 @@ class EventLog:
             fh.writelines(self._lines)
 
 
-def parse_event_log(path) -> list[EventRecord]:
-    """The frame-level records (FRAME_EVENTS) of the log at path; the
-    metrics read nothing else, so other lines are split but not kept."""
-    records: list[EventRecord] = []
+def parse_event_log(path) -> Iterator[EventRecord]:
+    """The frame-level records (FRAME_EVENTS) of the log at path, yielded
+    one at a time while the file is read; the metrics read nothing else, so
+    other lines are split but not kept. A malformed log raises ValueError
+    while the records are iterated."""
     with open(path) as fh:
         header = fh.readline()
         if header.strip() != HEADER.strip():
             raise ValueError(f"not an event log: header {header.rstrip()!r}")
         for line in fh:
-            line = line.rstrip("\n")
-            if not line:
+            if line == "\n":
                 continue
+            # a split line ends in its last field, so only a kept detail
+            # needs the newline stripped
             time_s, event, flow_s, bytes_s, detail = line.split(",", 4)
             if event in FRAME_EVENTS:
-                records.append(EventRecord(float(time_s), event, int(flow_s),
-                                           int(bytes_s), detail))
-    return records
+                yield EventRecord(float(time_s), event, int(flow_s),
+                                  int(bytes_s), detail.rstrip("\n"))

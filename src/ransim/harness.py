@@ -338,17 +338,20 @@ def report_run_dir(run_dir, warmup_ms: float = WARMUP_EXCLUDE_MS
                    ) -> RunMetrics:
     """Recompute metrics for one persisted run purely from its event log.
 
-    Only the frame events are parsed into records. A malformed log, or one
-    without run_info such as a failed run leaves, raises ScenarioError.
+    The log is read once, and only its frame events become records. A
+    malformed log, or one without run_info such as a failed run leaves,
+    raises ScenarioError.
     """
     log_path = Path(run_dir) / EVENTS_LOG
     if not log_path.exists():
         raise ScenarioError(f"{run_dir}: no {EVENTS_LOG} found")
+    records = parse_event_log(log_path)
     try:
-        records = parse_event_log(log_path)
         return metrics_from_event_records(records, warmup_ms)
     except ValueError as exc:
         raise ScenarioError(f"{log_path}: {exc}") from exc
+    finally:
+        records.close()  # also when a bad record stops the read early
 
 
 def find_run_dirs(root) -> list[Path]:

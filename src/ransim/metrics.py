@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .eventlog import EventRecord
@@ -104,10 +105,11 @@ def compute_metrics(frames_by_flow: dict[int, list[VideoFrame]],
                       warmup_ms=warmup_ms)
 
 
-def metrics_from_event_records(records: list[EventRecord],
+def metrics_from_event_records(records: Iterable[EventRecord],
                                warmup_ms: float = WARMUP_EXCLUDE_MS
                                ) -> RunMetrics:
-    """Recompute RunMetrics purely from a persisted event log.
+    """Recompute RunMetrics purely from a persisted event log, reading the
+    records once, so a generator such as parse_event_log works.
 
     Raises ValueError when no run_info record gives the run's duration, as
     in the partial log of a run that failed.

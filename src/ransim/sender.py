@@ -49,7 +49,7 @@ def pacing_rate(recv_rate_max_bps: float, br_bps: float,
     return rho * max(recv_rate_max_bps, br_bps)
 
 
-@dataclass
+@dataclass(slots=True)
 class VideoFrame:
     """One encoded frame; decode_ts is set when its last byte is delivered."""
 

@@ -175,7 +175,10 @@ class SimWorld:
                  failure_script: FailureScript | None = None,
                  check_conservation: bool = False):
         self.ran = ran
-        self.pattern = ran.tdd_pattern
+        self.pattern = pattern = ran.tdd_pattern
+        # (downlink factor, uplink allowed) for each slot of the TDD cycle
+        self._slots = [(pattern.downlink_factor(i), pattern.can_uplink(i))
+                       for i in range(len(pattern.slots))]
         self.rng = random.Random(seed)
         self.seed = seed
         self.tti_index = 0
@@ -210,9 +213,6 @@ class SimWorld:
         if cfg.flow_id in self.flows:
             raise ValueError(f"duplicate flow_id {cfg.flow_id}")
         sender = _make_sender(cfg)
-        if isinstance(sender, OracleSender):
-            fid = cfg.flow_id
-            sender.truth_fn = lambda now, _fid=fid: self.true_flow_rate(_fid)
         queue = FlowQueueState()
         estimator = FlowEstimator(self.ran.prb_total, self.ran.tti_ms)
         predictor = FlowPredictor(self.ran.tti_ms, cfg.wired_nd_ms)
@@ -302,12 +302,13 @@ class SimWorld:
         if t0 >= self._next_change:  # a live flow has stopped
             present = [fr for fr in present if fr.present(t0)]
         self._estimate_and_predict(t0, present)
-        factor = self.pattern.downlink_factor(self.tti_index)
+        slots = self._slots
+        factor, uplink = slots[self.tti_index % len(slots)]
         if factor > 0.0:
             self._downlink(t0, t1, factor, present)
         else:
             self.cell.close_tti(0.0, False, False, False, 0, 0)
-        if self.pattern.can_uplink(self.tti_index):
+        if uplink:
             self._uplink(t0)
         self._process_sender_events(t0, t1)
         self.tti_index += 1
@@ -516,6 +517,8 @@ class SimWorld:
     def _frame_tick(self, fr: FlowRuntime, ts: float) -> None:
         if ts >= fr.stop_ms:
             return
+        if isinstance(fr.sender, OracleSender):
+            fr.sender.truth_bps = self.true_flow_rate(fr.cfg.flow_id) * 8000.0
         frame = fr.sender.encode_frame(ts)
         fr.frames.append(frame)
         fr.receiver.register(frame)

@@ -168,7 +168,7 @@ class TestReport:
             "5.5,frame_done,0,1000,frame=0;note=x,y;;z\n"
             "\n"
             "10.0,run_info,-1,0,duration_ms=10.0;seed=0\n")
-        records = harness.parse_event_log(tmp_path / "events.log")
+        records = list(harness.parse_event_log(tmp_path / "events.log"))
         assert [r.event for r in records] == \
             ["frame_encode", "frame_done", "run_info"]
         assert records[1].detail == "frame=0;note=x,y;;z"

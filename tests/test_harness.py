@@ -1,13 +1,21 @@
+import dataclasses
+import gc
 import json
 import math
 import re
+import tracemalloc
+import weakref
+from pathlib import Path
 
 import pytest
 
 from ransim.cli import EXIT_CONFIG, EXIT_OK, main
-from ransim.harness import (ScenarioError, load_scenario, parse_vary,
-                            report_run_dir, run_scenario, scenario_from_dict,
-                            sweep_scenario)
+from ransim.harness import (ScenarioError, build_world, load_scenario,
+                            parse_vary, report_run_dir, run_scenario,
+                            scenario_from_dict, sweep_scenario)
+from ransim.world import SimWorld
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def base_config(**overrides):
@@ -338,3 +346,48 @@ class TestCli:
         assert main(["report", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{log}: no run_info record" in err
+
+
+class TestMemory:
+    """A finished run holds nothing, and report reads the log once."""
+
+    def test_finished_world_is_freed_without_gc(self, tmp_path):
+        scn = scenario_from_dict(base_config(duration_s=0.5, flows=[
+            {"controller": "choir"}, {"controller": "scone"},
+            {"controller": "oracle"}]))
+        gc.collect()
+        held = [o for o in gc.get_objects() if isinstance(o, SimWorld)]
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            world = build_world(scn)
+            world.run(scn.duration_s)
+            ref = weakref.ref(world)
+            del world
+            assert ref() is None, "the world is freed only by the cyclic GC"
+            sweep_scenario(scn, "wired_nd_ms", [1.0, 2.0, 3.0],
+                           out_dir=tmp_path)
+            left = [o for o in gc.get_objects() if isinstance(o, SimWorld)
+                    and all(o is not h for h in held)]
+            assert left == []
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_report_peak_memory_per_frame(self, tmp_path):
+        # the shipped fairness scenario, cut to 3 s to keep the suite quick:
+        # about 280 B per frame_encode line now, about 840 B when every
+        # record of the log was held at once
+        scn = load_scenario(SCENARIOS / "multi_flow_fairness.json")
+        run_scenario(dataclasses.replace(scn, duration_s=3.0), tmp_path)
+        with open(tmp_path / "events.log") as fh:
+            frames = sum(1 for line in fh if ",frame_encode," in line)
+        expected = report_run_dir(tmp_path)  # imports and caches warm up
+        tracemalloc.start()
+        try:
+            assert report_run_dir(tmp_path) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frames > 1000
+        assert peak / frames < 600

@@ -134,3 +134,22 @@ class TestEventLogRecompute:
             assert rm.p999_ms == fm.p999_ms
             assert rm.avg_mbps == fm.avg_mbps
         assert recomputed.jain == direct.jain
+
+    def test_one_pass_equals_list(self, tmp_path):
+        from ransim import FlowConfig, RanConfig, SimWorld, constant_trace
+        from ransim.eventlog import parse_event_log
+
+        ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.05,
+                        schedule=constant_trace(30.0))
+        w = SimWorld(ran, seed=2, log_level="frames")
+        for fid, controller in enumerate(("choir", "scone", "oracle")):
+            w.add_flow(FlowConfig(flow_id=fid, controller=controller))
+        w.run(3.0)
+        path = tmp_path / "events.log"
+        w.log.write(path)
+        records = parse_event_log(path)
+        assert not isinstance(records, list)  # read once, as report does
+        one_pass = metrics_from_event_records(records)
+        assert one_pass == metrics_from_event_records(
+            list(parse_event_log(path)))
+        assert one_pass.flow(2).frames > 0
