@@ -49,14 +49,6 @@ class RanConfig:
 
 
 @dataclass(slots=True)
-class QueuedSegment:
-    """Bytes of one frame waiting in the RLC queue."""
-
-    frame_id: int
-    nbytes: int
-
-
-@dataclass(slots=True)
 class TransportBlock:
     """One MAC-layer block: (frame_id, nbytes) segments plus framing overhead."""
 
@@ -75,14 +67,14 @@ class FlowQueueState:
     """Base-station side of one flow: RLC queue, usage and queue samples."""
 
     def __init__(self):
-        self.segments: deque[QueuedSegment] = deque()
+        self.segments: deque[tuple[int, int]] = deque()  # (frame_id, nbytes)
         self.queued_bytes = 0
         self.samples: deque[tuple[float, int]] = deque(maxlen=RLC_SAMPLE_RING)
         self.harq_pending: deque[TransportBlock] = deque()
         self.harq_flight_payload = 0
 
     def enqueue(self, frame_id: int, nbytes: int) -> None:
-        self.segments.append(QueuedSegment(frame_id, nbytes))
+        self.segments.append((frame_id, nbytes))
         self.queued_bytes += nbytes
 
     def requeue_tail(self, block: TransportBlock) -> None:
@@ -149,17 +141,16 @@ def assemble_block(flow: FlowQueueState, capacity_bytes: int
     # payload bytes the next segment may carry after its own header
     room = capacity_bytes - OVERHEAD_FIXED - OVERHEAD_PER_SEGMENT
     while queue and room > 0:
-        head = queue[0]
-        take = head.nbytes
+        frame_id, take = queue[0]
         if take > room:
+            queue[0] = (frame_id, take - room)
             take = room
-            head.nbytes -= take
         elif take > 0:
             queue.popleft()
         else:
             break
         payload += take
-        segments.append((head.frame_id, take))
+        segments.append((frame_id, take))
         room -= take + OVERHEAD_PER_SEGMENT
     if payload == 0:
         return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from math import ceil
@@ -138,7 +139,8 @@ class FlowRuntime:
         self.predicts = cfg.controller == "choir"
         self.estimates = cfg.controller != "oracle"
         self.tick_count = 0
-        self.on_wire = 0  # packets sent towards the base station, not arrived
+        # packets on the wire, sorted: (ts, pkt_id, frame_id, nbytes)
+        self.lane: deque[tuple[float, int, int, int]] = deque()
         self.attempt_counter = 0
         self.injected_payload = 0
         self.delivered_payload = 0
@@ -165,6 +167,16 @@ def _make_sender(cfg: FlowConfig) -> BaseSender:
 
 
 CONTROLLERS = ("choir", "scone", "oracle")
+
+
+def _send(lane: deque, packets: list[tuple[float, int, int, int]]) -> None:
+    """Put packets in rising (ts, pkt_id) order on a lane kept in that order.
+    Only a frame paced past the next frame's first packet takes insort."""
+    if packets and lane and packets[0] < lane[-1]:
+        for pkt in packets:
+            insort(lane, pkt)
+    else:
+        lane.extend(packets)
 
 
 class SimWorld:
@@ -194,8 +206,6 @@ class SimWorld:
         self._rotation = 0
         self._seq = 0
         self._sender_events: list = []   # (ts, seq, kind, flow_id, payload)
-        # (ts, seq, flow_id, pkt_id, frame_id, nbytes)
-        self._gnb_arrivals: list = []
         self._pkt_counter = 0
         # bytes per PRB at tti_index, read from the trace's breakpoints
         self._breaks = iter(ran.schedule.breakpoints)
@@ -227,11 +237,11 @@ class SimWorld:
     def _update_live(self, now: float) -> None:
         """Live flows, in flow-id order: started by now, and not retired. A
         flow retires once it has stopped and holds nothing in the system: no
-        queued or HARQ bytes, no packet on the wire to the base station and
-        no pending ACK. Only a packet injected for it brings it back."""
+        queued or HARQ bytes, an empty wire lane to the base station and no
+        pending ACK. Only a packet injected for it brings it back."""
         self._live = live = [
             fr for fr in self._flow_order if fr.start_ms <= now and (
-                now < fr.stop_ms or fr.queue.queued_bytes or fr.on_wire
+                now < fr.stop_ms or fr.queue.queued_bytes or fr.lane
                 or fr.queue.harq_flight_payload or fr.receiver.pending_acks)]
         self._next_change = min(
             [fr.stop_ms for fr in live]
@@ -248,13 +258,9 @@ class SimWorld:
         fr.sender.frame_seq += 1
         fr.frames.append(frame)
         fr.receiver.register(frame)
-        fr.on_wire += 1
-        self._update_live(self.now_ms)  # a flow that had retired is back
         self._pkt_counter += 1
-        self._seq += 1
-        heapq.heappush(self._gnb_arrivals, (ts, self._seq, flow_id,
-                                            self._pkt_counter, frame.frame_id,
-                                            nbytes))
+        _send(fr.lane, [(ts, self._pkt_counter, frame.frame_id, nbytes)])
+        self._update_live(self.now_ms)  # a flow that had retired is back
         return frame
 
     def _push_sender_event(self, ts: float, kind: str, flow_id: int,
@@ -293,8 +299,7 @@ class SimWorld:
     def step(self) -> None:
         """Advance exactly one TTI."""
         t0 = self.now_ms
-        tti = self.ran.tti_ms
-        t1 = t0 + tti
+        t1 = t0 + self.ran.tti_ms
         self._process_arrivals(t0)
         # nothing before the downlink changes queued or HARQ bytes; a live
         # flow is present until its stop, and after it while it holds bytes
@@ -302,8 +307,7 @@ class SimWorld:
         if t0 >= self._next_change:  # a live flow has stopped
             present = [fr for fr in present if fr.present(t0)]
         self._estimate_and_predict(t0, present)
-        slots = self._slots
-        factor, uplink = slots[self.tti_index % len(slots)]
+        factor, uplink = self._slots[self.tti_index % len(self._slots)]
         if factor > 0.0:
             self._downlink(t0, t1, factor, present)
         else:
@@ -321,18 +325,27 @@ class SimWorld:
             self._next_break = next(self._breaks, None)
 
     def _process_arrivals(self, t0: float) -> None:
-        heap = self._gnb_arrivals
-        flows, pop, log_full = self.flows, heapq.heappop, self._log_full
-        while heap and heap[0][0] <= t0:
-            ts, _, flow_id, pkt_id, frame_id, nbytes = pop(heap)
-            fr = flows[flow_id]
-            fr.on_wire -= 1
-            fr.queue.enqueue(frame_id, nbytes)
-            fr.injected_payload += nbytes
-            if fr.predicts:
-                fr.predictor.on_enqueue(ts, nbytes)
-            if log_full:
-                self.log.add(ts, "enqueue", flow_id, nbytes,
+        """Move each live flow's arrived packets from its lane to its queue;
+        the `full` log merges them across flows in (ts, pkt_id) order."""
+        arrived = [] if self._log_full else None
+        for fr in self._live:
+            lane = fr.lane
+            if not lane or lane[0][0] > t0:
+                continue
+            segments, predicts, total = fr.queue.segments, fr.predicts, 0
+            while lane and lane[0][0] <= t0:
+                ts, pkt_id, frame_id, nbytes = lane.popleft()
+                segments.append((frame_id, nbytes))
+                total += nbytes
+                if predicts:
+                    fr.predictor.on_enqueue(ts, nbytes)
+                if arrived is not None:  # unique pkt_id: fr is never compared
+                    arrived.append((ts, pkt_id, fr, nbytes, frame_id))
+            fr.queue.queued_bytes += total
+            fr.injected_payload += total
+        if arrived:
+            for ts, pkt_id, fr, nbytes, frame_id in sorted(arrived):
+                self.log.add(ts, "enqueue", fr.cfg.flow_id, nbytes,
                              f"pkt={pkt_id};frame={frame_id}")
 
     def _estimate_and_predict(self, t0: float,
@@ -525,19 +538,15 @@ class SimWorld:
         self.log.add(ts, "frame_encode", fr.cfg.flow_id, frame.nbytes,
                      f"frame={frame.frame_id};target={frame.target_bps!r};"
                      f"actual={frame.actual_bps!r}")
-        flow_id, wired = fr.cfg.flow_id, fr.cfg.wired_nd_ms
-        heap, seq, pkt_id = self._gnb_arrivals, self._seq, self._pkt_counter
-        for nbytes, offset in fr.sender.packet_release_offsets(frame.nbytes):
-            seq += 1
-            pkt_id += 1
-            heapq.heappush(heap, (ts + offset + wired, seq, flow_id, pkt_id,
-                                  frame.frame_id, nbytes))
-        fr.on_wire += pkt_id - self._pkt_counter
-        self._seq, self._pkt_counter = seq, pkt_id
+        offsets = fr.sender.packet_release_offsets(frame.nbytes)
+        first, wired = self._pkt_counter + 1, fr.cfg.wired_nd_ms
+        _send(fr.lane, [(ts + offset + wired, first + i, frame.frame_id, n)
+                        for i, (n, offset) in enumerate(offsets)])
+        self._pkt_counter += len(offsets)
         fr.tick_count += 1
         next_ts = fr.start_ms + fr.tick_count * FRAME_INTERVAL_MS
         if next_ts < fr.stop_ms:
-            self._push_sender_event(next_ts, "tick", flow_id, None)
+            self._push_sender_event(next_ts, "tick", fr.cfg.flow_id, None)
 
     def _apply_feedback(self, fr: FlowRuntime, ts: float, payload) -> None:
         kind, wire, stamp_ts, acked_bytes = payload

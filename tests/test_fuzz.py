@@ -35,6 +35,13 @@ class _CheckedWorld(SimWorld):
         assert cell.dn <= cell.tn and cell.hn <= cell.dn_short
         assert cell.prb_used_mean <= self.ran.prb_total
         for fr in self._flow_order:
+            # every byte the sender released is on the wire or enqueued; a
+            # lane is in (ts, pkt) order, and its flow is live while it holds
+            lane = list(fr.lane)
+            assert sum(f.nbytes for f in fr.frames) == \
+                sum(p[3] for p in lane) + fr.injected_payload
+            assert lane == sorted(lane)
+            assert not lane or fr.cfg.flow_id in live
             q = fr.queue
             assert q.queued_bytes >= 0 and q.harq_flight_payload >= 0
             assert all(b.rtx_count <= self.ran.harq_max_rtx

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from ransim import (FailureScript, FlowConfig, RanConfig, SimWorld,
                     constant_trace, sample_rlc_queue, schedule_prbs)
-from ransim.ran import FlowQueueState, assemble_block
+from ransim.ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FlowQueueState,
+                        assemble_block)
 
 
 def _full(n, prb_total=100):
@@ -113,6 +114,32 @@ class TestAssembleBlock:
         q.enqueue(0, 50)
         assert assemble_block(q, capacity_bytes=10) is None
         assert q.queued_bytes == 50
+
+    def test_split_head_keeps_its_rest_in_front(self):
+        q = FlowQueueState()
+        q.enqueue(4, 1000)
+        q.enqueue(5, 300)
+        block = assemble_block(
+            q, capacity_bytes=OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT + 400)
+        assert block.segments == [(4, 400)]
+        assert list(q.segments) == [(4, 600), (5, 300)]
+        assert q.queued_bytes == 900
+        block = assemble_block(q, capacity_bytes=5000)
+        assert block.segments == [(4, 600), (5, 300)]
+        assert not q.segments and q.queued_bytes == 0
+
+    def test_requeue_tail_keeps_segment_order_and_bytes(self):
+        q = FlowQueueState()
+        q.enqueue(0, 500)
+        q.enqueue(1, 700)
+        q.enqueue(2, 900)
+        block = assemble_block(
+            q, capacity_bytes=OVERHEAD_FIXED + 2 * OVERHEAD_PER_SEGMENT + 800)
+        assert block.segments == [(0, 500), (1, 300)]
+        assert q.queued_bytes == 1300
+        q.requeue_tail(block)
+        assert list(q.segments) == [(1, 400), (2, 900), (0, 500), (1, 300)]
+        assert q.queued_bytes == 2100 == sum(n for _, n in q.segments)
 
 
 class TestTddDelayMechanics:

@@ -1,3 +1,4 @@
+import bisect
 import json
 from pathlib import Path
 
@@ -338,6 +339,94 @@ class TestInjectedPacketPath:
         w.run(0.1)
         assert frame.decode_ts is not None
         assert w.flows[0].delivered_payload == 500
+
+    def test_packet_before_start_waits_for_the_start_tti(self):
+        # the packet reaches the base station at 10 ms, before its flow
+        # starts; the flow's queue holds it from the first TTI it is live,
+        # and the predictor and the log keep its arrival time
+        w = make_world(wired_nd_ms=0.0, source="none", start_s=0.05,
+                       log_level="full")
+        fr = w.flows[0]
+        frame = w.inject_packet(0, 10.0, 500)
+        queued = {}
+        estimate = w._estimate_and_predict
+
+        def estimate_spy(t0, flows):
+            queued[t0] = (list(fr.queue.segments), fr.injected_payload)
+            estimate(t0, flows)
+        w._estimate_and_predict = estimate_spy
+        w.run(0.1)
+        assert queued[49.5] == ([], 0)
+        assert queued[50.0] == ([(frame.frame_id, 500)], 500)
+        assert fr.predictor.pattern.last_pkt_ts == 10.0
+        enq, = [r for r in w.log.records if r.event == "enqueue"]
+        assert (enq.time_ms, enq.nbytes) == (10.0, 500)
+        assert frame.decode_ts == 50.5
+
+
+class TestWireLanes:
+    """Each flow's packets wait on the wire in their own lane; the `full`
+    log merges the arrivals of a TTI across flows in (time, pkt) order."""
+
+    def _run(self, monkeypatch):
+        insorts = []  # (flow_id, frame_id) of each packet that took insort
+
+        def counting_insort(lane, pkt):
+            fid, = [f for f, fr in w.flows.items() if fr.lane is lane]
+            insorts.append((fid, pkt[2]))
+            bisect.insort(lane, pkt)
+        monkeypatch.setattr(ransim.world, "insort", counting_insort)
+        w = make_world(flows=3, wired_nd_ms=2.0, log_level="full")
+        # flow 0 paces frames 2, 5, 8, ... over 30 ms, past the first packet
+        # of the next frame, 16.6 ms later
+        sender = w.flows[0].sender
+        paced = sender.packet_release_offsets
+
+        def stretched(nbytes):
+            packets = paced(nbytes)
+            if sender.frame_seq % 3:  # frame_seq is frame_id + 1 here
+                return packets
+            step = 30.0 / len(packets)
+            return [(n, i * step) for i, (n, _) in enumerate(packets)]
+        sender.packet_release_offsets = stretched
+        # flow 2 also gets packets injected out of time order
+        injected = [w.inject_packet(2, ts, 300).frame_id
+                    for ts in (40.0, 25.0, 33.3, 25.0)]
+        # (TTI start, line time, pkt, flow) of each enqueue line
+        enqueued = []
+        add = w.log.add
+
+        def add_spy(ts, event, flow_id, nbytes, detail):
+            if event == "enqueue":
+                pkt = int(detail.split(";")[0].removeprefix("pkt="))
+                enqueued.append((w.now_ms, ts, pkt, flow_id))
+            add(ts, event, flow_id, nbytes, detail)
+        w.log.add = add_spy
+        w.run(0.5)
+        return w, insorts, injected, enqueued
+
+    def test_enqueue_lines_in_time_and_packet_order(self, monkeypatch):
+        w, insorts, injected, enqueued = self._run(monkeypatch)
+        keys = [(ts, pkt) for _, ts, pkt, _ in enqueued]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len({pkt for _, pkt in keys}) == len(keys)
+        assert {fid for *_, fid in enqueued} == {0, 1, 2}
+        # the frames after a stretched one, and the late injections, took
+        # the insort path
+        assert {(0, 3), (0, 6)} <= set(insorts)
+        assert {(2, f) for f in injected[1:]} <= set(insorts)
+        assert all(list(fr.lane) == sorted(fr.lane)
+                   for fr in w.flows.values())
+
+    def test_packet_enqueued_at_its_arrival_tti(self, monkeypatch):
+        # at the first TTI that starts at or after its arrival, and with
+        # every byte the sender released either on the wire or enqueued
+        w, _, _, enqueued = self._run(monkeypatch)
+        tti = w.ran.tti_ms
+        assert all(t0 - tti < ts <= t0 for t0, ts, *_ in enqueued)
+        for fr in w.flows.values():
+            assert sum(f.nbytes for f in fr.frames) == \
+                sum(p[3] for p in fr.lane) + fr.injected_payload
 
 
 class TestLiveFlows:
