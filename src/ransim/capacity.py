@@ -158,14 +158,18 @@ class CellWindows:
         """This TTI's cell-wide estimator inputs, read once for every flow:
         (n_active, prb_used, n_total, dn, tn, retx), where retx is None
         while the short window holds no data TTIs."""
-        retx = retx_rate(self.hn, self.dn_short) if self.dn_short else None
-        return (max(1, round(self.n_active_mean)),
-                min(self.prb_used_mean, prb_total), max(1, n_present),
-                self.dn, self.tn, retx)
+        n, data = len(self._usage), self._short_data
+        n_active = round(self._usage_active / n) if n else 0
+        prb_used = self._usage_prb / n if n else 0.0
+        return (n_active if n_active > 1 else 1,
+                prb_total if prb_total < prb_used else prb_used,
+                n_present if n_present > 1 else 1, self._long_sum,
+                len(self._long), self._short_retx / data if data else None)
 
 
 class FlowEstimator:
-    """Sliding per-flow measurements plus the capacity computation."""
+    """Sliding per-flow measurements, the capacity computation and the
+    per-TTI ring of its results that guidance and scone stamps average."""
 
     def __init__(self, prb_total: int, tti_ms: float):
         self.prb_total = prb_total
@@ -182,6 +186,7 @@ class FlowEstimator:
         self._gamma_sum = 0.0
         self._bpp_held = 0.0
         self._retx_held = 0.0
+        self.bw_ring: list[float] = []  # one compute result per TTI
 
     def note_grant(self, uprb: int) -> None:
         """Record this flow's granted-and-used PRBs for one downlink TTI."""
@@ -192,7 +197,12 @@ class FlowEstimator:
 
     def note_block(self, now: float, total_bytes: int, overhead: int,
                    prbs_used: int, slot_factor: float) -> None:
-        """Record one transmitted block for density and payload statistics."""
+        """Record one transmitted block for density and payload statistics
+        and, as ``note_grant`` would, its PRBs as the TTI's grant."""
+        self._uprb.append(prbs_used)
+        self._uprb_sum += prbs_used
+        if len(self._uprb) > self._uprb_n:
+            self._uprb_sum -= self._uprb.popleft()
         eff_prbs = prbs_used * slot_factor
         ratio = (total_bytes - overhead) / total_bytes if total_bytes else 0.0
         self._blocks.append((now, float(total_bytes), eff_prbs, ratio))
@@ -214,30 +224,41 @@ class FlowEstimator:
         windows and this TTI's ``CellWindows.terms``: ``update_prb_share``
         (``initial_prb_share`` at connection start), ``flow_capacity`` and
         ``alloc_bw`` in their float order, less the checks ``terms`` makes
-        redundant. Expires the window, which ``note_block`` then extends."""
+        redundant, and appended to ``bw_ring``. Expires the window, which
+        ``note_block`` then extends."""
         n_active, prb_used, n_total, dn, tn, retx = terms
         blocks = self._blocks
         if blocks and blocks[0][0] <= now - SHORT_WINDOW_MS:
             self._expire(now)
         prb_total = self.prb_total
         if self._uprb:
-            uprb = min(self._uprb_sum / len(self._uprb), prb_total)
-            share = max(uprb + (prb_total - prb_used) / n_active,
-                        prb_total / n_total)
+            # min() and max() written out; a tie keeps the first operand
+            uprb = self._uprb_sum / len(self._uprb)
+            if prb_total < uprb:
+                uprb = prb_total
+            share = uprb + (prb_total - prb_used) / n_active
+            floor = prb_total / n_total
+            if floor > share:
+                share = floor
         else:
             share = prb_total / n_active
         self.prb_share = share
         if self._density_prbs > 0:
             self._bpp_held = self._density_bytes / self._density_prbs
         bpp = self._bpp_held
-        if tn == 0 or bpp <= 0.0:
-            return 0.0
-        if retx is not None:
-            self._retx_held = retx
-        # capacity at the current share from the measured per-PRB payload
-        # density; a partially used grant would otherwise bias it low.
-        return (share * bpp / self.tti_ms * (dn / tn)
-                * self.gamma_mean() / (1.0 + self._retx_held))
+        bw = 0.0
+        if tn and bpp > 0.0:
+            if retx is not None:
+                self._retx_held = retx
+            # capacity at the current share from the measured per-PRB
+            # payload density; a partly used grant would bias it low
+            bw = (share * bpp / self.tti_ms * (dn / tn)
+                  * (self._gamma_sum / len(blocks) if blocks
+                     else GAMMA_DEFAULT) / (1.0 + self._retx_held))
+        self.bw_ring.append(bw)
+        if len(self.bw_ring) > 4096:
+            del self.bw_ring[:2048]
+        return bw
 
     def gamma_mean(self) -> float:
         if not self._blocks:

@@ -168,14 +168,15 @@ class QueuePrediction:
 
 
 class FlowPredictor:
-    """Per-flow prediction state machine driven by the TTI loop."""
+    """Per-flow prediction state machine driven by the TTI loop; it reads
+    bw_ring, which the flow's ``FlowEstimator`` fills once per TTI."""
 
-    def __init__(self, tti_ms: float, wired_nd: float):
+    def __init__(self, tti_ms: float, wired_nd: float, bw_ring: list[float]):
         self.tti_ms = tti_ms
         self.wired_nd = wired_nd
         self.pattern = FramePatternState()
         self.history = FeedbackHistory()
-        self.bw_ring: list[float] = []
+        self.bw_ring = bw_ring
         self.last_prediction: QueuePrediction | None = None
 
     def on_enqueue(self, ts: float, nbytes: int) -> None:
@@ -206,11 +207,6 @@ class FlowPredictor:
         actual_rate = frame_bytes / fi_n
         self.history.err_est = update_error_correction(
             self.history.err_est, entry[1], actual_rate)
-
-    def push_bw(self, bw: float) -> None:
-        self.bw_ring.append(bw)
-        if len(self.bw_ring) > 4096:
-            del self.bw_ring[:2048]
 
     def compute(self, now: float, queue_samples) -> QueuePrediction:
         """Recompute the guidance at now from current windows."""

@@ -90,12 +90,12 @@ class ReceiveRateWindow:
         """Max over complete buckets whose span lies within the last window."""
         now_idx = math.floor(now / self.bucket_ms)
         lo = now_idx - int(self.window_ms / self.bucket_ms)
+        # the rate is monotone in the byte count, so convert only the max
         best = 0.0
         for idx, nbytes in self._buckets:
-            if lo <= idx < now_idx:
-                rate = nbytes * 8.0 / (self.bucket_ms / 1000.0)
-                best = max(best, rate)
-        return best
+            if lo <= idx < now_idx and nbytes > best:
+                best = nbytes
+        return best * 8.0 / (self.bucket_ms / 1000.0)
 
 
 @dataclass

@@ -187,7 +187,8 @@ class SimWorld:
                  failure_script: FailureScript | None = None,
                  check_conservation: bool = False):
         self.ran = ran
-        self.pattern = pattern = ran.tdd_pattern
+        pattern = ran.tdd_pattern
+        self._duty = pattern.downlink_duty()
         # (downlink factor, uplink allowed) for each slot of the TDD cycle
         self._slots = [(pattern.downlink_factor(i), pattern.can_uplink(i))
                        for i in range(len(pattern.slots))]
@@ -225,7 +226,8 @@ class SimWorld:
         sender = _make_sender(cfg)
         queue = FlowQueueState()
         estimator = FlowEstimator(self.ran.prb_total, self.ran.tti_ms)
-        predictor = FlowPredictor(self.ran.tti_ms, cfg.wired_nd_ms)
+        predictor = FlowPredictor(self.ran.tti_ms, cfg.wired_nd_ms,
+                                  estimator.bw_ring)
         fr = FlowRuntime(cfg, sender, queue, estimator, predictor)
         self.flows[cfg.flow_id] = fr
         self._flow_order = [self.flows[k] for k in sorted(self.flows)]
@@ -269,6 +271,8 @@ class SimWorld:
         heapq.heappush(self._sender_events, (ts, self._seq, kind, flow_id, payload))
 
     def _n_present(self, now: float) -> int:
+        if now < self._next_change:  # step's rule: every live flow is present
+            return len(self._live)
         return sum(1 for fr in self._live if fr.present(now))
 
     def true_flow_rate(self, flow_id: int) -> float:
@@ -280,8 +284,8 @@ class SimWorld:
             return 0.0
         nseg = max(1, math.ceil(grant / MTU_PAYLOAD))
         gamma = 1.0 - (OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT * nseg) / grant
-        duty = self.pattern.downlink_duty()
-        return grant * gamma * duty * (1.0 - self.ran.bler) / self.ran.tti_ms
+        return (grant * gamma * self._duty * (1.0 - self.ran.bler)
+                / self.ran.tti_ms)
 
     # -- main loop ----------------------------------------------------------
 
@@ -356,7 +360,7 @@ class SimWorld:
             if fr.predicts:
                 sample_rlc_queue(fr.queue, t0)
             if fr.estimates:
-                fr.predictor.push_bw(fr.estimator.compute(t0, terms))
+                fr.estimator.compute(t0, terms)
 
     def _downlink(self, t0: float, t1: float, factor: float,
                   present: list[FlowRuntime]) -> None:
@@ -381,7 +385,8 @@ class SimWorld:
                     fr.estimator.note_grant(0)
                 continue
             # a TTI without capacity grants nothing, whatever the demand
-            demands.append(max(1, ceil(need / unit - 1e-9)) if unit else 1)
+            need = ceil(need / unit - 1e-9) if unit else 1
+            demands.append(need if need > 1 else 1)  # max(1, need)
             sending.append((fr, is_retx))
         grants = [0] * len(demands)
         if demands and unit > 0.0:
@@ -404,9 +409,9 @@ class SimWorld:
                 if fr.estimates:
                     fr.estimator.note_grant(0)
                 continue
-            uprb = min(prbs, max(1, ceil(block.bytes / unit - 1e-9)))
-            if fr.estimates:
-                fr.estimator.note_grant(uprb)
+            fit = ceil(block.bytes / unit - 1e-9)  # min(prbs, max(1, fit))
+            uprb = prbs if fit >= prbs else fit if fit > 1 else 1
+            if fr.estimates:  # the block's PRBs are its grant
                 fr.estimator.note_block(t0, block.bytes,
                                         block.overhead_bytes, uprb, factor)
             prb_used += uprb

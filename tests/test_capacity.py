@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_estimate
 
@@ -124,39 +124,59 @@ class TestAllocBw:
         assert alloc_bw(hi, gamma, retx) >= alloc_bw(lo, gamma, retx) - 1e-9
 
 
-# one TTI: close_tti arguments, then an optional grant, block and estimate;
-# blocks are sparse so that the short windows empty between bursts
+# one TTI: close_tti arguments, then an optional scheduler record and an
+# optional estimate. The record is 0 for a zero grant or (prbs, bytes,
+# overhead) for a block; prbs runs past prb_total = 100 so that the
+# estimator's usage clamp runs. Blocks are sparse so that the short windows
+# empty between bursts
 _TTI = st.tuples(
     st.sampled_from([0.0, 0.5, 1.0]), st.booleans(), st.booleans(),
     st.integers(0, 100), st.integers(0, 6),
-    st.none() | st.integers(0, 100),
-    st.sampled_from([None] * 5) | st.tuples(
-        st.integers(1, 4000), st.integers(0, 200), st.integers(1, 100)),
+    st.sampled_from([None] * 4) | st.just(0) | st.tuples(
+        st.integers(1, 150), st.integers(1, 4000), st.integers(0, 200)),
     st.none() | st.integers(0, 8))
+
+
+def _note_grant_then_block(est, now, prbs, total, overhead, factor):
+    """The two-call recording of a block: ``note_grant`` for its PRBs, then
+    the density and payload statistics alone."""
+    est.note_grant(prbs)
+    eff_prbs = prbs * factor
+    ratio = (total - overhead) / total
+    est._blocks.append((now, float(total), eff_prbs, ratio))
+    est._density_bytes += total
+    est._density_prbs += eff_prbs
+    est._gamma_sum += ratio
 
 
 class TestTermsSnapshot:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([0.5, 1.0]), st.lists(_TTI, max_size=80))
+    @example(0.5, [(1.0, True, False, 40, 2, (150, 900, 20), None),
+                   (1.0, True, False, 60, 2, 0, 3)])
     def test_compute_equals_per_call_reads(self, tti_ms, ttis):
         cell = CellWindows(tti_ms)
         est, ref = FlowEstimator(100, tti_ms), FlowEstimator(100, tti_ms)
         for k, tti in enumerate(ttis):
-            weight, data, retx, prb_used, n_active, grant, block, n_total = \
-                tti
+            weight, data, retx, prb_used, n_active, record, n_total = tti
             now = k * tti_ms
             if n_total is not None:
                 got = est.compute(now, cell.terms(100, n_total))
-                assert got == reference_estimate(ref, cell, now, n_total)
+                assert est.bw_ring[-1] == got == \
+                    reference_estimate(ref, cell, now, n_total)
                 assert (est.prb_share, est._bpp_held, est._retx_held) == \
                     (ref.prb_share, ref._bpp_held, ref._retx_held)
-            if grant is not None:
-                est.note_grant(grant)
-                ref.note_grant(grant)
-            if block is not None:
-                total, overhead, prbs = block
-                for e in (est, ref):
-                    e.note_block(now, total, min(overhead, total - 1), prbs,
-                                 weight or 0.5)
+            if record == 0:
+                est.note_grant(0)
+                ref.note_grant(0)
+            elif record is not None:
+                prbs, total, overhead = record
+                overhead = min(overhead, total - 1)
+                est.note_block(now, total, overhead, prbs, weight or 0.5)
+                _note_grant_then_block(ref, now, prbs, total, overhead,
+                                       weight or 0.5)
+                assert (list(est._uprb), est._uprb_sum) == \
+                    (list(ref._uprb), ref._uprb_sum)
             cell.close_tti(weight, data, data and retx, weight > 0,
                            prb_used, n_active)
+        assert len(est.bw_ring) == sum(t[-1] is not None for t in ttis)

@@ -31,6 +31,9 @@ class _CheckedWorld(SimWorld):
         self._retired = retired
         assert all(fr.cfg.flow_id in live
                    for fr in self._flow_order if fr.present(now))
+        # the oracle's flow count, whose fast path trusts the live list
+        assert self._n_present(now) == \
+            sum(fr.present(now) for fr in self._flow_order)
         cell = self.cell
         assert cell.dn <= cell.tn and cell.hn <= cell.dn_short
         assert cell.prb_used_mean <= self.ran.prb_total

@@ -270,7 +270,7 @@ class TestPipelineEquivalence:
 
 class TestFlowPredictorStateMachine:
     def test_frame_detection_and_fi(self):
-        p = FlowPredictor(tti_ms=0.5, wired_nd=0.0)
+        p = FlowPredictor(tti_ms=0.5, wired_nd=0.0, bw_ring=[])
         t = 0.0
         for frame in range(5):
             start = frame * 16.6
@@ -279,16 +279,12 @@ class TestFlowPredictorStateMachine:
         assert p.pattern.fi_est == pytest.approx(16.6, abs=1e-9)
 
     def test_warm_up_guidance_is_capacity_only(self):
-        p = FlowPredictor(tti_ms=0.5, wired_nd=0.0)
-        for _ in range(40):
-            p.push_bw(2000.0)
+        p = FlowPredictor(tti_ms=0.5, wired_nd=0.0, bw_ring=[2000.0] * 40)
         pred = p.compute(100.0, [(100.0, 0)])
         assert pred.guidance == pytest.approx(0.95 * 2000.0)
 
     def test_warm_up_drains_existing_queue(self):
-        p = FlowPredictor(tti_ms=0.5, wired_nd=0.0)
-        for _ in range(40):
-            p.push_bw(2000.0)
+        p = FlowPredictor(tti_ms=0.5, wired_nd=0.0, bw_ring=[2000.0] * 40)
         pred = p.compute(100.0, [(100.0, 8300)])
         assert pred.pred_q == 8300
         assert pred.guidance == pytest.approx(0.95 * 2000.0 - 8300 / 16.6)

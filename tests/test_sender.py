@@ -1,6 +1,8 @@
+import math
 import statistics
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ransim.codec import encode_rate
 from ransim.sender import (FRAME_INTERVAL_MS, ChoirSender,
@@ -184,3 +186,43 @@ class TestReceiveRateWindow:
         w = ReceiveRateWindow()
         w.add(950.0, 10_000_000)  # bucket still open at now=960
         assert w.max_rate_bps(960.0) == 0.0
+
+
+def _per_bucket_max_rate(window, now):
+    """``max_rate_bps`` as the loop that converts each complete bucket of the
+    window to a rate and keeps the largest."""
+    now_idx = math.floor(now / window.bucket_ms)
+    lo = now_idx - int(window.window_ms / window.bucket_ms)
+    best = 0.0
+    for idx, nbytes in window._buckets:
+        if lo <= idx < now_idx:
+            rate = nbytes * 8.0 / (window.bucket_ms / 1000.0)
+            best = max(best, rate)
+    return best
+
+
+# ("add", gap after the previous add in ms, bytes) or ("query", offset from
+# the latest add in ms); a query at a negative or small offset can fall in
+# or before the first bucket, where no bucket is complete
+_RECV_OP = st.tuples(st.just("add"), st.floats(0.0, 400.0),
+                     st.integers(0, 10**7)) | st.tuples(
+    st.just("query"), st.floats(-300.0, 1500.0))
+
+
+class TestMaxRateAgainstPerBucketLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(100.0, 1000.0), (16.6, 250.0)]),
+           st.lists(_RECV_OP, max_size=60))
+    @example((100.0, 1000.0), [("query", 0.0), ("add", 950.0, 10_000),
+                               ("query", 10.0), ("add", 100.0, 1250),
+                               ("query", 100.0), ("query", 2000.0)])
+    def test_bit_identical(self, spans, ops):
+        w = ReceiveRateWindow(*spans)
+        ts = 0.0
+        for op in ops:
+            if op[0] == "add":
+                ts += op[1]
+                w.add(ts, op[2])
+            else:
+                now = ts + op[1]
+                assert w.max_rate_bps(now) == _per_bucket_max_rate(w, now)

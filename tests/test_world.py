@@ -273,7 +273,7 @@ class _EagerEstimateWorld(SimWorld):
     def _estimate_and_predict(self, t0, present):
         for fr in present:
             sample_rlc_queue(fr.queue, t0)
-            fr.predictor.push_bw(reference_estimate(
+            fr.estimator.bw_ring.append(reference_estimate(
                 fr.estimator, self.cell, t0, len(present)))
 
 
