@@ -2,8 +2,6 @@
 
 from .baselines import (OracleSender, SconeFeedback, SconeSender,
                         scone_target_rate)
-from .capacity import (alloc_bw, flow_capacity, initial_prb_share,
-                       retx_rate, update_prb_share)
 from .codec import GuidanceFeedback, decode_rate, encode_rate
 from .harness import (Scenario, ScenarioError, load_scenario, run_scenario,
                       scenario_from_dict, sweep_scenario)
@@ -14,8 +12,8 @@ from .predictor import (FlowPredictor, decision_horizon,
                         inflight_frame_count, mean_alloc_bw, min_rlc_queue,
                         predict_queue, update_error_correction,
                         update_frame_interval)
-from .ran import (FailureScript, FlowQueueState, RanConfig,
-                  TransportBlock, sample_rlc_queue, schedule_prbs)
+from .ran import (FlowQueueState, RanConfig, TransportBlock,
+                  sample_rlc_queue, schedule_prbs)
 from .sender import (ChoirSender, SenderState, VideoFrame, pacing_rate,
                      target_bitrate)
 from .tdd import TddPattern
@@ -24,19 +22,17 @@ from .traces import (CapacitySchedule, TraceError, constant_trace, load_trace,
 from .world import CONTROLLERS, FlowConfig, SimWorld
 
 __all__ = [
-    "CONTROLLERS", "CapacitySchedule", "ChoirSender", "FailureScript",
-    "FlowConfig", "FlowMetrics", "FlowPredictor", "FlowQueueState",
-    "GuidanceFeedback", "OracleSender", "RanConfig", "RunMetrics",
-    "Scenario", "ScenarioError", "SconeFeedback", "SconeSender", "SenderState",
-    "SimWorld", "TddPattern", "TraceError", "TransportBlock", "VideoFrame",
-    "alloc_bw", "compute_metrics", "constant_trace", "decision_horizon",
-    "decode_rate", "detect_frame_boundary", "encode_rate", "flow_capacity",
-    "frame_delay", "guidance_bw", "inflight_frame_count",
-    "initial_prb_share", "jain_index", "load_scenario", "load_trace",
+    "CONTROLLERS", "CapacitySchedule", "ChoirSender", "FlowConfig",
+    "FlowMetrics", "FlowPredictor", "FlowQueueState", "GuidanceFeedback",
+    "OracleSender", "RanConfig", "RunMetrics", "Scenario", "ScenarioError",
+    "SconeFeedback", "SconeSender", "SenderState", "SimWorld", "TddPattern",
+    "TraceError", "TransportBlock", "VideoFrame",
+    "compute_metrics", "constant_trace", "decision_horizon", "decode_rate",
+    "detect_frame_boundary", "encode_rate", "frame_delay", "guidance_bw",
+    "inflight_frame_count", "jain_index", "load_scenario", "load_trace",
     "mean_alloc_bw", "min_rlc_queue", "nearest_rank_percentile",
-    "pacing_rate", "predict_queue", "random_walk_trace", "retx_rate",
-    "run_scenario", "sample_rlc_queue", "scenario_from_dict", "schedule_prbs",
+    "pacing_rate", "predict_queue", "random_walk_trace", "run_scenario",
+    "sample_rlc_queue", "scenario_from_dict", "schedule_prbs",
     "scone_target_rate", "square_trace", "step_trace", "sweep_scenario",
     "target_bitrate", "update_error_correction", "update_frame_interval",
-    "update_prb_share",
 ]

@@ -15,61 +15,6 @@ LONG_WINDOW_MS = 100.0   # duty-cycle statistics horizon
 SHORT_WINDOW_MS = 10.0   # retransmission and payload-fraction horizon
 
 
-class EstimatorError(ValueError):
-    """Raised when an estimator input breaks a precondition."""
-
-
-def initial_prb_share(prb_total: float, n_active: int) -> float:
-    """Even split of the cell's PRBs at connection setup."""
-    if n_active < 1:
-        raise EstimatorError("no active flows to share PRBs")
-    return prb_total / n_active
-
-
-def update_prb_share(uprb: float, prb_total: float, prb_used: float,
-                     n_active: int, n_total: int) -> float:
-    """Per-TTI share update: last usage plus an even cut of idle PRBs.
-
-    The result never drops below the registered-flow floor
-    ``prb_total / n_total``.
-    """
-    if n_total < 1:
-        raise EstimatorError("n_total must be at least 1")
-    if n_active < 1:
-        raise EstimatorError("n_active must be at least 1")
-    if prb_used > prb_total:
-        raise EstimatorError("prb_used cannot exceed prb_total")
-    grow = uprb + (prb_total - prb_used) / n_active
-    return max(grow, prb_total / n_total)
-
-
-def flow_capacity(prb_share: float, bytes_per_prb: float, tti_len: float,
-                  dn: float, tn: float) -> float:
-    """Physical ceiling for the flow, bytes/ms: prb_share PRBs carrying
-    bytes_per_prb each per TTI, scaled by the downlink duty cycle dn/tn."""
-    if tn <= 0:
-        raise EstimatorError("insufficient window: no TTIs observed")
-    return prb_share * bytes_per_prb / tti_len * (dn / tn)
-
-
-def retx_rate(hn: float, dn_short: float) -> float:
-    """Share of short-window data TTIs that carried retransmissions."""
-    if dn_short < 0:
-        raise EstimatorError("dn_short must be nonnegative")
-    if dn_short == 0:
-        return 0.0
-    return hn / dn_short
-
-
-def alloc_bw(capacity: float, gamma: float, retx: float) -> float:
-    """Transport-layer bandwidth: capacity discounted by overhead and retx."""
-    if not 0 < gamma <= 1:
-        raise EstimatorError("gamma must be in (0, 1]")
-    if retx < 0:
-        raise EstimatorError("retx must be nonnegative")
-    return capacity * gamma / (1.0 + retx)
-
-
 class CellWindows:
     """Cell-wide sliding TTI counters read by every flow's estimator.
 
@@ -125,34 +70,6 @@ class CellWindows:
                 old = self._usage.popleft()
                 self._usage_prb -= old[0]
                 self._usage_active -= old[1]
-
-    @property
-    def tn(self) -> int:
-        return len(self._long)
-
-    @property
-    def dn(self) -> float:
-        return self._long_sum
-
-    @property
-    def hn(self) -> int:
-        return self._short_retx
-
-    @property
-    def dn_short(self) -> int:
-        return self._short_data
-
-    @property
-    def prb_used_mean(self) -> float:
-        if not self._usage:
-            return 0.0
-        return self._usage_prb / len(self._usage)
-
-    @property
-    def n_active_mean(self) -> float:
-        if not self._usage:
-            return 0.0
-        return self._usage_active / len(self._usage)
 
     def terms(self, prb_total: int, n_present: int) -> tuple:
         """This TTI's cell-wide estimator inputs, read once for every flow:
@@ -221,11 +138,10 @@ class FlowEstimator:
 
     def compute(self, now: float, terms: tuple) -> float:
         """Allocated bandwidth for the next TTI, bytes/ms, from current
-        windows and this TTI's ``CellWindows.terms``: ``update_prb_share``
-        (``initial_prb_share`` at connection start), ``flow_capacity`` and
-        ``alloc_bw`` in their float order, less the checks ``terms`` makes
-        redundant, and appended to ``bw_ring``. Expires the window, which
-        ``note_block`` then extends."""
+        windows and this TTI's ``CellWindows.terms``, appended to
+        ``bw_ring``. ``tests/reference.py`` states the same estimate plainly,
+        one equation per helper, in the same float order. Expires the
+        window, which ``note_block`` then extends."""
         n_active, prb_used, n_total, dn, tn, retx = terms
         blocks = self._blocks
         if blocks and blocks[0][0] <= now - SHORT_WINDOW_MS:
@@ -259,8 +175,3 @@ class FlowEstimator:
         if len(self.bw_ring) > 4096:
             del self.bw_ring[:2048]
         return bw
-
-    def gamma_mean(self) -> float:
-        if not self._blocks:
-            return GAMMA_DEFAULT
-        return self._gamma_sum / len(self._blocks)

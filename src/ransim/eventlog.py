@@ -30,12 +30,6 @@ class EventRecord(namedtuple("EventRecord",
     detail. A tuple, so building one is cheap where report builds many."""
     __slots__ = ()
 
-    def line(self) -> str:
-        # repr keeps the full float so metrics recomputed from the log are
-        # bit-identical to the in-memory ones
-        return (f"{self.time_ms!r},{self.event},{self.flow_id},"
-                f"{self.nbytes},{self.detail}")
-
 
 class _HeldRecords(Sequence):
     """Live view of the lines a log holds, parsed into records on access."""
@@ -77,7 +71,9 @@ class EventLog:
             detail: str = "") -> None:
         if self.level == LEVEL_FRAMES and event not in FRAME_EVENTS:
             return
-        lines = self._lines  # the text of EventRecord.line
+        lines = self._lines
+        # repr keeps the full float, so metrics recomputed from the log are
+        # bit-identical to the in-memory ones
         lines.append(f"{time_ms!r},{event},{flow_id},{nbytes},{detail}\n")
         if len(lines) >= self._flush_at:
             self.flush()

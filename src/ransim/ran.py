@@ -157,25 +157,3 @@ def assemble_block(flow: FlowQueueState, capacity_bytes: int
     flow.queued_bytes -= payload
     overhead = OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT * len(segments)
     return TransportBlock(payload + overhead, overhead, segments)
-
-
-class FailureScript:
-    """Deterministic HARQ failure injection for latency experiments.
-
-    ``fail_attempts`` maps flow_id to a set of 1-based transmission attempt
-    indices (counted per flow across all blocks) that must fail. Flows not
-    listed fall back to the configured random BLER.
-    """
-
-    def __init__(self, fail_attempts: dict[int, set[int]]):
-        self.fail_attempts = {k: set(v) for k, v in fail_attempts.items()}
-
-    @classmethod
-    def fail_first(cls, flow_id: int, count: int) -> "FailureScript":
-        return cls({flow_id: set(range(1, count + 1))})
-
-    def covers(self, flow_id: int) -> bool:
-        return flow_id in self.fail_attempts
-
-    def should_fail(self, flow_id: int, attempt_index: int) -> bool:
-        return attempt_index in self.fail_attempts.get(flow_id, ())

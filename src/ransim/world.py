@@ -22,9 +22,8 @@ from .capacity import CellWindows, FlowEstimator
 from .codec import GuidanceFeedback, decode_rate, encode_rate
 from .eventlog import LEVEL_FULL, EventLog
 from .predictor import FlowPredictor, mean_alloc_bw
-from .ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FailureScript,
-                  FlowQueueState, RanConfig, assemble_block,
-                  sample_rlc_queue, schedule_prbs)
+from .ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FlowQueueState,
+                  RanConfig, assemble_block, sample_rlc_queue, schedule_prbs)
 from .sender import (ENCODER_MODES, FRAME_INTERVAL_MS, MTU_PAYLOAD,
                      BaseSender, ChoirSender, VideoFrame)
 
@@ -44,11 +43,8 @@ class FlowConfig:
     start_s: float = 0.0
     stop_s: float | None = None
     initial_bitrate_bps: float = 5e6
-    source: str = "video"  # "none" keeps the flow idle for injection tests
 
     def __post_init__(self):
-        if self.source not in ("video", "none"):
-            raise ValueError(f"unknown source {self.source!r}")
         if self.encoder_mode not in ENCODER_MODES:
             raise ValueError(f"unknown encoder {self.encoder_mode!r}")
         if self.ack_per_frames < 1:
@@ -183,9 +179,7 @@ class SimWorld:
     """One cell, one TTI clock, any number of flows."""
 
     def __init__(self, ran: RanConfig, seed: int = 0,
-                 log_level: str = LEVEL_FULL,
-                 failure_script: FailureScript | None = None,
-                 check_conservation: bool = False):
+                 log_level: str = LEVEL_FULL):
         self.ran = ran
         pattern = ran.tdd_pattern
         self._duty = pattern.downlink_duty()
@@ -202,8 +196,6 @@ class SimWorld:
         self.cell = CellWindows(ran.tti_ms)
         self.log = EventLog(log_level)
         self._log_full = log_level == LEVEL_FULL
-        self.failure_script = failure_script
-        self.check_conservation = check_conservation
         self._rotation = 0
         self._seq = 0
         self._sender_events: list = []   # (ts, seq, kind, flow_id, payload)
@@ -232,15 +224,14 @@ class SimWorld:
         self.flows[cfg.flow_id] = fr
         self._flow_order = [self.flows[k] for k in sorted(self.flows)]
         self._update_live(self.now_ms)
-        if cfg.source == "video":
-            self._push_sender_event(fr.start_ms, "tick", cfg.flow_id, None)
+        self._push_sender_event(fr.start_ms, "tick", cfg.flow_id, None)
         return fr
 
     def _update_live(self, now: float) -> None:
         """Live flows, in flow-id order: started by now, and not retired. A
         flow retires once it has stopped and holds nothing in the system: no
         queued or HARQ bytes, an empty wire lane to the base station and no
-        pending ACK. Only a packet injected for it brings it back."""
+        pending ACK."""
         self._live = live = [
             fr for fr in self._flow_order if fr.start_ms <= now and (
                 now < fr.stop_ms or fr.queue.queued_bytes or fr.lane
@@ -249,21 +240,6 @@ class SimWorld:
             [fr.stop_ms for fr in live]
             + [fr.start_ms for fr in self._flow_order if fr.start_ms > now],
             default=math.inf)
-
-    def inject_packet(self, flow_id: int, ts: float, nbytes: int
-                      ) -> VideoFrame:
-        """Place one packet, modeled as its own frame, at the base station
-        at time ts. Bypasses the sender path; used for delay anatomy."""
-        fr = self.flows[flow_id]
-        frame = VideoFrame(frame_id=fr.sender.frame_seq, encode_ts=ts,
-                           nbytes=nbytes, target_bps=0.0, actual_bps=0.0)
-        fr.sender.frame_seq += 1
-        fr.frames.append(frame)
-        fr.receiver.register(frame)
-        self._pkt_counter += 1
-        _send(fr.lane, [(ts, self._pkt_counter, frame.frame_id, nbytes)])
-        self._update_live(self.now_ms)  # a flow that had retired is back
-        return frame
 
     def _push_sender_event(self, ts: float, kind: str, flow_id: int,
                            payload) -> None:
@@ -293,8 +269,6 @@ class SimWorld:
         n_ttis = int(round(duration_s * 1000.0 / self.ran.tti_ms))
         for _ in range(n_ttis):
             self.step()
-            if self.check_conservation:
-                self.assert_conservation()
         self.duration_ms = self.now_ms
         self.log.add(self.now_ms, "run_info", -1, 0,
                      f"duration_ms={self.duration_ms!r};seed={self.seed}")
@@ -424,11 +398,7 @@ class SimWorld:
     def _transmit(self, fr: FlowRuntime, block, is_retx: bool,
                   t0: float, t1: float, uprb: int) -> None:
         fr.attempt_counter += 1
-        script = self.failure_script
-        if script is not None and script.covers(fr.cfg.flow_id):
-            fail = script.should_fail(fr.cfg.flow_id, fr.attempt_counter)
-        else:
-            fail = self.rng.random() < self.ran.bler
+        fail = self.rng.random() < self.ran.bler
         if self._log_full:
             self.log.add(t0, "tx_block", fr.cfg.flow_id, block.bytes,
                          f"retx={int(is_retx)};prbs={uprb};fail={int(fail)};"

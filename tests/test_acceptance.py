@@ -8,10 +8,10 @@ import statistics
 
 import pytest
 
-from conftest import SaturatingSender
+from conftest import FailFirst, SaturatingSender, add_idle_flow, inject_packet
 
-from ransim import (FailureScript, FlowConfig, RanConfig, SimWorld,
-                    compute_metrics, constant_trace, decode_rate, encode_rate,
+from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
+                    constant_trace, decode_rate, encode_rate,
                     nearest_rank_percentile, random_walk_trace,
                     scenario_from_dict, square_trace, step_trace)
 from ransim.harness import run_scenario
@@ -26,19 +26,20 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"[ACCEPT-{num:02d}] {name}: {status}{suffix}")
 
 
-def _idle_world(pattern, script=None, harq_rtx_delay_ms=5.5):
+def _idle_world(pattern, failures=0, harq_rtx_delay_ms=5.5):
     ran = RanConfig(prb_total=100, tti_ms=TTI, tdd_pattern=pattern,
                     harq_rtx_delay_ms=harq_rtx_delay_ms,
                     schedule=constant_trace(30.0))
-    w = SimWorld(ran, seed=0, log_level="frames", failure_script=script)
-    w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=0.0,
-                          source="none"))
+    w = SimWorld(ran, seed=0, log_level="frames")
+    w.rng = FailFirst(failures)
+    add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
+                                wired_nd_ms=0.0))
     return w
 
 
-def _packet_delay(pattern, phase_ms, script=None):
-    w = _idle_world(pattern, script)
-    frame = w.inject_packet(0, 50.0 + phase_ms, 200)
+def _packet_delay(pattern, phase_ms, failures=0):
+    w = _idle_world(pattern, failures)
+    frame = inject_packet(w, 0, 50.0 + phase_ms, 200)
     w.run(0.2)
     assert frame.decode_ts is not None
     return frame.decode_ts - frame.encode_ts
@@ -77,8 +78,8 @@ def test_criterion_01_tdd_delay_anatomy():
 def test_criterion_02_harq_latency():
     """Scripted single/triple failures land ~6 ms / ~16 ms late (+-1 TTI)."""
     base = _packet_delay("DDDSU", 0.0)
-    d1 = _packet_delay("DDDSU", 0.0, FailureScript.fail_first(0, 1)) - base
-    d3 = _packet_delay("DDDSU", 0.0, FailureScript.fail_first(0, 3)) - base
+    d1 = _packet_delay("DDDSU", 0.0, 1) - base
+    d3 = _packet_delay("DDDSU", 0.0, 3) - base
     ok = abs(d1 - 6.0) <= TTI + 1e-9 and abs(d3 - 16.0) <= TTI + 1e-9
     _report(2, "HARQ latency", ok, f"single={d1:.2f}ms triple={d3:.2f}ms")
     assert ok

@@ -1,11 +1,11 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import reference_estimate
+from reference import (EstimatorError, alloc_bw, estimate, flow_capacity,
+                       initial_prb_share, note_block, retx_rate,
+                       update_prb_share)
 
-from ransim.capacity import (CellWindows, EstimatorError, FlowEstimator,
-                             alloc_bw, flow_capacity, initial_prb_share,
-                             retx_rate, update_prb_share)
+from ransim.capacity import CellWindows, FlowEstimator
 
 
 class TestInitialShare:
@@ -137,18 +137,6 @@ _TTI = st.tuples(
     st.none() | st.integers(0, 8))
 
 
-def _note_grant_then_block(est, now, prbs, total, overhead, factor):
-    """The two-call recording of a block: ``note_grant`` for its PRBs, then
-    the density and payload statistics alone."""
-    est.note_grant(prbs)
-    eff_prbs = prbs * factor
-    ratio = (total - overhead) / total
-    est._blocks.append((now, float(total), eff_prbs, ratio))
-    est._density_bytes += total
-    est._density_prbs += eff_prbs
-    est._gamma_sum += ratio
-
-
 class TestTermsSnapshot:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([0.5, 1.0]), st.lists(_TTI, max_size=80))
@@ -163,7 +151,7 @@ class TestTermsSnapshot:
             if n_total is not None:
                 got = est.compute(now, cell.terms(100, n_total))
                 assert est.bw_ring[-1] == got == \
-                    reference_estimate(ref, cell, now, n_total)
+                    estimate(ref, cell, now, n_total)
                 assert (est.prb_share, est._bpp_held, est._retx_held) == \
                     (ref.prb_share, ref._bpp_held, ref._retx_held)
             if record == 0:
@@ -173,8 +161,7 @@ class TestTermsSnapshot:
                 prbs, total, overhead = record
                 overhead = min(overhead, total - 1)
                 est.note_block(now, total, overhead, prbs, weight or 0.5)
-                _note_grant_then_block(ref, now, prbs, total, overhead,
-                                       weight or 0.5)
+                note_block(ref, now, total, overhead, prbs, weight or 0.5)
                 assert (list(est._uprb), est._uprb_sum) == \
                     (list(ref._uprb), ref._uprb_sum)
             cell.close_tti(weight, data, data and retx, weight > 0,

@@ -132,7 +132,7 @@ class TestInMemoryLog:
         assert len(records) == 2
         assert records[0].time_ms == 0.1 + 0.2
         assert records[0].detail == "prbs=4;mcs=a,b"
-        assert records[-1].line() == "1.5,frame_done,0,900,frame=7"
+        assert records[-1] == (1.5, "frame_done", 0, 900, "frame=7")
         assert [r.event for r in records[1:]] == ["frame_done"]
         log.add(2.0, "run_info", -1, 0, "duration_ms=2.0;seed=0")
         assert len(records) == 3  # a live view

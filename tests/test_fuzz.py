@@ -1,9 +1,15 @@
 """Whole closed loop on generated scenarios: conservation, live invariants,
-byte-identical reruns and metrics recomputed from the event log."""
+byte-identical reruns, the same files from the reference world, and metrics
+recomputed from the event log."""
+import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
+
+from reference import ReferenceWorld
 
 from ransim import SimWorld
 from ransim.harness import (report_run_dir, scenario_from_dict,
@@ -13,16 +19,22 @@ from ransim.predictor import ETA_DEFAULT
 
 DURATION_S = 1.0
 WARMUP_MS = 200.0
+ROOT = Path(__file__).resolve().parent.parent
+# join_leave plus a leaver whose last packets are still on the wire after
+# its stop, so it is present again once they arrive
+WIRE_LEAVER = json.loads((ROOT / "scenarios" / "join_leave.json").read_text())
+WIRE_LEAVER["flows"].append({"controller": "choir", "wired_nd_ms": 20.0,
+                             "start_s": 0.4, "stop_s": 1.3})
 
 
 class _CheckedWorld(SimWorld):
-    """Checks the live invariants wherever the conservation check runs: after
-    every TTI."""
+    """Checks conservation and the live invariants after every TTI."""
 
     _retired = frozenset()  # ids of the flows that joined and left the list
 
-    def assert_conservation(self) -> None:
-        super().assert_conservation()
+    def step(self) -> None:
+        super().step()
+        self.assert_conservation()
         now = self.now_ms
         live = {fr.cfg.flow_id for fr in self._live}
         retired = {fid for fid, fr in self.flows.items()
@@ -35,8 +47,9 @@ class _CheckedWorld(SimWorld):
         assert self._n_present(now) == \
             sum(fr.present(now) for fr in self._flow_order)
         cell = self.cell
-        assert cell.dn <= cell.tn and cell.hn <= cell.dn_short
-        assert cell.prb_used_mean <= self.ran.prb_total
+        assert cell._long_sum <= len(cell._long)
+        assert cell._short_retx <= cell._short_data
+        assert cell._usage_prb <= self.ran.prb_total * len(cell._usage)
         for fr in self._flow_order:
             # every byte the sender released is on the wire or enqueued; a
             # lane is in (ts, pkt) order, and its flow is live while it holds
@@ -49,8 +62,9 @@ class _CheckedWorld(SimWorld):
             assert q.queued_bytes >= 0 and q.harq_flight_payload >= 0
             assert all(b.rtx_count <= self.ran.harq_max_rtx
                        for b in q.harq_pending)
-            if fr.estimates:
-                assert 0.0 < fr.estimator.gamma_mean() <= 1.0
+            est = fr.estimator
+            if fr.estimates and est._blocks:
+                assert 0.0 < est._gamma_sum <= len(est._blocks)
             pred = fr.predictor.last_prediction
             if pred is not None:
                 assert 0.0 <= pred.guidance <= \
@@ -89,10 +103,9 @@ _SCENARIO = st.fixed_dictionaries({
 })
 
 
-def _run(cfg, out: Path) -> dict[str, bytes]:
+def _run(cfg, out: Path, world_cls=_CheckedWorld) -> dict[str, bytes]:
     scn = scenario_from_dict(cfg)
-    world = _CheckedWorld(scn.ran, seed=scn.seed, log_level=scn.log_level,
-                          check_conservation=True)
+    world = world_cls(scn.ran, seed=scn.seed, log_level=scn.log_level)
     for flow in scn.flows:
         world.add_flow(flow)
     world.run(scn.duration_s)
@@ -125,8 +138,17 @@ def _run(cfg, out: Path) -> dict[str, bytes]:
               dict(controller="oracle", stop_s=0.4),
               dict(controller="scone", ack_per_frames=2, epsilon=3),
               dict(controller="choir", start_s=0.2, wired_nd_ms=10.0)]})
+@example(WIRE_LEAVER)
 def test_generated_scenario_runs_clean_and_repeats(cfg):
+    full = dict(cfg, log_level="full")
     with tempfile.TemporaryDirectory() as tmp:
+        # SimWorld's fast paths write what ReferenceWorld writes
+        fast, ref = Path(tmp) / "fast", Path(tmp) / "reference"
+        if _run(full, fast, SimWorld) != _run(full, ref, ReferenceWorld):
+            diff = subprocess.run([sys.executable, ROOT / "tools" /
+                                   "logdiff.py", fast, ref],
+                                  capture_output=True, text=True)
+            raise AssertionError("ReferenceWorld differs:\n" + diff.stdout)
         first = _run(cfg, Path(tmp) / "a")
         second = _run(cfg, Path(tmp) / "b")
     assert first == second

@@ -31,12 +31,13 @@ def test_prb_conservation_every_tti():
 def test_window_stats_internal_ordering():
     for w in _stepping_world():
         cell = w.cell
-        assert cell.dn <= cell.tn + 1e-9
-        assert cell.hn <= cell.dn_short
-        assert cell.n_active_mean <= len(w.flows)
-        assert cell.prb_used_mean <= w.ran.prb_total
+        assert cell._long_sum <= len(cell._long) + 1e-9
+        assert cell._short_retx <= cell._short_data
+        assert cell._usage_active <= len(w.flows) * len(cell._usage)
+        assert cell._usage_prb <= w.ran.prb_total * len(cell._usage)
         for fr in w.flows.values():
-            assert 0.0 < fr.estimator.gamma_mean() <= 1.0
+            est = fr.estimator  # mean payload fraction in (0, 1]
+            assert not est._blocks or 0.0 < est._gamma_sum <= len(est._blocks)
 
 
 def test_blocks_respect_harq_cap_and_overhead():

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ransim import (FailureScript, FlowConfig, RanConfig, SimWorld,
-                    constant_trace, sample_rlc_queue, schedule_prbs)
+from conftest import FailFirst, add_idle_flow, inject_packet
+
+from ransim import (FlowConfig, RanConfig, SimWorld, constant_trace,
+                    sample_rlc_queue, schedule_prbs)
 from ransim.ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FlowQueueState,
                         assemble_block)
 
@@ -143,13 +145,13 @@ class TestAssembleBlock:
 
 
 class TestTddDelayMechanics:
-    def _delay(self, pattern, phase, script=None, nbytes=200):
+    def _delay(self, pattern, phase, nbytes=200):
         ran = RanConfig(prb_total=100, tti_ms=0.5, tdd_pattern=pattern,
                         schedule=constant_trace(30.0))
-        w = SimWorld(ran, seed=0, log_level="frames", failure_script=script)
-        w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=0.0,
-                              source="none"))
-        frame = w.inject_packet(0, 50.0 + phase, nbytes)
+        w = SimWorld(ran, seed=0, log_level="frames")
+        add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
+                                    wired_nd_ms=0.0))
+        frame = inject_packet(w, 0, 50.0 + phase, nbytes)
         w.run(0.2)
         assert frame.decode_ts is not None
         return frame.decode_ts - frame.encode_ts
@@ -176,18 +178,17 @@ class TestTddDelayMechanics:
 
 class TestHarqLatency:
     def _delivery_delta(self, k_failures):
-        base = self._run(None)
-        failed = self._run(FailureScript.fail_first(0, k_failures))
-        return failed - base
+        return self._run(k_failures) - self._run(0)
 
-    def _run(self, script):
+    def _run(self, failures):
         ran = RanConfig(prb_total=100, tti_ms=0.5, tdd_pattern="DDDSU",
                         harq_rtx_delay_ms=5.5, harq_max_rtx=3,
                         schedule=constant_trace(30.0))
-        w = SimWorld(ran, seed=0, log_level="frames", failure_script=script)
-        w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=0.0,
-                              source="none"))
-        frame = w.inject_packet(0, 50.0, 200)  # phase 0: D slot start
+        w = SimWorld(ran, seed=0, log_level="frames")
+        w.rng = FailFirst(failures)
+        add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
+                                    wired_nd_ms=0.0))
+        frame = inject_packet(w, 0, 50.0, 200)  # phase 0: D slot start
         w.run(0.2)
         return frame.decode_ts
 
@@ -197,19 +198,19 @@ class TestHarqLatency:
     def test_six_ms_retry_delay_lands_exactly_six_ms_late(self):
         # with a 6 ms retry delay a first-transmission failure at a cycle
         # start delays that block by exactly 6 ms vs the lossless run
-        def run(script):
+        def run(failures):
             ran = RanConfig(prb_total=100, tti_ms=0.5, tdd_pattern="DDDSU",
                             harq_rtx_delay_ms=6.0, harq_max_rtx=3,
                             schedule=constant_trace(30.0))
-            w = SimWorld(ran, seed=0, log_level="frames",
-                         failure_script=script)
-            w.add_flow(FlowConfig(flow_id=0, controller="choir",
-                                  wired_nd_ms=0.0, source="none"))
-            frame = w.inject_packet(0, 50.0, 200)
+            w = SimWorld(ran, seed=0, log_level="frames")
+            w.rng = FailFirst(failures)
+            add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
+                                        wired_nd_ms=0.0))
+            frame = inject_packet(w, 0, 50.0, 200)
             w.run(0.2)
             return frame.decode_ts
 
-        delta = run(FailureScript.fail_first(0, 1)) - run(None)
+        delta = run(1) - run(0)
         assert delta == pytest.approx(6.0)
 
     def test_k_failures_delay_exactly_k_rounds(self):
@@ -223,11 +224,11 @@ class TestHarqLatency:
         ran = RanConfig(prb_total=100, tti_ms=0.5, tdd_pattern="DDDSU",
                         harq_rtx_delay_ms=5.5, harq_max_rtx=3,
                         schedule=constant_trace(30.0))
-        script = FailureScript.fail_first(0, 4)
-        w = SimWorld(ran, seed=0, log_level="full", failure_script=script)
-        w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=0.0,
-                              source="none"))
-        frame = w.inject_packet(0, 50.0, 200)
+        w = SimWorld(ran, seed=0, log_level="full")
+        w.rng = FailFirst(4)
+        add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
+                                    wired_nd_ms=0.0))
+        frame = inject_packet(w, 0, 50.0, 200)
         w.run(0.2)
         assert frame.decode_ts is not None
         events = [r.event for r in w.log.records]
@@ -241,10 +242,12 @@ class TestByteConservation:
         from ransim.traces import square_trace
         ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.15,
                         schedule=square_trace(30.0, 12.0, 1000, n_periods=8))
-        w = SimWorld(ran, seed=9, log_level="frames", check_conservation=True)
+        w = SimWorld(ran, seed=9, log_level="frames")
         w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=5.0))
         w.add_flow(FlowConfig(flow_id=1, controller="scone", wired_nd_ms=5.0))
-        w.run(3.0)  # assert_conservation runs after every TTI
+        for _ in range(6000):  # 3 s
+            w.step()
+            w.assert_conservation()
         for fr in w.flows.values():
             assert fr.delivered_payload > 0
 
@@ -258,7 +261,7 @@ class TestDeterminism:
             w.add_flow(FlowConfig(flow_id=0, controller="choir",
                                   wired_nd_ms=10.0))
             w.run(1.5)
-            return [r.line() for r in w.log.records]
+            return list(w.log.records)
 
         assert run() == run()
 
@@ -270,7 +273,7 @@ class TestDeterminism:
             w.add_flow(FlowConfig(flow_id=0, controller="choir",
                                   wired_nd_ms=10.0))
             w.run(1.5)
-            return [r.line() for r in w.log.records]
+            return list(w.log.records)
 
         assert run(1) != run(2)
 

@@ -1,16 +1,13 @@
 import bisect
-import json
-from pathlib import Path
 
 import pytest
 
-from conftest import make_world, reference_estimate, run_metrics, saturate
+from conftest import inject_packet, make_world, run_metrics, saturate
+from reference import ReferenceWorld
 
 import ransim.world
-from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
-                    constant_trace, square_trace)
-from ransim.harness import (build_world, scenario_from_dict,
-                            write_frames_csv, write_metrics_csv)
+from ransim import (FlowConfig, RanConfig, SimWorld, constant_trace,
+                    square_trace)
 from ransim.ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, TransportBlock,
                         sample_rlc_queue)
 
@@ -187,15 +184,6 @@ class TestMultiFlowIsolation:
         assert sum(late) / len(late) == pytest.approx(capacity_bps, rel=0.10)
 
 
-class _EagerWorld(SimWorld):
-    """Also predicts for every present flow in every TTI, before any stamp."""
-
-    def _estimate_and_predict(self, t0, present):
-        super()._estimate_and_predict(t0, present)
-        for fr in present:
-            fr.predictor.compute(t0, fr.queue.samples)
-
-
 def _record_calls(world, method, part="predictor"):
     """Per flow id, the arguments of every call to a method of its predictor
     (or of another per-flow part, such as its estimator)."""
@@ -210,11 +198,11 @@ def _record_calls(world, method, part="predictor"):
     return calls
 
 
-def _mixed_world(world_cls, log_level="frames", **flow_kwargs):
+def _mixed_world(**flow_kwargs):
     """choir, scone and oracle flows plus a choir flow that leaves at 2 s."""
     ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.1,
                     schedule=square_trace(30.0, 6.0, 400, n_periods=20))
-    w = world_cls(ran, seed=4, log_level=log_level)
+    w = SimWorld(ran, seed=4, log_level="frames")
     for fid, controller in enumerate(("choir", "scone", "oracle", "choir")):
         w.add_flow(FlowConfig(flow_id=fid, controller=controller,
                               stop_s=2.0 if fid == 3 else None,
@@ -223,27 +211,8 @@ def _mixed_world(world_cls, log_level="frames", **flow_kwargs):
 
 
 class TestPredictionAtStamp:
-    def test_eager_prediction_changes_nothing(self, tmp_path):
-        # the estimate pass leaves every predictor input in place, so the
-        # prediction made there equals the one made at the ACK stamp
-        outputs, stamps = [], []
-        for world_cls in (SimWorld, _EagerWorld):
-            w = _mixed_world(world_cls, wired_nd_ms=5.0)
-            stamps.append(_record_calls(w, "record_stamp"))
-            w.run(3.0)
-            out = tmp_path / world_cls.__name__
-            out.mkdir()
-            write_frames_csv(out / "frames.csv", w)
-            write_metrics_csv(out / "metrics.csv", compute_metrics(
-                w.frames_by_flow(), w.duration_ms, 2000.0))
-            outputs.append({f: (out / f).read_bytes()
-                            for f in ("frames.csv", "metrics.csv")})
-        assert outputs[0] == outputs[1]
-        assert stamps[0] == stamps[1]
-        assert len(stamps[0][0]) > 50 and len(stamps[0][3]) > 20
-
     def test_one_prediction_per_stamping_tti(self):
-        w = _mixed_world(SimWorld, wired_nd_ms=0.0, ack_per_frames=2)
+        w = _mixed_world(wired_nd_ms=0.0, ack_per_frames=2)
         computes = _record_calls(w, "compute")
         stamps = _record_calls(w, "record_stamp")
         w.run(3.0)
@@ -260,46 +229,9 @@ class TestPredictionAtStamp:
         assert shared > 0
 
 
-class _EagerEstimateWorld(SimWorld):
-    """Samples queues, detects frames, keeps estimator windows and estimates
-    for every present flow whatever its controller, reading the cell windows
-    on each estimate."""
-
-    def add_flow(self, cfg):
-        fr = super().add_flow(cfg)
-        fr.predicts = fr.estimates = True
-        return fr
-
-    def _estimate_and_predict(self, t0, present):
-        for fr in present:
-            sample_rlc_queue(fr.queue, t0)
-            fr.estimator.bw_ring.append(reference_estimate(
-                fr.estimator, self.cell, t0, len(present)))
-
-
 class TestEstimateUpkeep:
-    def test_eager_upkeep_changes_nothing(self, tmp_path):
-        # only stamps read the skipped state, and the snapshot holds the
-        # values each property read gave
-        outputs = []
-        for world_cls in (SimWorld, _EagerEstimateWorld):
-            w = _mixed_world(world_cls, log_level="full", wired_nd_ms=5.0)
-            w.run(3.0)
-            out = tmp_path / world_cls.__name__
-            out.mkdir()
-            w.log.write(out / "events.log")
-            write_frames_csv(out / "frames.csv", w)
-            write_metrics_csv(out / "metrics.csv", compute_metrics(
-                w.frames_by_flow(), w.duration_ms, 2000.0))
-            outputs.append({f: (out / f).read_bytes()
-                            for f in ("events.log", "frames.csv",
-                                      "metrics.csv")})
-        assert outputs[0] == outputs[1]
-        log = outputs[0]["events.log"]
-        assert b",ack_stamp,1," in log and b",predict,3," in log
-
     def test_hooks_run_only_where_a_stamp_reads_them(self, monkeypatch):
-        w = _mixed_world(SimWorld, wired_nd_ms=5.0)
+        w = _mixed_world(wired_nd_ms=5.0)
         est = {m: _record_calls(w, m, "estimator")
                for m in ("compute", "note_grant", "note_block")}
         enqueues = _record_calls(w, "on_enqueue")
@@ -334,8 +266,8 @@ class TestEstimateUpkeep:
 
 class TestInjectedPacketPath:
     def test_injection_without_sender(self, capsys):
-        w = make_world(bpp=30.0, wired_nd_ms=0.0, source="none")
-        frame = w.inject_packet(0, 10.0, 500)
+        w = make_world(bpp=30.0, wired_nd_ms=0.0, idle=True)
+        frame = inject_packet(w, 0, 10.0, 500)
         w.run(0.1)
         assert frame.decode_ts is not None
         assert w.flows[0].delivered_payload == 500
@@ -344,10 +276,10 @@ class TestInjectedPacketPath:
         # the packet reaches the base station at 10 ms, before its flow
         # starts; the flow's queue holds it from the first TTI it is live,
         # and the predictor and the log keep its arrival time
-        w = make_world(wired_nd_ms=0.0, source="none", start_s=0.05,
+        w = make_world(wired_nd_ms=0.0, idle=True, start_s=0.05,
                        log_level="full")
         fr = w.flows[0]
-        frame = w.inject_packet(0, 10.0, 500)
+        frame = inject_packet(w, 0, 10.0, 500)
         queued = {}
         estimate = w._estimate_and_predict
 
@@ -390,7 +322,7 @@ class TestWireLanes:
             return [(n, i * step) for i, (n, _) in enumerate(packets)]
         sender.packet_release_offsets = stretched
         # flow 2 also gets packets injected out of time order
-        injected = [w.inject_packet(2, ts, 300).frame_id
+        injected = [inject_packet(w, 2, ts, 300).frame_id
                     for ts in (40.0, 25.0, 33.3, 25.0)]
         # (TTI start, line time, pkt, flow) of each enqueue line
         enqueued = []
@@ -429,67 +361,19 @@ class TestWireLanes:
                 sum(p[3] for p in fr.lane) + fr.injected_payload
 
 
-class TestLiveFlows:
-    SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / \
-        "join_leave.json"
-
-    def test_step_visits_exactly_the_present_flows(self):
-        # join_leave plus a leaver whose last packets are still on the wire
-        # after its stop, so it is present again once they arrive
-        cfg = json.loads(self.SCENARIO.read_text())
-        cfg["flows"].append({"controller": "choir", "wired_nd_ms": 20.0,
-                             "start_s": 0.4, "stop_s": 1.3})
-        w = build_world(scenario_from_dict(cfg))
-
-        def scan(now):
-            return [fr for fr in w._flow_order if fr.present(now)]
-        visits, reads = [], []
-        estimate, n_present = w._estimate_and_predict, w._n_present
-
-        def estimate_spy(t0, flows):
-            visits.append((list(flows), scan(t0)))
-            estimate(t0, flows)
-
-        def n_present_spy(now):
-            reads.append((n_present(now), len(scan(now))))
-            return reads[-1][0]
-        w._estimate_and_predict = estimate_spy
-        w._n_present = n_present_spy
-        w.run(cfg["duration_s"])
-        assert len(visits) == 4000 and len(reads) > 300
-        for flows, want in visits:
-            assert flows == want
-        for n, want in reads:
-            assert n == want
-        assert len(w._live) == 4  # flows 0, 2, 6 and 7 never stop
-
-
 class TestTxBlockPrbs:
     def test_block_of_unit_bytes_takes_one_prb(self):
         # a D slot at 30 B per PRB: 17 B of payload plus one segment's
         # framing fill one PRB exactly, and one byte more needs two
         prbs = {}
         for payload in (17, 18):
-            w = make_world(bpp=30.0, wired_nd_ms=0.0, source="none",
+            w = make_world(bpp=30.0, wired_nd_ms=0.0, idle=True,
                            log_level="full")
-            w.inject_packet(0, 50.0, payload)
+            inject_packet(w, 0, 50.0, payload)
             w.run(0.1)
             tx, = [r for r in w.log.records if r.event == "tx_block"]
             prbs[tx.nbytes] = tx.detail.split(";")[1]
         assert prbs == {30: "prbs=1", 31: "prbs=2"}
-
-
-def _credit_each_segment(world, fr, block, t1):
-    """Per-segment crediting, the reference for ``_deliver_block``."""
-    for frame_id, nbytes in block.segments:
-        fr.delivered_payload += nbytes
-        if fr.receiver.on_bytes(frame_id, nbytes):
-            frame = fr.frames[frame_id]
-            frame.decode_ts = t1
-            world.log.add(t1, "frame_done", fr.cfg.flow_id, frame.nbytes,
-                          f"frame={frame.frame_id};delay={frame.delay_ms!r}")
-            fr.receiver.on_frame_complete(t1)
-    fr.receiver.maybe_timeout_ack(t1)
 
 
 class TestDeliverBlock:
@@ -501,10 +385,10 @@ class TestDeliverBlock:
               [(2, 300), (2, 500)])
 
     def _deliver(self, ack_per_frames, deliver):
-        w = make_world(wired_nd_ms=0.0, source="none",
+        w = make_world(wired_nd_ms=0.0, idle=True,
                        ack_per_frames=ack_per_frames)
         fr = w.flows[0]
-        frame_ids = [w.inject_packet(0, 0.0, n).frame_id for n in self.SIZES]
+        frame_ids = [inject_packet(w, 0, 0.0, n).frame_id for n in self.SIZES]
         credits = []
         on_bytes = fr.receiver.on_bytes
         fr.receiver.on_bytes = lambda *a: credits.append(a) or on_bytes(*a)
@@ -519,7 +403,7 @@ class TestDeliverBlock:
     @pytest.mark.parametrize("ack_per_frames", [1, 2])
     def test_runs_credit_like_segments(self, ack_per_frames):
         got = self._deliver(ack_per_frames, SimWorld._deliver_block)
-        want = self._deliver(ack_per_frames, _credit_each_segment)
+        want = self._deliver(ack_per_frames, ReferenceWorld._deliver_block)
         for (fr, log, _), (ref, ref_log, _) in zip(got, want, strict=True):
             assert log == ref_log
             assert fr.delivered_payload == ref.delivered_payload
