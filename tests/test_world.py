@@ -1,4 +1,6 @@
 import bisect
+import json
+from pathlib import Path
 
 import pytest
 
@@ -6,8 +8,10 @@ from conftest import inject_packet, make_world, run_metrics, saturate
 from reference import ReferenceWorld
 
 import ransim.world
-from ransim import (FlowConfig, RanConfig, SimWorld, constant_trace,
-                    square_trace)
+from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
+                    constant_trace, square_trace)
+from ransim.harness import (build_world, scenario_from_dict,
+                            write_frames_csv, write_metrics_csv)
 from ransim.ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, TransportBlock,
                         sample_rlc_queue)
 
@@ -198,11 +202,11 @@ def _record_calls(world, method, part="predictor"):
     return calls
 
 
-def _mixed_world(**flow_kwargs):
+def _mixed_world(world_cls=SimWorld, log_level="frames", **flow_kwargs):
     """choir, scone and oracle flows plus a choir flow that leaves at 2 s."""
     ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.1,
                     schedule=square_trace(30.0, 6.0, 400, n_periods=20))
-    w = SimWorld(ran, seed=4, log_level="frames")
+    w = world_cls(ran, seed=4, log_level=log_level)
     for fid, controller in enumerate(("choir", "scone", "oracle", "choir")):
         w.add_flow(FlowConfig(flow_id=fid, controller=controller,
                               stop_s=2.0 if fid == 3 else None,
@@ -210,7 +214,33 @@ def _mixed_world(**flow_kwargs):
     return w
 
 
+def _write_outputs(world, out):
+    """events.log (when kept), frames.csv and metrics.csv, as bytes."""
+    out.mkdir()
+    if world.log.level == "full":
+        world.log.write(out / "events.log")
+    write_frames_csv(out / "frames.csv", world)
+    write_metrics_csv(out / "metrics.csv", compute_metrics(
+        world.frames_by_flow(), world.duration_ms, 2000.0))
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 class TestPredictionAtStamp:
+    def test_eager_prediction_changes_nothing(self, tmp_path):
+        # ReferenceWorld predicts for every choir flow in every TTI, before
+        # any stamp; the estimate pass leaves every predictor input in
+        # place, so the prediction made there equals the one made at the
+        # ACK stamp
+        outputs, stamps = [], []
+        for world_cls in (SimWorld, ReferenceWorld):
+            w = _mixed_world(world_cls, wired_nd_ms=5.0)
+            stamps.append(_record_calls(w, "record_stamp"))
+            w.run(3.0)
+            outputs.append(_write_outputs(w, tmp_path / world_cls.__name__))
+        assert outputs[0] == outputs[1]
+        assert stamps[0] == stamps[1]
+        assert len(stamps[0][0]) > 50 and len(stamps[0][3]) > 20
+
     def test_one_prediction_per_stamping_tti(self):
         w = _mixed_world(wired_nd_ms=0.0, ack_per_frames=2)
         computes = _record_calls(w, "compute")
@@ -230,6 +260,20 @@ class TestPredictionAtStamp:
 
 
 class TestEstimateUpkeep:
+    def test_eager_upkeep_changes_nothing(self, tmp_path):
+        # ReferenceWorld samples queues, keeps estimator windows and
+        # estimates for every present flow whatever its controller, reading
+        # the cell windows on each estimate; only stamps read the skipped
+        # state, and the snapshot holds the values each read gave
+        outputs = []
+        for world_cls in (SimWorld, ReferenceWorld):
+            w = _mixed_world(world_cls, log_level="full", wired_nd_ms=5.0)
+            w.run(3.0)
+            outputs.append(_write_outputs(w, tmp_path / world_cls.__name__))
+        assert outputs[0] == outputs[1]
+        log = outputs[0]["events.log"]
+        assert b",ack_stamp,1," in log and b",predict,3," in log
+
     def test_hooks_run_only_where_a_stamp_reads_them(self, monkeypatch):
         w = _mixed_world(wired_nd_ms=5.0)
         est = {m: _record_calls(w, m, "estimator")
@@ -359,6 +403,41 @@ class TestWireLanes:
         for fr in w.flows.values():
             assert sum(f.nbytes for f in fr.frames) == \
                 sum(p[3] for p in fr.lane) + fr.injected_payload
+
+
+class TestLiveFlows:
+    SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / \
+        "join_leave.json"
+
+    def test_step_visits_exactly_the_present_flows(self):
+        # join_leave plus a leaver whose last packets are still on the wire
+        # after its stop, so it is present again once they arrive
+        cfg = json.loads(self.SCENARIO.read_text())
+        cfg["flows"].append({"controller": "choir", "wired_nd_ms": 20.0,
+                             "start_s": 0.4, "stop_s": 1.3})
+        w = build_world(scenario_from_dict(cfg))
+
+        def scan(now):
+            return [fr for fr in w._flow_order if fr.present(now)]
+        visits, reads = [], []
+        estimate, n_present = w._estimate_and_predict, w._n_present
+
+        def estimate_spy(t0, flows):
+            visits.append((list(flows), scan(t0)))
+            estimate(t0, flows)
+
+        def n_present_spy(now):
+            reads.append((n_present(now), len(scan(now))))
+            return reads[-1][0]
+        w._estimate_and_predict = estimate_spy
+        w._n_present = n_present_spy
+        w.run(cfg["duration_s"])
+        assert len(visits) == 4000 and len(reads) > 300
+        for flows, want in visits:
+            assert flows == want
+        for n, want in reads:
+            assert n == want
+        assert len(w._live) == 4  # flows 0, 2, 6 and 7 never stop
 
 
 class TestTxBlockPrbs:
