@@ -12,7 +12,7 @@ set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
 CHECKS=(tests eventlog-closed accept-lines round-trip hash-seed sweep-bad-value
-        bench-smoke bench-outputs)
+        no-out-memory bench-smoke bench-outputs)
 
 install() {
   python -m pip install --upgrade pip setuptools
@@ -61,6 +61,23 @@ sweep-bad-value() {
   rc=0
   ransim sweep scenarios/single_flow.json --vary ack_per_frames=1.5 || rc=$?
   test "$rc" -eq 2
+}
+
+no-out-memory() {
+  # a run without --out keeps no event log, so it peaks no more than 10%
+  # above the same run with --out; each run is the only child of a fresh
+  # process, whose RUSAGE_CHILDREN peak is then that run's own
+  peak() {
+    PYTHONPATH=src python -c '
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+' python -m ransim.cli run scenarios/multi_flow_fairness.json "$@"
+  }
+  with_out=$(peak --out "$RUNNER_TEMP/mem")
+  without=$(peak)
+  echo "peak RSS: ${with_out} KiB with --out, ${without} KiB without"
+  test $((without * 10)) -le $((with_out * 11))
 }
 
 bench-smoke() {

@@ -3,17 +3,18 @@
 The log is the ground truth for post-hoc analysis: run metrics are a pure
 function of the frame events recorded here.
 
-Each event is formatted into its line when it is added. The lines stay in
-memory until ``write``, unless the log streams to a file (``stream_to``):
-then every ``CHUNK_LINES`` lines are written out, so a run of any length
-holds at most one chunk.
+A log writes to a sink, a text file or an ``io.StringIO``, given when the
+world is built: the header at once, then each event formatted into its line
+when it is added, every ``CHUNK_LINES`` lines and at the end of the run. So
+a run of any length holds at most one chunk. A world built without a sink
+has no log and formats no line; which events it logs (its level) the world
+decides.
 """
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Iterator
+from typing import TextIO
 
 LEVEL_FRAMES = "frames"
 LEVEL_FULL = "full"
@@ -31,80 +32,34 @@ class EventRecord(namedtuple("EventRecord",
     __slots__ = ()
 
 
-class _HeldRecords(Sequence):
-    """Live view of the lines a log holds, parsed into records on access."""
-
-    def __init__(self, lines: list[str]):
-        self._lines = lines
-
-    def __len__(self) -> int:
-        return len(self._lines)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [_parse_line(line) for line in self._lines[index]]
-        return _parse_line(self._lines[index])
-
-
-def _parse_line(line: str) -> EventRecord:
-    time_s, event, flow_s, bytes_s, detail = line.rstrip("\n").split(",", 4)
-    return EventRecord(float(time_s), event, int(flow_s), int(bytes_s), detail)
-
-
 class EventLog:
-    """Append-only log of formatted lines, held in memory or streamed."""
+    """Append-only log of formatted lines, written to its sink in chunks."""
 
-    def __init__(self, level: str = LEVEL_FULL):
-        if level not in (LEVEL_FRAMES, LEVEL_FULL):
-            raise ValueError(f"unknown log level {level!r}")
-        self.level = level
+    def __init__(self, sink: TextIO):
+        self._sink = sink
         self._lines: list[str] = []
-        self._sink = None
-        self._flush_at = sys.maxsize   # held lines that trigger a flush
+        sink.write(HEADER)
 
     @property
-    def records(self) -> Sequence[EventRecord]:
-        """The lines still in memory; empty after streaming to a file."""
-        return _HeldRecords(self._lines)
+    def records(self) -> list[str]:
+        """The lines not yet written; empty after SimWorld.run. Kept only for
+        perfbench/worker.py, which reads its len() after each run; ROADMAP
+        item 2 drops that read and this property."""
+        return self._lines
 
     def add(self, time_ms: float, event: str, flow_id: int, nbytes: int,
             detail: str = "") -> None:
-        if self.level == LEVEL_FRAMES and event not in FRAME_EVENTS:
-            return
         lines = self._lines
         # repr keeps the full float, so metrics recomputed from the log are
         # bit-identical to the in-memory ones
         lines.append(f"{time_ms!r},{event},{flow_id},{nbytes},{detail}\n")
-        if len(lines) >= self._flush_at:
-            self.flush()
+        if len(lines) >= CHUNK_LINES:
+            self.write()
 
-    def flush(self) -> None:
-        """Write the held lines out when streaming; otherwise keep them."""
-        if self._sink is not None:
-            self._sink.write("".join(self._lines))
-            self._lines.clear()
-
-    @contextmanager
-    def stream_to(self, path):
-        """Write the log to a new file at path, while the block runs.
-
-        The held lines go out every CHUNK_LINES and on exit, also when the
-        block raises.
-        """
-        with open(path, "w") as fh:
-            fh.write(HEADER)
-            self._sink, self._flush_at = fh, CHUNK_LINES
-            try:
-                yield
-            finally:
-                self.flush()
-                self._sink, self._flush_at = None, sys.maxsize
-
-    def write(self, path) -> None:
-        """Write the lines held in memory to a new file at path."""
-        with open(path, "w") as fh:
-            fh.write(HEADER)
-            fh.writelines(self._lines)
+    def write(self) -> None:
+        """Write the held lines to the sink."""
+        self._sink.write("".join(self._lines))
+        self._lines.clear()
 
 
 def parse_event_log(path) -> Iterator[EventRecord]:

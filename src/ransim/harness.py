@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TextIO
 
 from . import traces
 from .eventlog import parse_event_log
@@ -237,9 +238,10 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(cfg, name=p.stem)
 
 
-def build_world(scn: Scenario, seed: int | None = None) -> SimWorld:
+def build_world(scn: Scenario, seed: int | None = None,
+                log_sink: TextIO | None = None) -> SimWorld:
     world = SimWorld(ran=scn.ran, seed=scn.seed if seed is None else seed,
-                     log_level=scn.log_level)
+                     log_level=scn.log_level, log_sink=log_sink)
     for flow in scn.flows:
         world.add_flow(flow)
     return world
@@ -251,14 +253,16 @@ def run_scenario(scn: Scenario, out_dir=None, seed: int | None = None
 
     With out_dir, events.log is written while the run proceeds. A run that
     fails leaves the lines logged until then, without the closing run_info.
+    Without out_dir the world keeps no event log.
     """
-    world = build_world(scn, seed)
     if out_dir is None:
+        world = build_world(scn, seed)
         world.run(scn.duration_s)
     else:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with world.log.stream_to(out / EVENTS_LOG):
+        with open(out / EVENTS_LOG, "w") as sink:
+            world = build_world(scn, seed, sink)
             world.run(scn.duration_s)
     metrics = compute_metrics(world.frames_by_flow(), world.duration_ms,
                               scn.warmup_ms)

@@ -8,6 +8,7 @@ the last value extends to the end of the run.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 
@@ -115,6 +116,9 @@ def load_trace(path) -> CapacitySchedule:
                 bpp = float(row[1])
             except ValueError as exc:
                 raise TraceError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(bpp):
+                raise TraceError(f"{path}:{lineno}: bytes_per_prb must be "
+                                 f"finite, got {row[1].strip()!r}")
             rows.append((tti, bpp))
     if not rows:
         raise TraceError(f"{path}: trace has no data rows")

@@ -15,12 +15,13 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from math import ceil
+from typing import TextIO
 
 from .baselines import (OracleSender, SconeFeedback, SconeSender,
                         decode_scone, encode_scone)
 from .capacity import CellWindows, FlowEstimator
 from .codec import GuidanceFeedback, decode_rate, encode_rate
-from .eventlog import LEVEL_FULL, EventLog
+from .eventlog import LEVEL_FRAMES, LEVEL_FULL, EventLog
 from .predictor import FlowPredictor, mean_alloc_bw
 from .ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FlowQueueState,
                   RanConfig, assemble_block, sample_rlc_queue, schedule_prbs)
@@ -179,7 +180,11 @@ class SimWorld:
     """One cell, one TTI clock, any number of flows."""
 
     def __init__(self, ran: RanConfig, seed: int = 0,
-                 log_level: str = LEVEL_FULL):
+                 log_level: str = LEVEL_FULL, log_sink: TextIO | None = None):
+        """log_sink, a text file or io.StringIO, receives the event log at
+        log_level; without one the world keeps no log."""
+        if log_level not in (LEVEL_FRAMES, LEVEL_FULL):
+            raise ValueError(f"unknown log level {log_level!r}")
         self.ran = ran
         pattern = ran.tdd_pattern
         self._duty = pattern.downlink_duty()
@@ -194,8 +199,8 @@ class SimWorld:
         self._live: list[FlowRuntime] = []  # the flows a step visits
         self._next_change = math.inf  # next start, or earliest live stop
         self.cell = CellWindows(ran.tti_ms)
-        self.log = EventLog(log_level)
-        self._log_full = log_level == LEVEL_FULL
+        self.log = None if log_sink is None else EventLog(log_sink)
+        self._log_full = self.log is not None and log_level == LEVEL_FULL
         self._rotation = 0
         self._seq = 0
         self._sender_events: list = []   # (ts, seq, kind, flow_id, payload)
@@ -266,13 +271,20 @@ class SimWorld:
     # -- main loop ----------------------------------------------------------
 
     def run(self, duration_s: float) -> None:
+        """Step duration_s of simulated time. The log's last lines go to its
+        sink also when a step raises, so a failed run leaves what it logged."""
         n_ttis = int(round(duration_s * 1000.0 / self.ran.tti_ms))
-        for _ in range(n_ttis):
-            self.step()
-        self.duration_ms = self.now_ms
-        self.log.add(self.now_ms, "run_info", -1, 0,
-                     f"duration_ms={self.duration_ms!r};seed={self.seed}")
-        self.log.flush()  # a streamed log holds nothing once the run ends
+        try:
+            for _ in range(n_ttis):
+                self.step()
+            self.duration_ms = self.now_ms
+            if self.log is not None:
+                self.log.add(self.now_ms, "run_info", -1, 0,
+                             f"duration_ms={self.duration_ms!r};"
+                             f"seed={self.seed}")
+        finally:
+            if self.log is not None:
+                self.log.write()
 
     def step(self) -> None:
         """Advance exactly one TTI."""
@@ -434,9 +446,10 @@ class SimWorld:
             if fr.receiver.on_bytes(frame_id, run):
                 frame = fr.frames[frame_id]
                 frame.decode_ts = t1
-                self.log.add(t1, "frame_done", fr.cfg.flow_id, frame.nbytes,
-                             f"frame={frame.frame_id};"
-                             f"delay={frame.delay_ms!r}")
+                if self.log is not None:
+                    self.log.add(t1, "frame_done", fr.cfg.flow_id,
+                                 frame.nbytes, f"frame={frame.frame_id};"
+                                 f"delay={frame.delay_ms!r}")
                 fr.receiver.on_frame_complete(t1)
             run = 0
         fr.receiver.maybe_timeout_ack(t1)
@@ -475,18 +488,18 @@ class SimWorld:
             wire = fb.to_bytes()
             decoded = decode_rate(fb)
             fr.predictor.record_stamp(t0, (decoded or 0.0) / 8000.0)
-            detail = f"guidance={guidance!r}"
         elif kind == "scone":
             window = max(1, round(SCONE_CAPACITY_WINDOW_MS / self.ran.tti_ms))
             capacity = mean_alloc_bw(fr.predictor.bw_ring, window)
             scone_fb = SconeFeedback(capacity=capacity,
                                      queue_len=float(fr.queue.queued_bytes))
             wire = encode_scone(scone_fb)
-            detail = f"capacity={capacity!r};queue={fr.queue.queued_bytes}"
         else:
             wire = b""
-            detail = ""
         if self._log_full:
+            detail = (f"guidance={guidance!r}" if kind == "choir" else
+                      f"capacity={capacity!r};queue={fr.queue.queued_bytes}"
+                      if kind == "scone" else "")
             self.log.add(t0, "ack_stamp", fr.cfg.flow_id, acked_bytes, detail)
         arrive = t0 + fr.cfg.wired_nd_ms
         self._push_sender_event(arrive, "feedback", fr.cfg.flow_id,
@@ -510,9 +523,11 @@ class SimWorld:
         frame = fr.sender.encode_frame(ts)
         fr.frames.append(frame)
         fr.receiver.register(frame)
-        self.log.add(ts, "frame_encode", fr.cfg.flow_id, frame.nbytes,
-                     f"frame={frame.frame_id};target={frame.target_bps!r};"
-                     f"actual={frame.actual_bps!r}")
+        if self.log is not None:
+            self.log.add(ts, "frame_encode", fr.cfg.flow_id, frame.nbytes,
+                         f"frame={frame.frame_id};"
+                         f"target={frame.target_bps!r};"
+                         f"actual={frame.actual_bps!r}")
         offsets = fr.sender.packet_release_offsets(frame.nbytes)
         first, wired = self._pkt_counter + 1, fr.cfg.wired_nd_ms
         _send(fr.lane, [(ts + offset + wired, first + i, frame.frame_id, n)

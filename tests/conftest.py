@@ -1,8 +1,10 @@
 import heapq
+import io
 
 import ransim.world
 from ransim import (FlowConfig, RanConfig, SimWorld, VideoFrame,
                     compute_metrics, constant_trace)
+from ransim.eventlog import HEADER, EventRecord
 from ransim.sender import BaseSender
 
 
@@ -54,14 +56,43 @@ def inject_packet(world, flow_id, ts, nbytes):
     return frame
 
 
+def logged_world(ran, *, seed=0, log_level="full", world_cls=SimWorld):
+    """A world whose event log writes to an io.StringIO; log_text and
+    events read it back."""
+    return world_cls(ran, seed=seed, log_level=log_level,
+                     log_sink=io.StringIO())
+
+
+def log_text(world) -> str:
+    """The whole log of a logged_world so far, header first: the held lines
+    are written to the sink first."""
+    world.log.write()
+    return world.log._sink.getvalue()
+
+
+def events(world) -> list[EventRecord]:
+    """Every event a logged_world has logged so far, parsed from its sink."""
+    text = log_text(world)
+    assert text.startswith(HEADER)
+    out = []
+    for line in text[len(HEADER):].splitlines():
+        time_s, event, flow_s, bytes_s, detail = line.split(",", 4)
+        out.append(EventRecord(float(time_s), event, int(flow_s),
+                               int(bytes_s), detail))
+    return out
+
+
 def make_world(bpp=30.0, *, flows=1, controller="choir", wired_nd_ms=1.0,
-               seed=1, bler=0.0, schedule=None, log_level="frames",
+               seed=1, bler=0.0, schedule=None, log_level=None,
                tti_ms=0.5, pattern="DDDSU", idle=False, **flow_kwargs):
+    """A world of identical flows on a constant trace; with a log_level it
+    is a logged_world."""
     ran = RanConfig(prb_total=100, tti_ms=tti_ms, tdd_pattern=pattern,
                     bler=bler,
                     schedule=schedule if schedule is not None
                     else constant_trace(bpp))
-    world = SimWorld(ran, seed=seed, log_level=log_level)
+    world = (SimWorld(ran, seed=seed) if log_level is None
+             else logged_world(ran, seed=seed, log_level=log_level))
     add = add_idle_flow if idle else SimWorld.add_flow
     for i in range(flows):
         add(world, FlowConfig(flow_id=i, controller=controller,

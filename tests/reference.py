@@ -162,11 +162,12 @@ class ReferenceWorld(SimWorld):
         if fr in self._unstamped:
             self._unstamped.remove(fr)
             pred = fr.predictor.last_prediction
-            self.log.add(t0, "predict", fr.cfg.flow_id,
-                         self._sampled.get(fr, 0),
-                         f"pred_q={pred.pred_q!r};guidance={pred.guidance!r};"
-                         f"fi={pred.fi!r};bw={fr.estimator.bw_ring[-1]!r};"
-                         f"mean_bw={pred.mean_bw!r}")
+            if self._log_full:
+                self.log.add(
+                    t0, "predict", fr.cfg.flow_id, self._sampled.get(fr, 0),
+                    f"pred_q={pred.pred_q!r};guidance={pred.guidance!r};"
+                    f"fi={pred.fi!r};bw={fr.estimator.bw_ring[-1]!r};"
+                    f"mean_bw={pred.mean_bw!r}")
         super()._stamp_and_forward(fr, t0, acked_bytes)
 
     def _deliver_block(self, fr, block, t1):
@@ -175,10 +176,12 @@ class ReferenceWorld(SimWorld):
             if fr.receiver.on_bytes(frame_id, nbytes):
                 frame = fr.frames[frame_id]
                 frame.decode_ts = t1
-                self.log.add(t1, "frame_done", fr.cfg.flow_id, frame.nbytes,
-                             f"frame={frame.frame_id};"
-                             f"delay={frame.delay_ms!r}")
+                if self.log is not None:
+                    self.log.add(t1, "frame_done", fr.cfg.flow_id,
+                                 frame.nbytes, f"frame={frame.frame_id};"
+                                 f"delay={frame.delay_ms!r}")
                 fr.receiver.on_frame_complete(t1)
         fr.receiver.maybe_timeout_ack(t1)
-        self.log.add(t1, "deliver", fr.cfg.flow_id, block.payload_bytes,
-                     f"segs={len(block.segments)}")
+        if self._log_full:
+            self.log.add(t1, "deliver", fr.cfg.flow_id, block.payload_bytes,
+                         f"segs={len(block.segments)}")

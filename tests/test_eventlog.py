@@ -1,12 +1,20 @@
-"""The event log streamed to disk during a run, and read back by report."""
+"""The event log written to its sink during a run, and read back by
+report; a run without a sink formats no line."""
+import dataclasses
+import io
 import re
+from collections import Counter
 
 import pytest
 
-from ransim import SimWorld, compute_metrics, harness
+from conftest import events
+
+import ransim.world
+from ransim import (FlowPredictor, SimWorld, VideoFrame, compute_metrics,
+                    harness, mean_alloc_bw)
 from ransim.eventlog import CHUNK_LINES, FRAME_EVENTS, HEADER, EventLog
 from ransim.harness import (ScenarioError, build_world, report_run_dir,
-                            run_scenario, scenario_from_dict)
+                            run_scenario, scenario_from_dict, sweep_scenario)
 
 # full logging, heavy loss with HARQ failures that exhaust the one
 # retransmission, and a flow that leaves at 1 s
@@ -59,13 +67,13 @@ def _assert_same_metrics(got, expected):
 
 class TestStreamedLog:
     def test_equals_in_memory_write(self, tmp_path):
+        # the file run_scenario writes holds what an io.StringIO sink holds
         scn = scenario_from_dict(MIXED_FULL)
         run_scenario(scn, tmp_path / "run")
-        in_memory = build_world(scn)
-        in_memory.run(scn.duration_s)
-        in_memory.log.write(tmp_path / "memory.log")
+        sink = io.StringIO()
+        build_world(scn, log_sink=sink).run(scn.duration_s)
         streamed = (tmp_path / "run" / "events.log").read_bytes()
-        assert streamed == (tmp_path / "memory.log").read_bytes()
+        assert streamed == sink.getvalue().encode()
         # the scenario reaches the cases it is meant to cover
         assert b",harq_fail,3," in streamed
         assert b",rlc_requeue,3," in streamed
@@ -89,7 +97,7 @@ class TestStreamedLog:
 
         monkeypatch.setattr(SimWorld, "run", run_then_look)
         run_scenario(scenario_from_dict(MIXED_FULL), tmp_path)
-        # as soon as the run returns, still inside the stream
+        # as soon as the run returns, with events.log still open
         assert held == [(0, [])]
         assert len(built[0].log.records) == 0
 
@@ -106,15 +114,14 @@ class TestStreamedLog:
         monkeypatch.setattr(SimWorld, "step", failing_step)
         with pytest.raises(RuntimeError, match="fault injected"):
             run_scenario(scn, tmp_path / "run")
-        in_memory = build_world(scn)
+        sink = io.StringIO()
         with pytest.raises(RuntimeError, match="fault injected"):
-            in_memory.run(scn.duration_s)
-        in_memory.log.write(tmp_path / "memory.log")
+            build_world(scn, log_sink=sink).run(scn.duration_s)
         partial = (tmp_path / "run" / "events.log").read_text()
         # every line logged before the fault; it falls inside a chunk (one
         # header line plus whole chunks would leave 1), so the tail comes
-        # from the flush on the way out
-        assert partial == (tmp_path / "memory.log").read_text()
+        # from the write on the way out
+        assert partial == sink.getvalue()
         assert partial.count("\n") % CHUNK_LINES != 1
         assert partial.count("\n") > 3 * CHUNK_LINES
         assert ",run_info," not in partial
@@ -123,25 +130,87 @@ class TestStreamedLog:
             report_run_dir(tmp_path / "run")
 
 
-class TestInMemoryLog:
-    def test_records_parse_the_held_lines(self):
-        log = EventLog()
+class TestEventLog:
+    def test_lines_held_until_written(self):
+        sink = io.StringIO()
+        log = EventLog(sink)
         log.add(0.1 + 0.2, "tx_block", 2, 1200, "prbs=4;mcs=a,b")
         log.add(1.5, "frame_done", 0, 900, "frame=7")
-        records = log.records
-        assert len(records) == 2
-        assert records[0].time_ms == 0.1 + 0.2
-        assert records[0].detail == "prbs=4;mcs=a,b"
-        assert records[-1] == (1.5, "frame_done", 0, 900, "frame=7")
-        assert [r.event for r in records[1:]] == ["frame_done"]
-        log.add(2.0, "run_info", -1, 0, "duration_ms=2.0;seed=0")
-        assert len(records) == 3  # a live view
+        lines = ["0.30000000000000004,tx_block,2,1200,prbs=4;mcs=a,b\n",
+                 "1.5,frame_done,0,900,frame=7\n"]
+        assert sink.getvalue() == HEADER
+        assert log.records == lines
+        log.write()
+        assert log.records == []
+        assert sink.getvalue() == HEADER + "".join(lines)
 
     def test_frames_level_keeps_frame_events(self):
-        log = EventLog("frames")
-        for event in ("tx_block", *sorted(FRAME_EVENTS)):
-            log.add(1.0, event, 0, 0)
-        assert {r.event for r in log.records} == FRAME_EVENTS
+        logged = {}
+        for level in ("frames", "full"):
+            scn = scenario_from_dict(dict(MIXED_FULL, log_level=level,
+                                          duration_s=0.5))
+            world = build_world(scn, log_sink=io.StringIO())
+            world.run(scn.duration_s)
+            logged[level] = Counter(r.event for r in events(world))
+        assert set(logged["frames"]) == FRAME_EVENTS
+        assert set(logged["full"]) > FRAME_EVENTS
+        for event in FRAME_EVENTS:
+            assert logged["frames"][event] == logged["full"][event]
+
+
+class _Formatted(float):
+    """A float that counts, under its label, each time it is formatted with
+    repr, as every float field of a log line is."""
+
+    def __new__(cls, value, label, counts):
+        obj = super().__new__(cls, value)
+        obj.label, obj.counts = label, counts
+        return obj
+
+    def __repr__(self):
+        self.counts[self.label] += 1
+        return float.__repr__(self)
+
+
+class TestWithoutSink:
+    def test_run_and_sweep_format_no_line(self, tmp_path, monkeypatch):
+        # EventLog.add is never called, and no line is built: the frame
+        # fields, the prediction and the scone capacity the lines carry
+        # become _Formatted floats, and none is formatted
+        adds, formatted = [], Counter()
+        monkeypatch.setattr(EventLog, "add",
+                            lambda log, *args: adds.append(args))
+        for field in ("target_bps", "actual_bps", "delay_ms"):
+            raw = VideoFrame.__dict__[field]
+
+            def read(frame, _raw=raw, _field=field):
+                value = _raw.__get__(frame)
+                return (value if value is None
+                        else _Formatted(value, _field, formatted))
+            monkeypatch.setattr(VideoFrame, field, property(
+                read, getattr(raw, "__set__", None)))
+        compute = FlowPredictor.compute
+
+        def predict(predictor, now, samples):
+            pred = compute(predictor, now, samples)
+            return dataclasses.replace(pred, **{
+                f: _Formatted(getattr(pred, f), f, formatted)
+                for f in ("fi", "mean_bw", "pred_q", "guidance")})
+        monkeypatch.setattr(FlowPredictor, "compute", predict)
+        monkeypatch.setattr(ransim.world, "mean_alloc_bw", lambda *args:
+                            _Formatted(mean_alloc_bw(*args), "capacity",
+                                       formatted))
+        scn = scenario_from_dict(MIXED_FULL)
+        metrics = run_scenario(scn)
+        sweep_scenario(scn, "wired_nd_ms", [1.0, 5.0])
+        assert adds == [] and formatted == Counter()
+        assert metrics.flow(0).frames > 0
+        # the spies see the lines of a run that keeps its log
+        run_scenario(scn, tmp_path)
+        assert len(adds) > CHUNK_LINES
+        assert set(formatted) == {"target_bps", "actual_bps", "delay_ms",
+                                  "fi", "mean_bw", "pred_q", "guidance",
+                                  "capacity"}
 
 
 class TestReport:

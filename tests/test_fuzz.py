@@ -9,6 +9,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import log_text, logged_world
 from reference import ReferenceWorld
 
 from ransim import SimWorld
@@ -105,12 +106,13 @@ _SCENARIO = st.fixed_dictionaries({
 
 def _run(cfg, out: Path, world_cls=_CheckedWorld) -> dict[str, bytes]:
     scn = scenario_from_dict(cfg)
-    world = world_cls(scn.ran, seed=scn.seed, log_level=scn.log_level)
+    world = logged_world(scn.ran, seed=scn.seed, log_level=scn.log_level,
+                         world_cls=world_cls)
     for flow in scn.flows:
         world.add_flow(flow)
     world.run(scn.duration_s)
     out.mkdir()
-    world.log.write(out / "events.log")
+    (out / "events.log").write_text(log_text(world))
     write_frames_csv(out / "frames.csv", world)
     write_metrics_csv(out / "metrics.csv", compute_metrics(
         world.frames_by_flow(), world.duration_ms, WARMUP_MS))

@@ -277,6 +277,16 @@ class TestCli:
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert "ran: tdd_pattern must be a string" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["100,nan", "0,inf"])
+    def test_non_finite_trace_value_exit_code(self, tmp_path, capsys, row):
+        # rejected at load time, not as a runtime error half way through
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"tti_index,bytes_per_prb\n{row}\n")
+        p = write_scenario(tmp_path, base_config(trace_path=str(trace)))
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        assert f"{trace}:2: bytes_per_prb must be finite" in \
+            capsys.readouterr().err
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == EXIT_CONFIG
 

@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import log_text, logged_world
+
 from ransim.metrics import (compute_metrics, frame_delay, jain_index,
                             metrics_from_event_records,
                             nearest_rank_percentile)
@@ -111,18 +113,18 @@ class TestComputeMetrics:
 
 class TestEventLogRecompute:
     def test_bit_identical_from_parsed_log(self, tmp_path):
-        from ransim import FlowConfig, RanConfig, SimWorld, constant_trace
+        from ransim import FlowConfig, RanConfig, constant_trace
         from ransim.eventlog import parse_event_log
 
         ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.05,
                         schedule=constant_trace(30.0))
-        w = SimWorld(ran, seed=4, log_level="frames")
+        w = logged_world(ran, seed=4, log_level="frames")
         w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=5.0))
         w.run(4.0)
         direct = compute_metrics(w.frames_by_flow(), w.duration_ms)
 
         path = tmp_path / "events.log"
-        w.log.write(path)
+        path.write_text(log_text(w))
         recomputed = metrics_from_event_records(parse_event_log(path))
 
         assert recomputed.duration_ms == direct.duration_ms
@@ -136,17 +138,17 @@ class TestEventLogRecompute:
         assert recomputed.jain == direct.jain
 
     def test_one_pass_equals_list(self, tmp_path):
-        from ransim import FlowConfig, RanConfig, SimWorld, constant_trace
+        from ransim import FlowConfig, RanConfig, constant_trace
         from ransim.eventlog import parse_event_log
 
         ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.05,
                         schedule=constant_trace(30.0))
-        w = SimWorld(ran, seed=2, log_level="frames")
+        w = logged_world(ran, seed=2, log_level="frames")
         for fid, controller in enumerate(("choir", "scone", "oracle")):
             w.add_flow(FlowConfig(flow_id=fid, controller=controller))
         w.run(3.0)
         path = tmp_path / "events.log"
-        w.log.write(path)
+        path.write_text(log_text(w))
         records = parse_event_log(path)
         assert not isinstance(records, list)  # read once, as report does
         one_pass = metrics_from_event_records(records)

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FailFirst, add_idle_flow, inject_packet
+from conftest import (FailFirst, add_idle_flow, events, inject_packet,
+                      logged_world)
 
 from ransim import (FlowConfig, RanConfig, SimWorld, constant_trace,
                     sample_rlc_queue, schedule_prbs)
@@ -224,15 +225,14 @@ class TestHarqLatency:
         ran = RanConfig(prb_total=100, tti_ms=0.5, tdd_pattern="DDDSU",
                         harq_rtx_delay_ms=5.5, harq_max_rtx=3,
                         schedule=constant_trace(30.0))
-        w = SimWorld(ran, seed=0, log_level="full")
+        w = logged_world(ran)
         w.rng = FailFirst(4)
         add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
                                     wired_nd_ms=0.0))
         frame = inject_packet(w, 0, 50.0, 200)
         w.run(0.2)
         assert frame.decode_ts is not None
-        events = [r.event for r in w.log.records]
-        assert "rlc_requeue" in events
+        assert "rlc_requeue" in [r.event for r in events(w)]
         delta = frame.decode_ts - 50.5
         assert delta > 3 * 5.5  # worse than pure HARQ: queue re-entry cost
 
@@ -257,11 +257,11 @@ class TestDeterminism:
         def run():
             ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.1,
                             schedule=constant_trace(30.0))
-            w = SimWorld(ran, seed=42, log_level="full")
+            w = logged_world(ran, seed=42)
             w.add_flow(FlowConfig(flow_id=0, controller="choir",
                                   wired_nd_ms=10.0))
             w.run(1.5)
-            return list(w.log.records)
+            return events(w)
 
         assert run() == run()
 
@@ -269,11 +269,11 @@ class TestDeterminism:
         def run(seed):
             ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.3,
                             schedule=constant_trace(30.0))
-            w = SimWorld(ran, seed=seed, log_level="full")
+            w = logged_world(ran, seed=seed)
             w.add_flow(FlowConfig(flow_id=0, controller="choir",
                                   wired_nd_ms=10.0))
             w.run(1.5)
-            return list(w.log.records)
+            return events(w)
 
         assert run(1) != run(2)
 

@@ -50,6 +50,14 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match=":2"):
             load_trace(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", " NaN"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        p = self._write(tmp_path,
+                        f"tti_index,bytes_per_prb\n0,30\n100,{value}\n")
+        with pytest.raises(TraceError,
+                           match=f"{p}:3: bytes_per_prb must be finite"):
+            load_trace(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError, match="cannot open"):
             load_trace(tmp_path / "nope.csv")

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import inject_packet, make_world, run_metrics, saturate
+from conftest import (events, inject_packet, log_text, logged_world,
+                      make_world, run_metrics, saturate)
 from reference import ReferenceWorld
 
 import ransim.world
@@ -139,16 +140,16 @@ class TestAckCadence:
             w = make_world(bpp=30.0, wired_nd_ms=1.0, ack_per_frames=ack,
                            log_level="full")
             w.run(3.0)
-            counts[ack] = sum(1 for r in w.log.records
-                              if r.event == "ack_stamp")
+            counts[ack] = sum(1 for r in events(w) if r.event == "ack_stamp")
         assert counts[1] > counts[2] > counts[3]
 
     def test_feedback_rides_acks_only(self):
         # every feedback application pairs with a stamped ACK record
         w = make_world(bpp=30.0, wired_nd_ms=1.0, log_level="full")
         w.run(2.0)
-        stamps = [r for r in w.log.records if r.event == "ack_stamp"]
-        applies = [r for r in w.log.records if r.event == "feedback_apply"]
+        logged = events(w)
+        stamps = [r for r in logged if r.event == "ack_stamp"]
+        applies = [r for r in logged if r.event == "feedback_apply"]
         assert len(applies) <= len(stamps)
         assert len(applies) >= len(stamps) - 4  # tail still in flight
 
@@ -202,11 +203,13 @@ def _record_calls(world, method, part="predictor"):
     return calls
 
 
-def _mixed_world(world_cls=SimWorld, log_level="frames", **flow_kwargs):
-    """choir, scone and oracle flows plus a choir flow that leaves at 2 s."""
+def _mixed_world(world_cls=SimWorld, log_level=None, **flow_kwargs):
+    """choir, scone and oracle flows plus a choir flow that leaves at 2 s;
+    with a log_level, a logged_world."""
     ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.1,
                     schedule=square_trace(30.0, 6.0, 400, n_periods=20))
-    w = world_cls(ran, seed=4, log_level=log_level)
+    w = (world_cls(ran, seed=4) if log_level is None else
+         logged_world(ran, seed=4, log_level=log_level, world_cls=world_cls))
     for fid, controller in enumerate(("choir", "scone", "oracle", "choir")):
         w.add_flow(FlowConfig(flow_id=fid, controller=controller,
                               stop_s=2.0 if fid == 3 else None,
@@ -217,8 +220,8 @@ def _mixed_world(world_cls=SimWorld, log_level="frames", **flow_kwargs):
 def _write_outputs(world, out):
     """events.log (when kept), frames.csv and metrics.csv, as bytes."""
     out.mkdir()
-    if world.log.level == "full":
-        world.log.write(out / "events.log")
+    if world.log is not None:
+        (out / "events.log").write_text(log_text(world))
     write_frames_csv(out / "frames.csv", world)
     write_metrics_csv(out / "metrics.csv", compute_metrics(
         world.frames_by_flow(), world.duration_ms, 2000.0))
@@ -335,7 +338,7 @@ class TestInjectedPacketPath:
         assert queued[49.5] == ([], 0)
         assert queued[50.0] == ([(frame.frame_id, 500)], 500)
         assert fr.predictor.pattern.last_pkt_ts == 10.0
-        enq, = [r for r in w.log.records if r.event == "enqueue"]
+        enq, = [r for r in events(w) if r.event == "enqueue"]
         assert (enq.time_ms, enq.nbytes) == (10.0, 500)
         assert frame.decode_ts == 50.5
 
@@ -450,7 +453,7 @@ class TestTxBlockPrbs:
                            log_level="full")
             inject_packet(w, 0, 50.0, payload)
             w.run(0.1)
-            tx, = [r for r in w.log.records if r.event == "tx_block"]
+            tx, = [r for r in events(w) if r.event == "tx_block"]
             prbs[tx.nbytes] = tx.detail.split(";")[1]
         assert prbs == {30: "prbs=1", 31: "prbs=2"}
 
@@ -464,7 +467,7 @@ class TestDeliverBlock:
               [(2, 300), (2, 500)])
 
     def _deliver(self, ack_per_frames, deliver):
-        w = make_world(wired_nd_ms=0.0, idle=True,
+        w = make_world(wired_nd_ms=0.0, idle=True, log_level="frames",
                        ack_per_frames=ack_per_frames)
         fr = w.flows[0]
         frame_ids = [inject_packet(w, 0, 0.0, n).frame_id for n in self.SIZES]
@@ -477,7 +480,7 @@ class TestDeliverBlock:
             block = TransportBlock(payload + overhead, overhead,
                                    [(frame_ids[f], n) for f, n in segs])
             deliver(w, fr, block, 10.0 * (k + 1))
-            yield fr, list(w.log.records), credits
+            yield fr, events(w), credits
 
     @pytest.mark.parametrize("ack_per_frames", [1, 2])
     def test_runs_credit_like_segments(self, ack_per_frames):
