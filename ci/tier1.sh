@@ -12,7 +12,7 @@ set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
 CHECKS=(tests eventlog-closed accept-lines round-trip hash-seed sweep-bad-value
-        no-out-memory bench-smoke bench-outputs)
+        no-out-memory churn-memory bench-smoke bench-outputs)
 
 install() {
   python -m pip install --upgrade pip setuptools
@@ -63,21 +63,43 @@ sweep-bad-value() {
   test "$rc" -eq 2
 }
 
-no-out-memory() {
-  # a run without --out keeps no event log, so it peaks no more than 10%
-  # above the same run with --out; each run is the only child of a fresh
+peak() {
+  # peak RSS in KiB of `ransim run "$@"`, run as the only child of a fresh
   # process, whose RUSAGE_CHILDREN peak is then that run's own
-  peak() {
-    PYTHONPATH=src python -c '
+  PYTHONPATH=src python -c '
 import resource, subprocess, sys
 subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-' python -m ransim.cli run scenarios/multi_flow_fairness.json "$@"
-  }
-  with_out=$(peak --out "$RUNNER_TEMP/mem")
-  without=$(peak)
+' python -m ransim.cli run "$@"
+}
+
+no-out-memory() {
+  # a run without --out keeps no event log, so it peaks no more than 10%
+  # above the same run with --out
+  with_out=$(peak scenarios/multi_flow_fairness.json --out "$RUNNER_TEMP/mem")
+  without=$(peak scenarios/multi_flow_fairness.json)
   echo "peak RSS: ${with_out} KiB with --out, ${without} KiB without"
   test $((without * 10)) -le $((with_out * 11))
+}
+
+churn-memory() {
+  # a retired flow frees its base-station state, so 64 choir flows staying
+  # 1 s each peak no more than 10% above 8 staying 8 s: both run 8 flows at
+  # a time for 64 flow-seconds
+  for stay in 1 8; do
+    python -c '
+import json, sys
+stay = float(sys.argv[1])
+flows = [{"start_s": i // 8 * stay, "stop_s": (i // 8 + 1) * stay}
+         for i in range(int(64 / stay))]
+ran = {"trace": {"kind": "constant", "bytes_per_prb": 30.0}}
+print(json.dumps({"duration_s": 8.0, "seed": 1, "ran": ran, "flows": flows}))
+' "$stay" > "$RUNNER_TEMP/stay$stay.json"
+  done
+  long=$(peak "$RUNNER_TEMP/stay8.json")
+  short=$(peak "$RUNNER_TEMP/stay1.json")
+  echo "peak RSS: ${long} KiB for 8 flows staying 8 s, ${short} KiB for 64 staying 1 s"
+  test $((short * 10)) -le $((long * 11))
 }
 
 bench-smoke() {

@@ -13,6 +13,7 @@ GAMMA_DEFAULT = 0.97  # payload fraction assumed before any block is observed
 
 LONG_WINDOW_MS = 100.0   # duty-cycle statistics horizon
 SHORT_WINDOW_MS = 10.0   # retransmission and payload-fraction horizon
+BW_RING_LEN = 2048       # per-TTI estimates a reader can see
 
 
 class CellWindows:
@@ -103,7 +104,8 @@ class FlowEstimator:
         self._gamma_sum = 0.0
         self._bpp_held = 0.0
         self._retx_held = 0.0
-        self.bw_ring: list[float] = []  # one compute result per TTI
+        # one compute result per TTI, the last BW_RING_LEN of them
+        self.bw_ring: deque[float] = deque(maxlen=BW_RING_LEN)
 
     def note_grant(self, uprb: int) -> None:
         """Record this flow's granted-and-used PRBs for one downlink TTI."""
@@ -172,6 +174,4 @@ class FlowEstimator:
                   * (self._gamma_sum / len(blocks) if blocks
                      else GAMMA_DEFAULT) / (1.0 + self._retx_held))
         self.bw_ring.append(bw)
-        if len(self.bw_ring) > 4096:
-            del self.bw_ring[:2048]
         return bw

@@ -171,7 +171,8 @@ class FlowPredictor:
     """Per-flow prediction state machine driven by the TTI loop; it reads
     bw_ring, which the flow's ``FlowEstimator`` fills once per TTI."""
 
-    def __init__(self, tti_ms: float, wired_nd: float, bw_ring: list[float]):
+    def __init__(self, tti_ms: float, wired_nd: float,
+                 bw_ring: deque[float]):
         self.tti_ms = tti_ms
         self.wired_nd = wired_nd
         self.pattern = FramePatternState()

@@ -106,28 +106,27 @@ def load_trace(path) -> CapacitySchedule:
         if [h.strip() for h in header] != ["tti_index", "bytes_per_prb"]:
             raise TraceError(
                 f"{path}:1: header must be 'tti_index,bytes_per_prb'")
-        for lineno, row in enumerate(reader, start=2):
+        last = -1
+        for row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            where = f"{path}:{reader.line_num}"
             if len(row) != 2:
-                raise TraceError(f"{path}:{lineno}: expected 2 columns")
+                raise TraceError(f"{where}: expected 2 columns")
             try:
                 tti = int(row[0])
                 bpp = float(row[1])
             except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: {exc}") from exc
+                raise TraceError(f"{where}: {exc}") from exc
             if not math.isfinite(bpp):
-                raise TraceError(f"{path}:{lineno}: bytes_per_prb must be "
+                raise TraceError(f"{where}: bytes_per_prb must be "
                                  f"finite, got {row[1].strip()!r}")
+            if tti <= last:
+                raise TraceError(f"{where}: tti_index {tti} out of order")
+            last = tti
             rows.append((tti, bpp))
     if not rows:
         raise TraceError(f"{path}: trace has no data rows")
-    last = -1
-    for lineno_offset, (tti, _) in enumerate(rows):
-        if tti <= last:
-            raise TraceError(
-                f"{path}:{lineno_offset + 2}: tti_index {tti} out of order")
-        last = tti
     if rows[0][0] != 0:
         rows.insert(0, (0, rows[0][1]))
     try:

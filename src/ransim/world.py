@@ -125,9 +125,11 @@ class FlowRuntime:
         self.cfg = cfg
         self.sender = sender
         self.queue = queue
-        self.estimator = estimator
-        self.predictor = predictor
-        self.receiver = ReceiverState(cfg.ack_per_frames)
+        # estimator, predictor and receiver are None once the flow retires
+        self.estimator: FlowEstimator | None = estimator
+        self.predictor: FlowPredictor | None = predictor
+        self.receiver: ReceiverState | None = ReceiverState(
+            cfg.ack_per_frames)
         self.frames: list[VideoFrame] = []  # indexed by frame_id
         self.start_ms = cfg.start_s * 1000.0
         self.stop_ms = math.inf if cfg.stop_s is None else cfg.stop_s * 1000.0
@@ -166,6 +168,10 @@ def _make_sender(cfg: FlowConfig) -> BaseSender:
 CONTROLLERS = ("choir", "scone", "oracle")
 
 
+def _flow_id(fr: FlowRuntime) -> int:
+    return fr.cfg.flow_id
+
+
 def _send(lane: deque, packets: list[tuple[float, int, int, int]]) -> None:
     """Put packets in rising (ts, pkt_id) order on a lane kept in that order.
     Only a frame paced past the next frame's first packet takes insort."""
@@ -196,6 +202,7 @@ class SimWorld:
         self.tti_index = 0
         self.flows: dict[int, FlowRuntime] = {}
         self._flow_order: list[FlowRuntime] = []
+        self._waiting: list[FlowRuntime] = []  # not yet started
         self._live: list[FlowRuntime] = []  # the flows a step visits
         self._next_change = math.inf  # next start, or earliest live stop
         self.cell = CellWindows(ran.tti_ms)
@@ -220,6 +227,8 @@ class SimWorld:
     def add_flow(self, cfg: FlowConfig) -> FlowRuntime:
         if cfg.flow_id in self.flows:
             raise ValueError(f"duplicate flow_id {cfg.flow_id}")
+        if cfg.stop_s is not None and cfg.stop_s * 1000.0 <= self.now_ms:
+            raise ValueError(f"flow {cfg.flow_id} stops before now")
         sender = _make_sender(cfg)
         queue = FlowQueueState()
         estimator = FlowEstimator(self.ran.prb_total, self.ran.tti_ms)
@@ -228,6 +237,8 @@ class SimWorld:
         fr = FlowRuntime(cfg, sender, queue, estimator, predictor)
         self.flows[cfg.flow_id] = fr
         self._flow_order = [self.flows[k] for k in sorted(self.flows)]
+        self._waiting.append(fr)
+        self._waiting.sort(key=_flow_id)
         self._update_live(self.now_ms)
         self._push_sender_event(fr.start_ms, "tick", cfg.flow_id, None)
         return fr
@@ -236,15 +247,36 @@ class SimWorld:
         """Live flows, in flow-id order: started by now, and not retired. A
         flow retires once it has stopped and holds nothing in the system: no
         queued or HARQ bytes, an empty wire lane to the base station and no
-        pending ACK."""
-        self._live = live = [
-            fr for fr in self._flow_order if fr.start_ms <= now and (
-                now < fr.stop_ms or fr.queue.queued_bytes or fr.lane
-                or fr.queue.harq_flight_payload or fr.receiver.pending_acks)]
+        pending ACK. Only the waiting and the live flows are visited, so a
+        retired flow is never read again here."""
+        waiting, visit = self._waiting, self._live
+        started = [fr for fr in waiting if fr.start_ms <= now]
+        if started:
+            visit = sorted(visit + started, key=_flow_id)
+            self._waiting = waiting = [fr for fr in waiting
+                                       if fr.start_ms > now]
+        self._live = live = []
+        for fr in visit:
+            if (now < fr.stop_ms or fr.queue.queued_bytes or fr.lane
+                    or fr.queue.harq_flight_payload
+                    or fr.receiver.pending_acks):
+                live.append(fr)
+            else:
+                self._retire(fr)
         self._next_change = min(
-            [fr.stop_ms for fr in live]
-            + [fr.start_ms for fr in self._flow_order if fr.start_ms > now],
+            [fr.stop_ms for fr in live] + [fr.start_ms for fr in waiting],
             default=math.inf)
+
+    def _retire(self, fr: FlowRuntime) -> None:
+        """Free what only a live flow reads: the estimator with its
+        bandwidth ring, the predictor with its feedback history and the
+        receiver. The queue's containers and the wire lane, all empty,
+        become the shared empty tuple, as an emptied deque keeps its blocks;
+        a write to them fails. The sender stays, as feedback may still be on
+        its way, and so do the frames and the queue's counters, all zero."""
+        fr.estimator = fr.predictor = fr.receiver = None
+        q = fr.queue
+        q.segments = q.harq_pending = q.samples = fr.lane = ()
 
     def _push_sender_event(self, ts: float, kind: str, flow_id: int,
                            payload) -> None:

@@ -43,7 +43,7 @@ def add_idle_flow(world, cfg):
 def inject_packet(world, flow_id, ts, nbytes):
     """Put one packet, modeled as its own frame, on the flow's wire lane,
     arriving at the base station at ts; bypasses the sender. A flow that
-    has retired stays retired."""
+    has retired takes no packet: its lane is the empty tuple."""
     fr = world.flows[flow_id]
     frame = VideoFrame(frame_id=fr.sender.frame_seq, encode_ts=ts,
                        nbytes=nbytes, target_bps=0.0, actual_bps=0.0)

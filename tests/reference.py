@@ -127,6 +127,9 @@ class ReferenceWorld(SimWorld):
     def _n_present(self, now):
         return sum(fr.present(now) for fr in self._flow_order)
 
+    def _retire(self, fr):
+        pass  # every flow keeps all base-station state
+
     def step(self):
         t0 = self.now_ms
         t1 = t0 + self.ran.tti_ms

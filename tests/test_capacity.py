@@ -137,6 +137,19 @@ _TTI = st.tuples(
     st.none() | st.integers(0, 8))
 
 
+class TestBandwidthRing:
+    def test_holds_the_last_2048_estimates(self):
+        cell, est = CellWindows(0.5), FlowEstimator(100, 0.5)
+        got = []
+        for k in range(5000):
+            now = k * 0.5
+            got.append(est.compute(now, cell.terms(100, 1 + k % 3)))
+            est.note_block(now, 1000 + k, 50, 40, 1.0)
+            cell.close_tti(1.0, True, False, True, 40, 1)
+        assert len(set(got[-2048:])) > 1000
+        assert list(est.bw_ring) == got[-2048:]
+
+
 class TestTermsSnapshot:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([0.5, 1.0]), st.lists(_TTI, max_size=80))

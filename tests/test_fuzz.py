@@ -63,6 +63,11 @@ class _CheckedWorld(SimWorld):
             assert q.queued_bytes >= 0 and q.harq_flight_payload >= 0
             assert all(b.rtx_count <= self.ran.harq_max_rtx
                        for b in q.harq_pending)
+            if fr.cfg.flow_id in retired:
+                # a retired flow has freed what only a live flow reads
+                assert fr.estimator is fr.predictor is fr.receiver is None
+                assert not q.samples
+                continue
             est = fr.estimator
             if fr.estimates and est._blocks:
                 assert 0.0 < est._gamma_sum <= len(est._blocks)

@@ -30,6 +30,21 @@ class TestLoadTrace:
         with pytest.raises(TraceError, match=":4"):
             load_trace(p)
 
+    def test_out_of_order_reports_file_line(self, tmp_path):
+        # blank lines count: the bad row is the file's sixth line, though
+        # it is only the fourth data row
+        p = self._write(tmp_path, "tti_index,bytes_per_prb\n0,30\n\n\n"
+                                  "600,20\n400,10\n")
+        with pytest.raises(TraceError,
+                           match=f"^{p}:6: tti_index 400 out of order$"):
+            load_trace(p)
+
+    def test_out_of_order_reported_before_a_later_bad_row(self, tmp_path):
+        p = self._write(tmp_path, "tti_index,bytes_per_prb\n0,30\n0,20\n"
+                                  "9,abc\n")
+        with pytest.raises(TraceError, match=f"^{p}:3: tti_index 0 out"):
+            load_trace(p)
+
     def test_empty_file_rejected(self, tmp_path):
         p = self._write(tmp_path, "")
         with pytest.raises(TraceError, match="empty"):
