@@ -38,11 +38,14 @@ accept-lines() {
 
 round-trip() {
   # events.log is streamed during the run; report must rebuild the same
-  # metrics.csv from it
-  ransim run scenarios/single_flow.json --out "$RUNNER_TEMP/run"
-  cp "$RUNNER_TEMP/run/metrics.csv" "$RUNNER_TEMP/run-metrics.csv"
-  ransim report "$RUNNER_TEMP/run"
-  cmp "$RUNNER_TEMP/run-metrics.csv" "$RUNNER_TEMP/run/metrics.csv"
+  # metrics.csv from it, also for join_leave, whose leavers, HARQ failures,
+  # undelivered frames and all-nan flow exercise every row report writes
+  for scn in single_flow join_leave; do
+    ransim run "scenarios/$scn.json" --out "$RUNNER_TEMP/$scn"
+    cp "$RUNNER_TEMP/$scn/metrics.csv" "$RUNNER_TEMP/$scn-metrics.csv"
+    ransim report "$RUNNER_TEMP/$scn"
+    cmp "$RUNNER_TEMP/$scn-metrics.csv" "$RUNNER_TEMP/$scn/metrics.csv"
+  done
 }
 
 hash-seed() {

@@ -5,8 +5,8 @@ from .baselines import (OracleSender, SconeFeedback, SconeSender,
 from .codec import GuidanceFeedback, decode_rate, encode_rate
 from .harness import (Scenario, ScenarioError, load_scenario, run_scenario,
                       scenario_from_dict, sweep_scenario)
-from .metrics import (FlowMetrics, RunMetrics, compute_metrics, frame_delay,
-                      jain_index, nearest_rank_percentile)
+from .metrics import (FlowMetrics, RunMetrics, compute_metrics, jain_index,
+                      nearest_rank_percentile)
 from .predictor import (FlowPredictor, decision_horizon,
                         detect_frame_boundary, guidance_bw,
                         inflight_frame_count, mean_alloc_bw, min_rlc_queue,
@@ -28,7 +28,7 @@ __all__ = [
     "SconeFeedback", "SconeSender", "SenderState", "SimWorld", "TddPattern",
     "TraceError", "TransportBlock", "VideoFrame",
     "compute_metrics", "constant_trace", "decision_horizon", "decode_rate",
-    "detect_frame_boundary", "encode_rate", "frame_delay", "guidance_bw",
+    "detect_frame_boundary", "encode_rate", "guidance_bw",
     "inflight_frame_count", "jain_index", "load_scenario", "load_trace",
     "mean_alloc_bw", "min_rlc_queue", "nearest_rank_percentile",
     "pacing_rate", "predict_queue", "random_walk_trace", "run_scenario",

@@ -281,14 +281,14 @@ def write_metrics_csv(path, metrics: RunMetrics) -> None:
 
 
 def write_frames_csv(path, world: SimWorld) -> None:
+    """One row per encoded frame; a frame not decoded by the end of the
+    run, its decode time NaN, leaves decode_ms and delay_ms empty."""
     with open(path, "w") as fh:
         fh.write("flow_id,frame_id,encode_ms,decode_ms,delay_ms,frame_bytes\n")
-        for fid, frames in sorted(world.frames_by_flow().items()):
-            for fr in frames:
-                decode = "" if fr.decode_ts is None else f"{fr.decode_ts:.6f}"
-                delay = "" if fr.delay_ms is None else f"{fr.delay_ms:.6f}"
-                fh.write(f"{fid},{fr.frame_id},{fr.encode_ts:.6f},"
-                         f"{decode},{delay},{fr.nbytes}\n")
+        for fid, (encode, decode, sizes) in world.frames_by_flow().items():
+            for k, (enc, dec, nbytes) in enumerate(zip(encode, decode, sizes)):
+                done = "," if math.isnan(dec) else f"{dec:.6f},{dec - enc:.6f}"
+                fh.write(f"{fid},{k},{enc:.6f},{done},{nbytes}\n")
 
 
 SWEEPABLE = {"wired_nd_ms", "ack_per_frames", "epsilon"}

@@ -2,20 +2,17 @@
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .eventlog import EventRecord
-from .sender import VideoFrame
 
 WARMUP_EXCLUDE_MS = 2000.0
 
-
-def frame_delay(frame: VideoFrame) -> float:
-    """Encode-to-decode latency in ms; the frame must be fully delivered."""
-    if frame.decode_ts is None:
-        raise ValueError(f"frame {frame.frame_id} was never delivered")
-    return frame.decode_ts - frame.encode_ts
+# one flow's frames as three columns indexed by frame id: encode ms, decode
+# ms (NaN until the frame's last byte is delivered) and bytes
+FrameColumns = tuple[array, array, array]
 
 
 def nearest_rank_percentile(values, pct: float) -> float:
@@ -66,28 +63,29 @@ class RunMetrics:
         return self.flows[flow_id]
 
 
-def compute_metrics(frames_by_flow: dict[int, list[VideoFrame]],
+def compute_metrics(frames_by_flow: dict[int, FrameColumns],
                     duration_ms: float,
                     warmup_ms: float = WARMUP_EXCLUDE_MS) -> RunMetrics:
-    """Aggregate per-flow frame records into run metrics.
+    """Aggregate per-flow frame columns into run metrics.
 
     Frames encoded during the warm-up window are excluded; frames never
     delivered by run end are excluded from delays and counted separately.
     """
     flows: dict[int, FlowMetrics] = {}
     span_ms = max(duration_ms - warmup_ms, 1e-9)
-    for flow_id, frames in sorted(frames_by_flow.items()):
+    isnan = math.isnan
+    for flow_id, (encode, decode, sizes) in sorted(frames_by_flow.items()):
         delays: list[float] = []
         bits = 0.0
         undelivered = 0
-        for fr in frames:
-            if fr.encode_ts < warmup_ms:
+        for enc, dec, nbytes in zip(encode, decode, sizes):
+            if enc < warmup_ms:
                 continue
-            if fr.decode_ts is None:
+            if isnan(dec):
                 undelivered += 1
                 continue
-            delays.append(frame_delay(fr))
-            bits += fr.nbytes * 8.0
+            delays.append(dec - enc)
+            bits += nbytes * 8.0
         if delays:
             avg = sum(delays) / len(delays)
             p95 = nearest_rank_percentile(delays, 95.0)
@@ -111,30 +109,37 @@ def metrics_from_event_records(records: Iterable[EventRecord],
     """Recompute RunMetrics purely from a persisted event log, reading the
     records once, so a generator such as parse_event_log works.
 
-    Raises ValueError when no run_info record gives the run's duration, as
-    in the partial log of a run that failed.
+    A flow's frame_encode records fill its frame columns in frame-id order,
+    as the world logs them; a frame_done without its frame_encode is
+    ignored. Raises ValueError for a frame encoded out of order, and when
+    no run_info record gives the run's duration, as in the partial log of a
+    run that failed.
     """
-    frames: dict[tuple[int, int], VideoFrame] = {}
+    by_flow: dict[int, FrameColumns] = {}
     duration_ms = None
     for rec in records:
         if rec.event == "frame_encode":
+            cols = by_flow.get(rec.flow_id)
+            if cols is None:
+                cols = by_flow[rec.flow_id] = (array("d"), array("d"),
+                                               array("q"))
+            encode, decode, sizes = cols
             fid = int(_detail_field(rec.detail, "frame"))
-            frames[(rec.flow_id, fid)] = VideoFrame(
-                frame_id=fid, encode_ts=rec.time_ms, nbytes=rec.nbytes,
-                target_bps=float(_detail_field(rec.detail, "target")),
-                actual_bps=float(_detail_field(rec.detail, "actual")))
+            if fid != len(encode):
+                raise ValueError(f"flow {rec.flow_id}: frame {fid} encoded "
+                                 f"as its frame {len(encode)}")
+            encode.append(rec.time_ms)
+            decode.append(math.nan)
+            sizes.append(rec.nbytes)
         elif rec.event == "frame_done":
             fid = int(_detail_field(rec.detail, "frame"))
-            key = (rec.flow_id, fid)
-            if key in frames:
-                frames[key].decode_ts = rec.time_ms
+            cols = by_flow.get(rec.flow_id)
+            if cols is not None and 0 <= fid < len(cols[1]):
+                cols[1][fid] = rec.time_ms
         elif rec.event == "run_info":
             duration_ms = float(_detail_field(rec.detail, "duration_ms"))
     if duration_ms is None:
         raise ValueError("no run_info record: the run did not finish")
-    by_flow: dict[int, list[VideoFrame]] = {}
-    for (flow_id, _), frame in sorted(frames.items()):
-        by_flow.setdefault(flow_id, []).append(frame)
     return compute_metrics(by_flow, duration_ms, warmup_ms)
 
 

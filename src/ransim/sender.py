@@ -51,20 +51,14 @@ def pacing_rate(recv_rate_max_bps: float, br_bps: float,
 
 @dataclass(slots=True)
 class VideoFrame:
-    """One encoded frame; decode_ts is set when its last byte is delivered."""
+    """One encoded frame as encode_frame returns it; the world keeps only
+    its encode time and size, in the flow's frame columns."""
 
     frame_id: int
     encode_ts: float
     nbytes: int
     target_bps: float
     actual_bps: float
-    decode_ts: float | None = None
-
-    @property
-    def delay_ms(self) -> float | None:
-        if self.decode_ts is None:
-            return None
-        return self.decode_ts - self.encode_ts
 
 
 class ReceiveRateWindow:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -117,20 +118,25 @@ class ReceiverState:
 
 
 class FlowRuntime:
-    """Everything the world tracks for one flow."""
+    """Everything the world tracks for one flow. The parts a running flow
+    reads, from the sender to the queue, are None until SimWorld._start
+    builds them, and all but the queue are None again once it retires."""
 
-    def __init__(self, cfg: FlowConfig, sender: BaseSender,
-                 queue: FlowQueueState, estimator: FlowEstimator,
-                 predictor: FlowPredictor):
+    def __init__(self, cfg: FlowConfig):
         self.cfg = cfg
-        self.sender = sender
-        self.queue = queue
-        # estimator, predictor and receiver are None once the flow retires
-        self.estimator: FlowEstimator | None = estimator
-        self.predictor: FlowPredictor | None = predictor
-        self.receiver: ReceiverState | None = ReceiverState(
-            cfg.ack_per_frames)
-        self.frames: list[VideoFrame] = []  # indexed by frame_id
+        self.sender: BaseSender | None = None
+        self.queue: FlowQueueState | None = None
+        self.estimator: FlowEstimator | None = None
+        self.predictor: FlowPredictor | None = None
+        self.receiver: ReceiverState | None = None
+        # packets on the wire, sorted: (ts, pkt_id, frame_id, nbytes); the
+        # shared empty tuple before the flow starts and once it retires
+        self.lane: deque[tuple[float, int, int, int]] | tuple = ()
+        # the flow's frames, indexed by frame_id: encode and decode times,
+        # decode NaN until the frame's last byte is delivered, and sizes
+        self.encode_ms = array("d")
+        self.decode_ms = array("d")
+        self.frame_bytes = array("q")
         self.start_ms = cfg.start_s * 1000.0
         self.stop_ms = math.inf if cfg.stop_s is None else cfg.stop_s * 1000.0
         # base-station upkeep only where a stamp reads it: choir predicts
@@ -138,11 +144,17 @@ class FlowRuntime:
         self.predicts = cfg.controller == "choir"
         self.estimates = cfg.controller != "oracle"
         self.tick_count = 0
-        # packets on the wire, sorted: (ts, pkt_id, frame_id, nbytes)
-        self.lane: deque[tuple[float, int, int, int]] = deque()
         self.attempt_counter = 0
         self.injected_payload = 0
         self.delivered_payload = 0
+
+    def add_frame(self, frame: VideoFrame) -> None:
+        """Store a frame just encoded, whose frame_id is its index, and
+        expect its bytes at the receiver."""
+        self.encode_ms.append(frame.encode_ts)
+        self.decode_ms.append(math.nan)
+        self.frame_bytes.append(frame.nbytes)
+        self.receiver.register(frame)
 
     def present(self, now: float) -> bool:
         """Started, and not yet stopped or still holding queued/HARQ bytes."""
@@ -153,19 +165,9 @@ class FlowRuntime:
                 or q.harq_flight_payload > 0)
 
 
-def _make_sender(cfg: FlowConfig) -> BaseSender:
-    kwargs = dict(epsilon=cfg.epsilon, encoder_mode=cfg.encoder_mode,
-                  initial_bps=cfg.initial_bitrate_bps)
-    if cfg.controller == "choir":
-        return ChoirSender(**kwargs)
-    if cfg.controller == "scone":
-        return SconeSender(**kwargs)
-    if cfg.controller == "oracle":
-        return OracleSender(**kwargs)
-    raise ValueError(f"unknown controller {cfg.controller!r}")
-
-
-CONTROLLERS = ("choir", "scone", "oracle")
+_SENDERS = {"choir": ChoirSender, "scone": SconeSender,
+            "oracle": OracleSender}
+CONTROLLERS = tuple(_SENDERS)
 
 
 def _flow_id(fr: FlowRuntime) -> int:
@@ -229,12 +231,11 @@ class SimWorld:
             raise ValueError(f"duplicate flow_id {cfg.flow_id}")
         if cfg.stop_s is not None and cfg.stop_s * 1000.0 <= self.now_ms:
             raise ValueError(f"flow {cfg.flow_id} stops before now")
-        sender = _make_sender(cfg)
-        queue = FlowQueueState()
-        estimator = FlowEstimator(self.ran.prb_total, self.ran.tti_ms)
-        predictor = FlowPredictor(self.ran.tti_ms, cfg.wired_nd_ms,
-                                  estimator.bw_ring)
-        fr = FlowRuntime(cfg, sender, queue, estimator, predictor)
+        if cfg.start_s * 1000.0 < self.now_ms:
+            raise ValueError(f"flow {cfg.flow_id} starts before now")
+        if cfg.controller not in _SENDERS:
+            raise ValueError(f"unknown controller {cfg.controller!r}")
+        fr = FlowRuntime(cfg)
         self.flows[cfg.flow_id] = fr
         self._flow_order = [self.flows[k] for k in sorted(self.flows)]
         self._waiting.append(fr)
@@ -252,6 +253,9 @@ class SimWorld:
         waiting, visit = self._waiting, self._live
         started = [fr for fr in waiting if fr.start_ms <= now]
         if started:
+            for fr in started:
+                if fr.queue is None:
+                    self._start(fr)
             visit = sorted(visit + started, key=_flow_id)
             self._waiting = waiting = [fr for fr in waiting
                                        if fr.start_ms > now]
@@ -267,14 +271,30 @@ class SimWorld:
             [fr.stop_ms for fr in live] + [fr.start_ms for fr in waiting],
             default=math.inf)
 
+    def _start(self, fr: FlowRuntime) -> None:
+        """Build the parts a running flow reads, so that a flow waiting for
+        its start holds none of them."""
+        cfg, ran = fr.cfg, self.ran
+        fr.sender = _SENDERS[cfg.controller](
+            epsilon=cfg.epsilon, encoder_mode=cfg.encoder_mode,
+            initial_bps=cfg.initial_bitrate_bps)
+        fr.queue = FlowQueueState()
+        fr.estimator = FlowEstimator(ran.prb_total, ran.tti_ms)
+        fr.predictor = FlowPredictor(ran.tti_ms, cfg.wired_nd_ms,
+                                     fr.estimator.bw_ring)
+        fr.receiver = ReceiverState(cfg.ack_per_frames)
+        fr.lane = deque()
+
     def _retire(self, fr: FlowRuntime) -> None:
         """Free what only a live flow reads: the estimator with its
-        bandwidth ring, the predictor with its feedback history and the
-        receiver. The queue's containers and the wire lane, all empty,
-        become the shared empty tuple, as an emptied deque keeps its blocks;
-        a write to them fails. The sender stays, as feedback may still be on
-        its way, and so do the frames and the queue's counters, all zero."""
-        fr.estimator = fr.predictor = fr.receiver = None
+        bandwidth ring, the predictor with its feedback history, the
+        receiver and the sender. The sender encodes no more frames, as the
+        flow's last tick came before its stop; feedback still on its way is
+        logged but applied to no sender. The queue's containers and the wire
+        lane, all empty, become the shared empty tuple, as an emptied deque
+        keeps its blocks; a write to them fails. The frame columns stay, and
+        so do the queue's counters, all zero."""
+        fr.estimator = fr.predictor = fr.receiver = fr.sender = None
         q = fr.queue
         q.segments = q.harq_pending = q.samples = fr.lane = ()
 
@@ -476,12 +496,12 @@ class SimWorld:
             if i < len(segments) and segments[i][0] == frame_id:
                 continue
             if fr.receiver.on_bytes(frame_id, run):
-                frame = fr.frames[frame_id]
-                frame.decode_ts = t1
+                fr.decode_ms[frame_id] = t1
                 if self.log is not None:
                     self.log.add(t1, "frame_done", fr.cfg.flow_id,
-                                 frame.nbytes, f"frame={frame.frame_id};"
-                                 f"delay={frame.delay_ms!r}")
+                                 fr.frame_bytes[frame_id],
+                                 f"frame={frame_id};"
+                                 f"delay={t1 - fr.encode_ms[frame_id]!r}")
                 fr.receiver.on_frame_complete(t1)
             run = 0
         fr.receiver.maybe_timeout_ack(t1)
@@ -550,11 +570,12 @@ class SimWorld:
     def _frame_tick(self, fr: FlowRuntime, ts: float) -> None:
         if ts >= fr.stop_ms:
             return
+        if fr.queue is None:  # a start inside a TTI ticks before it is live
+            self._start(fr)
         if isinstance(fr.sender, OracleSender):
             fr.sender.truth_bps = self.true_flow_rate(fr.cfg.flow_id) * 8000.0
         frame = fr.sender.encode_frame(ts)
-        fr.frames.append(frame)
-        fr.receiver.register(frame)
+        fr.add_frame(frame)
         if self.log is not None:
             self.log.add(ts, "frame_encode", fr.cfg.flow_id, frame.nbytes,
                          f"frame={frame.frame_id};"
@@ -572,11 +593,13 @@ class SimWorld:
 
     def _apply_feedback(self, fr: FlowRuntime, ts: float, payload) -> None:
         kind, wire, stamp_ts, acked_bytes = payload
-        fr.sender.on_ack_bytes(ts, acked_bytes)
-        if kind == "choir":
-            fr.sender.on_feedback(GuidanceFeedback.from_bytes(wire), stamp_ts)
-        elif kind == "scone":
-            fr.sender.on_feedback(decode_scone(wire), stamp_ts)
+        sender = fr.sender
+        if sender is not None:  # None once the flow has retired
+            sender.on_ack_bytes(ts, acked_bytes)
+            if kind == "choir":
+                sender.on_feedback(GuidanceFeedback.from_bytes(wire), stamp_ts)
+            elif kind == "scone":
+                sender.on_feedback(decode_scone(wire), stamp_ts)
         if self._log_full:
             self.log.add(ts, "feedback_apply", fr.cfg.flow_id, acked_bytes,
                          f"stamp={stamp_ts!r}")
@@ -586,6 +609,8 @@ class SimWorld:
     def assert_conservation(self) -> None:
         """Injected payload must equal delivered + queued + HARQ in flight."""
         for fr in self._flow_order:
+            if fr.queue is None:  # not started: nothing injected
+                continue
             total = (fr.delivered_payload + fr.queue.queued_bytes
                      + fr.queue.harq_flight_payload)
             if total != fr.injected_payload:
@@ -593,6 +618,9 @@ class SimWorld:
                     f"flow {fr.cfg.flow_id}: injected {fr.injected_payload} "
                     f"!= accounted {total} at tti {self.tti_index}")
 
-    def frames_by_flow(self) -> dict[int, list[VideoFrame]]:
-        return {fid: fr.frames for fid, fr in sorted(self.flows.items())}
+    def frames_by_flow(self) -> dict[int, tuple[array, array, array]]:
+        """Each flow's frame columns (metrics.FrameColumns): encode ms,
+        decode ms and bytes, indexed by frame id."""
+        return {fid: (fr.encode_ms, fr.decode_ms, fr.frame_bytes)
+                for fid, fr in sorted(self.flows.items())}
 

@@ -1,5 +1,6 @@
 import heapq
 import io
+import math
 
 import ransim.world
 from ransim import (FlowConfig, RanConfig, SimWorld, VideoFrame,
@@ -41,19 +42,48 @@ def add_idle_flow(world, cfg):
 
 
 def inject_packet(world, flow_id, ts, nbytes):
-    """Put one packet, modeled as its own frame, on the flow's wire lane,
-    arriving at the base station at ts; bypasses the sender. A flow that
-    has retired takes no packet: its lane is the empty tuple."""
+    """Put one packet, modeled as its own frame encoded at ts, on the flow's
+    wire lane, arriving at the base station at ts; bypasses the sender.
+    Returns the frame id. A flow that has not started is built first; one
+    that has retired takes no packet: its lane is the empty tuple."""
     fr = world.flows[flow_id]
+    if fr.queue is None:
+        world._start(fr)
     frame = VideoFrame(frame_id=fr.sender.frame_seq, encode_ts=ts,
                        nbytes=nbytes, target_bps=0.0, actual_bps=0.0)
     fr.sender.frame_seq += 1
-    fr.frames.append(frame)
-    fr.receiver.register(frame)
+    fr.add_frame(frame)
     world._pkt_counter += 1
     ransim.world._send(fr.lane, [(ts, world._pkt_counter, frame.frame_id,
                                   nbytes)])
-    return frame
+    return frame.frame_id
+
+
+def record_encodes(fr):
+    """The frames the flow's sender encodes from now on, in order: the
+    world keeps only their columns, not the bitrates they were encoded at."""
+    frames = []
+    encode_frame = fr.sender.encode_frame
+
+    def record(now):
+        frames.append(encode_frame(now))
+        return frames[-1]
+    fr.sender.encode_frame = record
+    return frames
+
+
+def decode_time(world, flow_id, frame_id):
+    """When the flow decoded the frame, from its frame columns; the frame
+    must have been decoded, as its entry is NaN until then."""
+    decode = world.flows[flow_id].decode_ms[frame_id]
+    assert not math.isnan(decode), f"frame {frame_id} was never decoded"
+    return decode
+
+
+def frame_delay(world, flow_id, frame_id):
+    """Encode-to-decode latency of a decoded frame, in ms."""
+    return (decode_time(world, flow_id, frame_id)
+            - world.flows[flow_id].encode_ms[frame_id])
 
 
 def logged_world(ran, *, seed=0, log_level="full", world_cls=SimWorld):

@@ -111,8 +111,8 @@ def note_block(est, now: float, total_bytes: int, overhead: int,
 
 
 class ReferenceWorld(SimWorld):
-    """README's model, one TTI at a time; every flow keeps all base-station
-    state. Each TTI every started flow's arrived packets enter its queue;
+    """README's model, one TTI at a time; every flow holds all its state
+    from when it is added to the end of the run. Each TTI every started flow's arrived packets enter its queue;
     the flows ``present()`` finds have their queues sampled and bandwidth
     estimated; every choir flow predicts, and its first ACK stamp writes the
     ``predict`` line; the TDD pattern's slot serves the downlink and the
@@ -120,6 +120,8 @@ class ReferenceWorld(SimWorld):
 
     def add_flow(self, cfg):
         fr = super().add_flow(cfg)
+        if fr.queue is None:  # built at once, not at its start
+            self._start(fr)
         fr.predicts = fr.estimates = True
         fr.estimator.note_block = partial(note_block, fr.estimator)
         return fr
@@ -177,12 +179,13 @@ class ReferenceWorld(SimWorld):
         for frame_id, nbytes in block.segments:
             fr.delivered_payload += nbytes
             if fr.receiver.on_bytes(frame_id, nbytes):
-                frame = fr.frames[frame_id]
-                frame.decode_ts = t1
+                # a frame's decode time is its column's entry, NaN before
+                fr.decode_ms[frame_id] = t1
+                delay = fr.decode_ms[frame_id] - fr.encode_ms[frame_id]
                 if self.log is not None:
                     self.log.add(t1, "frame_done", fr.cfg.flow_id,
-                                 frame.nbytes, f"frame={frame.frame_id};"
-                                 f"delay={frame.delay_ms!r}")
+                                 fr.frame_bytes[frame_id],
+                                 f"frame={frame_id};delay={delay!r}")
                 fr.receiver.on_frame_complete(t1)
         fr.receiver.maybe_timeout_ack(t1)
         if self._log_full:

@@ -8,7 +8,8 @@ import statistics
 
 import pytest
 
-from conftest import FailFirst, SaturatingSender, add_idle_flow, inject_packet
+from conftest import (FailFirst, SaturatingSender, add_idle_flow,
+                      frame_delay, inject_packet, record_encodes)
 
 from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
                     constant_trace, decode_rate, encode_rate,
@@ -39,10 +40,9 @@ def _idle_world(pattern, failures=0, harq_rtx_delay_ms=5.5):
 
 def _packet_delay(pattern, phase_ms, failures=0):
     w = _idle_world(pattern, failures)
-    frame = inject_packet(w, 0, 50.0 + phase_ms, 200)
+    fid = inject_packet(w, 0, 50.0 + phase_ms, 200)
     w.run(0.2)
-    assert frame.decode_ts is not None
-    return frame.decode_ts - frame.encode_ts
+    return frame_delay(w, 0, fid)
 
 
 def _choir_world(schedule, wired_nd_ms, *, seed=1, bler=0.0, flows=1,
@@ -247,11 +247,11 @@ def test_criterion_09_smoothing_tradeoff():
     covs, p99s = [], []
     for eps in (1, 5, 10, 20):
         w = _choir_world(trace, 10.0, seed=7, epsilon=eps, initial_bps=25e6)
+        encodes = record_encodes(w.flows[0])
         w.run(20.0)
         m = compute_metrics(w.frames_by_flow(), w.duration_ms,
                             warmup_ms=meas_ms)
-        br = [f.actual_bps for f in w.flows[0].frames
-              if f.encode_ts >= meas_ms]
+        br = [f.actual_bps for f in encodes if f.encode_ts >= meas_ms]
         covs.append(statistics.pstdev(br) / statistics.mean(br))
         p99s.append(nearest_rank_percentile(list(m.flow(0).delays_ms), 99.0))
     cov_mono = all(covs[i + 1] <= covs[i] + 1e-9 for i in range(3))

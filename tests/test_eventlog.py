@@ -2,7 +2,9 @@
 report; a run without a sink formats no line."""
 import dataclasses
 import io
+import math
 import re
+from array import array
 from collections import Counter
 
 import pytest
@@ -172,21 +174,46 @@ class _Formatted(float):
         return float.__repr__(self)
 
 
+class _EncodeColumn(array):
+    """A flow's encode column whose entries, read by index as the
+    frame_done line reads them, subtract into a _Formatted "delay"."""
+
+    def __getitem__(self, i):
+        return _Subtrahend(super().__getitem__(i), self.counts)
+
+
+class _Subtrahend(float):
+    def __new__(cls, value, counts):
+        obj = super().__new__(cls, value)
+        obj.counts = counts
+        return obj
+
+    def __rsub__(self, other):
+        return _Formatted(other - float(self), "delay", self.counts)
+
+
 class TestWithoutSink:
     def test_run_and_sweep_format_no_line(self, tmp_path, monkeypatch):
         # EventLog.add is never called, and no line is built: the frame
-        # fields, the prediction and the scone capacity the lines carry
-        # become _Formatted floats, and none is formatted
+        # fields, the frame_done delay, the prediction and the scone
+        # capacity the lines carry become _Formatted floats, and none is
+        # formatted
         adds, formatted = [], Counter()
         monkeypatch.setattr(EventLog, "add",
                             lambda log, *args: adds.append(args))
-        for field in ("target_bps", "actual_bps", "delay_ms"):
+        add_flow = SimWorld.add_flow
+
+        def spied_add_flow(world, cfg):
+            fr = add_flow(world, cfg)
+            fr.encode_ms = _EncodeColumn("d", fr.encode_ms)
+            fr.encode_ms.counts = formatted
+            return fr
+        monkeypatch.setattr(SimWorld, "add_flow", spied_add_flow)
+        for field in ("target_bps", "actual_bps"):
             raw = VideoFrame.__dict__[field]
 
             def read(frame, _raw=raw, _field=field):
-                value = _raw.__get__(frame)
-                return (value if value is None
-                        else _Formatted(value, _field, formatted))
+                return _Formatted(_raw.__get__(frame), _field, formatted)
             monkeypatch.setattr(VideoFrame, field, property(
                 read, getattr(raw, "__set__", None)))
         compute = FlowPredictor.compute
@@ -208,7 +235,7 @@ class TestWithoutSink:
         # the spies see the lines of a run that keeps its log
         run_scenario(scn, tmp_path)
         assert len(adds) > CHUNK_LINES
-        assert set(formatted) == {"target_bps", "actual_bps", "delay_ms",
+        assert set(formatted) == {"target_bps", "actual_bps", "delay",
                                   "fi", "mean_bw", "pred_q", "guidance",
                                   "capacity"}
 
@@ -245,6 +272,49 @@ class TestReport:
         assert m.duration_ms == 10.0
         assert m.flow(0).delays_ms == (5.0,)
         assert m.flow(0).avg_mbps == 1000 * 8.0 / 0.01 / 1e6
+
+    def test_frame_done_without_its_encode_is_ignored(self, tmp_path):
+        # frame 1 of flow 0, and flow 1, have no frame_encode line
+        (tmp_path / "events.log").write_text(
+            HEADER +
+            "0.5,frame_encode,0,1000,frame=0;target=8e5;actual=8e5\n"
+            "4.0,frame_done,0,900,frame=1;delay=3.5\n"
+            "4.5,frame_done,1,900,frame=0;delay=4.0\n"
+            "5.5,frame_done,0,1000,frame=0;delay=5.0\n"
+            "10.0,run_info,-1,0,duration_ms=10.0;seed=0\n")
+        m = report_run_dir(tmp_path, warmup_ms=0.0)
+        assert list(m.flows) == [0]
+        assert m.flow(0).delays_ms == (5.0,)
+        assert (m.flow(0).frames, m.flow(0).undelivered) == (1, 0)
+
+    def test_flow_without_a_decoded_frame_reads_nan(self, tmp_path):
+        (tmp_path / "events.log").write_text(
+            HEADER +
+            "0.5,frame_encode,0,1000,frame=0;target=8e5;actual=8e5\n"
+            "0.5,frame_encode,1,700,frame=0;target=8e5;actual=8e5\n"
+            "5.5,frame_done,0,1000,frame=0;delay=5.0\n"
+            "17.1,frame_encode,1,700,frame=1;target=8e5;actual=8e5\n"
+            "20.0,run_info,-1,0,duration_ms=20.0;seed=0\n")
+        m = report_run_dir(tmp_path, warmup_ms=0.0)
+        f = m.flow(1)
+        assert (f.frames, f.undelivered, f.avg_mbps) == (0, 2, 0.0)
+        assert all(math.isnan(v) for v in (f.avg_delay_ms, f.p95_ms,
+                                            f.p999_ms))
+        harness.write_metrics_csv(tmp_path / "metrics.csv", m)
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert rows[2] == "1,nan,nan,nan,0.000000,0.500000"
+
+    def test_frame_encoded_out_of_order_is_rejected(self, tmp_path):
+        # a flow's frame ids index its columns, so its encodes come in
+        # frame-id order, as the world logs them
+        log = tmp_path / "events.log"
+        log.write_text(
+            HEADER +
+            "0.5,frame_encode,0,1000,frame=1;target=8e5;actual=8e5\n"
+            "10.0,run_info,-1,0,duration_ms=10.0;seed=0\n")
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"{log}: flow 0: frame 1 encoded as its frame 0")):
+            report_run_dir(tmp_path)
 
     def test_truncated_log_is_rejected(self, tmp_path):
         scn = scenario_from_dict(dict(MIXED_FULL, log_level="frames",

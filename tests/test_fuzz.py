@@ -52,10 +52,16 @@ class _CheckedWorld(SimWorld):
         assert cell._short_retx <= cell._short_data
         assert cell._usage_prb <= self.ran.prb_total * len(cell._usage)
         for fr in self._flow_order:
+            if fr.queue is None:
+                # a flow is built at its start or its first tick, so one
+                # not built yet has not started and holds nothing
+                assert fr.start_ms > now and not fr.lane and \
+                    not fr.encode_ms and fr.sender is None
+                continue
             # every byte the sender released is on the wire or enqueued; a
             # lane is in (ts, pkt) order, and its flow is live while it holds
             lane = list(fr.lane)
-            assert sum(f.nbytes for f in fr.frames) == \
+            assert sum(fr.frame_bytes) == \
                 sum(p[3] for p in lane) + fr.injected_payload
             assert lane == sorted(lane)
             assert not lane or fr.cfg.flow_id in live
@@ -65,7 +71,8 @@ class _CheckedWorld(SimWorld):
                        for b in q.harq_pending)
             if fr.cfg.flow_id in retired:
                 # a retired flow has freed what only a live flow reads
-                assert fr.estimator is fr.predictor is fr.receiver is None
+                assert fr.estimator is fr.predictor is fr.receiver is \
+                    fr.sender is None
                 assert not q.samples
                 continue
             est = fr.estimator

@@ -1,25 +1,40 @@
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import log_text, logged_world
 
-from ransim.metrics import (compute_metrics, frame_delay, jain_index,
+from ransim.metrics import (compute_metrics, jain_index,
                             metrics_from_event_records,
                             nearest_rank_percentile)
-from ransim.sender import VideoFrame
+
+
+def _columns(rows):
+    """One flow's frame columns from (encode ms, decode ms or None, bytes)
+    rows, None for a frame not decoded."""
+    encode, decode, sizes = array("d"), array("d"), array("q")
+    for enc, dec, nbytes in rows:
+        encode.append(enc)
+        decode.append(math.nan if dec is None else dec)
+        sizes.append(nbytes)
+    return encode, decode, sizes
 
 
 class TestFrameDelay:
     def test_subtraction(self):
-        f = VideoFrame(0, 100.0, 1000, 1e6, 1e6, decode_ts=118.4)
-        assert frame_delay(f) == pytest.approx(18.4)
+        m = compute_metrics({0: _columns([(100.0, 118.4, 1000)])},
+                            duration_ms=200.0, warmup_ms=0.0)
+        assert m.flow(0).delays_ms == (118.4 - 100.0,)
+        assert m.flow(0).avg_delay_ms == pytest.approx(18.4)
 
-    def test_undelivered_rejected(self):
-        with pytest.raises(ValueError):
-            frame_delay(VideoFrame(0, 100.0, 1000, 1e6, 1e6))
+    def test_undecoded_frame_has_no_delay(self):
+        m = compute_metrics({0: _columns([(100.0, None, 1000)])},
+                            duration_ms=200.0, warmup_ms=0.0)
+        assert (m.flow(0).frames, m.flow(0).undelivered) == (0, 1)
+        assert math.isnan(m.flow(0).avg_delay_ms)
 
 
 class TestPercentile:
@@ -72,40 +87,41 @@ class TestJainIndex:
 
 
 def _synthetic_frames(n=300, seed=5):
+    """(encode ms, decode ms, bytes) of n decoded 60 kB frames."""
     rng = random.Random(seed)
     frames = []
     for k in range(n):
         encode = k * 16.6
         delay = 15.0 + 10.0 * rng.random()
-        frames.append(VideoFrame(k, encode, 60000, 30e6, 30e6,
-                                 decode_ts=encode + delay))
+        frames.append((encode, encode + delay, 60000))
     return frames
 
 
 class TestComputeMetrics:
     def test_warmup_exclusion(self):
         frames = _synthetic_frames()
-        m = compute_metrics({0: frames}, duration_ms=300 * 16.6,
+        m = compute_metrics({0: _columns(frames)}, duration_ms=300 * 16.6,
                             warmup_ms=2000.0)
-        included = [f for f in frames if f.encode_ts >= 2000.0]
+        included = [f for f in frames if f[0] >= 2000.0]
         assert m.flow(0).frames == len(included)
 
     def test_percentile_ordering(self):
-        m = compute_metrics({0: _synthetic_frames()}, duration_ms=300 * 16.6)
+        m = compute_metrics({0: _columns(_synthetic_frames())},
+                            duration_ms=300 * 16.6)
         f = m.flow(0)
         assert f.p999_ms >= f.p95_ms >= f.avg_delay_ms is not None
         assert f.p95_ms >= f.avg_delay_ms
 
     def test_undelivered_counted_separately(self):
         frames = _synthetic_frames()
-        frames[150].decode_ts = None
-        m = compute_metrics({0: frames}, duration_ms=300 * 16.6)
+        frames[150] = (frames[150][0], None, frames[150][2])
+        m = compute_metrics({0: _columns(frames)}, duration_ms=300 * 16.6)
         assert m.flow(0).undelivered == 1
 
     def test_bitrate_from_delivered_bytes(self):
         frames = _synthetic_frames(n=100)
         duration = 100 * 16.6
-        m = compute_metrics({0: frames}, duration_ms=duration,
+        m = compute_metrics({0: _columns(frames)}, duration_ms=duration,
                             warmup_ms=0.0)
         expected = 100 * 60000 * 8 / (duration / 1000.0) / 1e6
         assert m.flow(0).avg_mbps == pytest.approx(expected)

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (FailFirst, add_idle_flow, events, inject_packet,
-                      logged_world)
+from conftest import (FailFirst, add_idle_flow, decode_time, events,
+                      frame_delay, inject_packet, logged_world)
 
 from ransim import (FlowConfig, RanConfig, SimWorld, constant_trace,
                     sample_rlc_queue, schedule_prbs)
@@ -152,10 +152,9 @@ class TestTddDelayMechanics:
         w = SimWorld(ran, seed=0, log_level="frames")
         add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
                                     wired_nd_ms=0.0))
-        frame = inject_packet(w, 0, 50.0 + phase, nbytes)
+        fid = inject_packet(w, 0, 50.0 + phase, nbytes)
         w.run(0.2)
-        assert frame.decode_ts is not None
-        return frame.decode_ts - frame.encode_ts
+        return frame_delay(w, 0, fid)
 
     def test_lossless_single_packet_served_in_one_downlink_tti(self):
         # bler 0, queue smaller than a TTI's capacity: served at the first
@@ -189,9 +188,9 @@ class TestHarqLatency:
         w.rng = FailFirst(failures)
         add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
                                     wired_nd_ms=0.0))
-        frame = inject_packet(w, 0, 50.0, 200)  # phase 0: D slot start
+        fid = inject_packet(w, 0, 50.0, 200)  # phase 0: D slot start
         w.run(0.2)
-        return frame.decode_ts
+        return decode_time(w, 0, fid)
 
     def test_single_failure_delays_by_one_harq_round(self):
         assert self._delivery_delta(1) == pytest.approx(5.5)
@@ -207,9 +206,9 @@ class TestHarqLatency:
             w.rng = FailFirst(failures)
             add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
                                         wired_nd_ms=0.0))
-            frame = inject_packet(w, 0, 50.0, 200)
+            fid = inject_packet(w, 0, 50.0, 200)
             w.run(0.2)
-            return frame.decode_ts
+            return decode_time(w, 0, fid)
 
         delta = run(1) - run(0)
         assert delta == pytest.approx(6.0)
@@ -229,11 +228,10 @@ class TestHarqLatency:
         w.rng = FailFirst(4)
         add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
                                     wired_nd_ms=0.0))
-        frame = inject_packet(w, 0, 50.0, 200)
+        fid = inject_packet(w, 0, 50.0, 200)
         w.run(0.2)
-        assert frame.decode_ts is not None
         assert "rlc_requeue" in [r.event for r in events(w)]
-        delta = frame.decode_ts - 50.5
+        delta = decode_time(w, 0, fid) - 50.5
         assert delta > 3 * 5.5  # worse than pure HARQ: queue re-entry cost
 
 

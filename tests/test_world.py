@@ -1,11 +1,13 @@
 import bisect
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from conftest import (events, inject_packet, log_text, logged_world,
-                      make_world, run_metrics, saturate)
+from conftest import (decode_time, events, inject_packet, log_text,
+                      logged_world, make_world, record_encodes, run_metrics,
+                      saturate)
 from reference import ReferenceWorld
 
 import ransim.world
@@ -21,19 +23,19 @@ class TestFrameCadence:
     def test_one_frame_per_tick(self):
         w = make_world(bpp=30.0, wired_nd_ms=1.0)
         m = run_metrics(w, 3.0, warmup_ms=0.0)
-        frames = w.flows[0].frames
+        encode = w.flows[0].encode_ms
         expected = int(3.0 * 1000 / 16.6) + 1
-        assert abs(len(frames) - expected) <= 1
-        for k, f in enumerate(frames):
-            assert f.encode_ts == k * 16.6  # exact multiplication schedule
+        assert abs(len(encode) - expected) <= 1
+        for k, ts in enumerate(encode):
+            assert ts == k * 16.6  # exact multiplication schedule
 
     def test_start_stop_window(self):
         w = make_world(bpp=30.0, wired_nd_ms=1.0, start_s=0.5, stop_s=1.5)
         w.run(3.0)
-        frames = w.flows[0].frames
-        assert frames[0].encode_ts == 500.0
-        assert frames[-1].encode_ts < 1500.0
-        assert len(frames) == int(1000 / 16.6) + 1
+        encode = w.flows[0].encode_ms
+        assert encode[0] == 500.0
+        assert encode[-1] < 1500.0
+        assert len(encode) == int(1000 / 16.6) + 1
 
 
 class TestClosedLoopConvergence:
@@ -169,8 +171,8 @@ class TestMultiFlowIsolation:
         w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=1.0))
         w.add_flow(FlowConfig(flow_id=1, controller="choir", wired_nd_ms=1.0,
                               start_s=3.0))
+        fr0 = record_encodes(w.flows[0])
         w.run(8.0)
-        fr0 = w.flows[0].frames
         early = [f.actual_bps for f in fr0 if 2000 < f.encode_ts < 2900]
         late = [f.actual_bps for f in fr0 if 6000 < f.encode_ts < 7900]
         assert sum(late) / len(late) < 0.65 * sum(early) / len(early)
@@ -183,9 +185,9 @@ class TestMultiFlowIsolation:
         w = make_world(bpp=30.0, flows=1, controller=controller)
         w.add_flow(FlowConfig(flow_id=1, controller=controller,
                               wired_nd_ms=1.0, stop_s=3.0))
+        encodes = record_encodes(w.flows[0])
         w.run(8.0)
-        late = [f.actual_bps for f in w.flows[0].frames
-                if 5000 <= f.encode_ts < 8000]
+        late = [f.actual_bps for f in encodes if 5000 <= f.encode_ts < 8000]
         assert sum(late) / len(late) == pytest.approx(capacity_bps, rel=0.10)
 
 
@@ -314,9 +316,9 @@ class TestEstimateUpkeep:
 class TestInjectedPacketPath:
     def test_injection_without_sender(self, capsys):
         w = make_world(bpp=30.0, wired_nd_ms=0.0, idle=True)
-        frame = inject_packet(w, 0, 10.0, 500)
+        fid = inject_packet(w, 0, 10.0, 500)
         w.run(0.1)
-        assert frame.decode_ts is not None
+        assert not math.isnan(w.flows[0].decode_ms[fid])
         assert w.flows[0].delivered_payload == 500
 
     def test_packet_before_start_waits_for_the_start_tti(self):
@@ -326,7 +328,7 @@ class TestInjectedPacketPath:
         w = make_world(wired_nd_ms=0.0, idle=True, start_s=0.05,
                        log_level="full")
         fr = w.flows[0]
-        frame = inject_packet(w, 0, 10.0, 500)
+        fid = inject_packet(w, 0, 10.0, 500)
         queued = {}
         estimate = w._estimate_and_predict
 
@@ -336,11 +338,11 @@ class TestInjectedPacketPath:
         w._estimate_and_predict = estimate_spy
         w.run(0.1)
         assert queued[49.5] == ([], 0)
-        assert queued[50.0] == ([(frame.frame_id, 500)], 500)
+        assert queued[50.0] == ([(fid, 500)], 500)
         assert fr.predictor.pattern.last_pkt_ts == 10.0
         enq, = [r for r in events(w) if r.event == "enqueue"]
         assert (enq.time_ms, enq.nbytes) == (10.0, 500)
-        assert frame.decode_ts == 50.5
+        assert decode_time(w, 0, fid) == 50.5
 
 
 class TestWireLanes:
@@ -369,7 +371,7 @@ class TestWireLanes:
             return [(n, i * step) for i, (n, _) in enumerate(packets)]
         sender.packet_release_offsets = stretched
         # flow 2 also gets packets injected out of time order
-        injected = [inject_packet(w, 2, ts, 300).frame_id
+        injected = [inject_packet(w, 2, ts, 300)
                     for ts in (40.0, 25.0, 33.3, 25.0)]
         # (TTI start, line time, pkt, flow) of each enqueue line
         enqueued = []
@@ -404,7 +406,7 @@ class TestWireLanes:
         tti = w.ran.tti_ms
         assert all(t0 - tti < ts <= t0 for t0, ts, *_ in enqueued)
         for fr in w.flows.values():
-            assert sum(f.nbytes for f in fr.frames) == \
+            assert sum(fr.frame_bytes) == \
                 sum(p[3] for p in fr.lane) + fr.injected_payload
 
 
@@ -470,7 +472,7 @@ class TestDeliverBlock:
         w = make_world(wired_nd_ms=0.0, idle=True, log_level="frames",
                        ack_per_frames=ack_per_frames)
         fr = w.flows[0]
-        frame_ids = [inject_packet(w, 0, 0.0, n).frame_id for n in self.SIZES]
+        frame_ids = [inject_packet(w, 0, 0.0, n) for n in self.SIZES]
         credits = []
         on_bytes = fr.receiver.on_bytes
         fr.receiver.on_bytes = lambda *a: credits.append(a) or on_bytes(*a)
@@ -493,6 +495,7 @@ class TestDeliverBlock:
             assert rx.bytes_since_ack == ref_rx.bytes_since_ack
             assert rx.pending_acks == ref_rx.pending_acks
             assert rx.remaining == ref_rx.remaining
+            assert fr.decode_ms.tobytes() == ref.decode_ms.tobytes()
         # B completes before A in the interleaved block
         assert [r.detail.split(";")[0] for r in log] == \
             ["frame=1", "frame=0", "frame=2"]
