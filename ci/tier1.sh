@@ -12,7 +12,7 @@ set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
 CHECKS=(tests eventlog-closed accept-lines round-trip hash-seed sweep-bad-value
-        no-out-memory churn-memory bench-smoke bench-outputs)
+        run-bad-config no-out-memory churn-memory bench-smoke bench-outputs)
 
 install() {
   python -m pip install --upgrade pip setuptools
@@ -64,6 +64,30 @@ sweep-bad-value() {
   rc=0
   ransim sweep scenarios/single_flow.json --vary ack_per_frames=1.5 || rc=$?
   test "$rc" -eq 2
+}
+
+run-bad-config() {
+  # each bad edit of single_flow is a configuration error (exit 2) at load
+  # time: a flow that never starts, a null number and a random walk that
+  # never steps
+  for edit in never-starts null-delay zero-interval; do
+    python -c '
+import json, sys
+cfg = json.load(open("scenarios/single_flow.json"))
+flow, ran = cfg["flows"][0], cfg["ran"]
+if sys.argv[1] == "never-starts":
+    flow["start_s"] = cfg["duration_s"]
+elif sys.argv[1] == "null-delay":
+    flow["wired_nd_ms"] = None
+else:
+    ran["trace"] = {"kind": "random_walk", "low": 20.0, "high": 40.0,
+                    "interval_ttis": 0}
+print(json.dumps(cfg))
+' "$edit" > "$RUNNER_TEMP/$edit.json"
+    rc=0
+    ransim run "$RUNNER_TEMP/$edit.json" || rc=$?
+    test "$rc" -eq 2
+  done
 }
 
 peak() {

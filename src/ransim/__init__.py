@@ -14,19 +14,18 @@ from .predictor import (FlowPredictor, decision_horizon,
                         update_frame_interval)
 from .ran import (FlowQueueState, RanConfig, TransportBlock,
                   sample_rlc_queue, schedule_prbs)
-from .sender import (ChoirSender, SenderState, VideoFrame, pacing_rate,
-                     target_bitrate)
+from .sender import ChoirSender, VideoFrame, pacing_rate, target_bitrate
 from .tdd import TddPattern
 from .traces import (CapacitySchedule, TraceError, constant_trace, load_trace,
                      random_walk_trace, square_trace, step_trace)
-from .world import CONTROLLERS, FlowConfig, SimWorld
+from .world import FlowConfig, SimWorld
 
 __all__ = [
-    "CONTROLLERS", "CapacitySchedule", "ChoirSender", "FlowConfig",
-    "FlowMetrics", "FlowPredictor", "FlowQueueState", "GuidanceFeedback",
-    "OracleSender", "RanConfig", "RunMetrics", "Scenario", "ScenarioError",
-    "SconeFeedback", "SconeSender", "SenderState", "SimWorld", "TddPattern",
-    "TraceError", "TransportBlock", "VideoFrame",
+    "CapacitySchedule", "ChoirSender", "FlowConfig", "FlowMetrics",
+    "FlowPredictor", "FlowQueueState", "GuidanceFeedback", "OracleSender",
+    "RanConfig", "RunMetrics", "Scenario", "ScenarioError", "SconeFeedback",
+    "SconeSender", "SimWorld", "TddPattern", "TraceError", "TransportBlock",
+    "VideoFrame",
     "compute_metrics", "constant_trace", "decision_horizon", "decode_rate",
     "detect_frame_boundary", "encode_rate", "guidance_bw",
     "inflight_frame_count", "jain_index", "load_scenario", "load_trace",

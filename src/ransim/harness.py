@@ -18,11 +18,14 @@ Scenario files are JSON:
       ]
     }
 
-``trace`` kinds: constant, step, square, random_walk (see traces module for
-their parameters). An explicit ``trace_path`` CSV overrides ``ran.trace``.
+``trace`` kinds: constant, step, square, random_walk (the traces module's
+builders). A key left out takes the default of the class or builder its
+section fills. An explicit ``trace_path`` CSV overrides ``ran.trace``.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 from dataclasses import dataclass, replace
@@ -30,12 +33,12 @@ from pathlib import Path
 from typing import TextIO
 
 from . import traces
-from .eventlog import parse_event_log
+from .eventlog import LEVEL_FRAMES, LEVEL_FULL, parse_event_log
 from .metrics import (WARMUP_EXCLUDE_MS, RunMetrics, compute_metrics,
                       metrics_from_event_records)
 from .ran import RanConfig
 from .traces import CapacitySchedule, TraceError
-from .world import CONTROLLERS, FlowConfig, SimWorld
+from .world import FlowConfig, SimWorld
 
 METRICS_CSV = "metrics.csv"
 FRAMES_CSV = "frames.csv"
@@ -52,32 +55,46 @@ class Scenario:
     flows: list[FlowConfig]
     duration_s: float
     seed: int = 0
-    warmup_ms: float = WARMUP_EXCLUDE_MS
-    log_level: str = "full"
+    log_level: str = LEVEL_FULL
     name: str = "scenario"
 
     def __post_init__(self):
         if self.duration_s <= 0:
             raise ScenarioError("duration_s must be positive")
         if not self.flows:
-            raise ScenarioError("scenario needs at least one flow")
+            raise ScenarioError("flows must be a non-empty list")
+        for i, flow in enumerate(self.flows):
+            if flow.start_s >= self.duration_s:
+                raise ScenarioError(f"flows[{i}]: start_s must be before "
+                                    f"duration_s, got {flow.start_s!r}")
+        if len({f.flow_id for f in self.flows}) != len(self.flows):
+            raise ScenarioError("duplicate flow_id in flows")
+        if self.log_level not in (LEVEL_FRAMES, LEVEL_FULL):
+            raise ScenarioError(f"log_level must be 'frames' or 'full', "
+                                f"got {self.log_level!r}")
 
 
-SCENARIO_KEYS = frozenset({"duration_s", "seed", "ran", "trace_path", "flows",
-                           "log_level"})
-RAN_KEYS = frozenset({"prb_total", "tti_ms", "tdd_pattern", "bler",
-                      "harq_rtx_delay_ms", "harq_max_rtx", "trace"})
-FLOW_KEYS = frozenset({"flow_id", "controller", "wired_nd_ms", "ack_per_frames",
-                       "epsilon", "encoder", "start_s", "stop_s",
-                       "initial_bitrate_mbps"})
-TRACE_KEYS = {
-    "constant": frozenset({"kind", "bytes_per_prb"}),
-    "step": frozenset({"kind", "before", "after", "step_tti"}),
-    "square": frozenset({"kind", "high", "low", "period_ttis", "n_periods"}),
-    "random_walk": frozenset({"kind", "low", "high", "seed", "step_fraction",
-                              "interval_ttis"}),
+# Each section's keys and their number types, None for a value passed as it
+# stands; the class or builder a section fills holds defaults and ranges.
+SCENARIO_KEYS = {"duration_s": float, "seed": int, "log_level": None,
+                 "ran": None, "trace_path": None, "flows": None}
+RAN_KEYS = {"prb_total": int, "tti_ms": float, "tdd_pattern": None,
+            "bler": float, "harq_rtx_delay_ms": float, "harq_max_rtx": int,
+            "trace": None}
+TRACES = {  # kind: (builder, keys besides kind)
+    "constant": (traces.constant_trace, {"bytes_per_prb": float}),
+    "step": (traces.step_trace,
+             {"before": float, "after": float, "step_tti": int}),
+    "square": (traces.square_trace, {"high": float, "low": float,
+                                     "period_ttis": int, "n_periods": int}),
+    "random_walk": (traces.random_walk_trace,
+                    {"low": float, "high": float, "seed": int,
+                     "step_fraction": float, "interval_ttis": int}),
 }
-_REQUIRED = object()
+FLOW_KEYS = {"flow_id": int, "controller": None, "wired_nd_ms": float,
+             "ack_per_frames": int, "epsilon": int, "encoder": None,
+             "start_s": float, "stop_s": float,
+             "initial_bitrate_mbps": float}
 
 
 def _require(mapping: dict, key: str, ctx: str):
@@ -86,22 +103,9 @@ def _require(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
-def _check_keys(mapping, allowed: frozenset, ctx: str) -> None:
-    """Reject a non-object or a key the loader would silently ignore."""
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{ctx} must be a JSON object")
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ScenarioError(f"{ctx}: unknown key {unknown[0]!r}; "
-                            f"expected one of {sorted(allowed)}")
-
-
-def _number(mapping: dict, key: str, ctx: str, default=_REQUIRED,
-            kind=float):
-    """mapping[key] (or default when absent) as a finite float or int;
-    a string, a boolean or a fraction for an int is an error."""
-    raw = (_require(mapping, key, ctx) if default is _REQUIRED
-           else mapping.get(key, default))
+def _number(raw, key: str, ctx: str, kind=float):
+    """raw as a finite float or int; a string, a boolean or a fraction for
+    an int is an error."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(f"{ctx}: {key} must be a number, got {raw!r}")
     try:
@@ -117,33 +121,55 @@ def _number(mapping: dict, key: str, ctx: str, default=_REQUIRED,
     return value
 
 
-def _build_trace(spec: dict, seed: int) -> CapacitySchedule:
+@functools.cache
+def _params(target) -> tuple[tuple[str, ...], frozenset[str]]:
+    """target's parameters without a default, and those defaulting to None."""
+    params = inspect.signature(target).parameters.values()
+    return (tuple(p.name for p in params if p.default is p.empty),
+            frozenset(p.name for p in params if p.default is None))
+
+
+def _fields(spec, keys: dict, ctx: str, target, **given) -> dict:
+    """target's keyword arguments: given, updated with spec's keys, each
+    number read by _number and null only where target's default is None. A
+    key not in keys, or one target requires and neither gives, is an error."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{ctx} must be a JSON object")
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ScenarioError(f"{ctx}: unknown key {unknown[0]!r}; "
+                            f"expected one of {sorted(keys)}")
+    required, nullable = _params(target)
+    for key in required:
+        if key not in spec and key not in given:
+            raise ScenarioError(f"{ctx}: missing required key {key!r}")
+    for key, raw in spec.items():
+        kind = keys[key]
+        given[key] = (raw if kind is None or raw is None and key in nullable
+                      else _number(raw, key, ctx, kind))
+    return given
+
+
+def _build(target, kwargs: dict, ctx: str):
+    """target(**kwargs), a ValueError it raises prefixed with ctx."""
+    try:
+        return target(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{ctx}: {exc}") from exc
+
+
+def _build_trace(spec, seed: int) -> CapacitySchedule:
     ctx = "ran.trace"
     if not isinstance(spec, dict):
         raise ScenarioError(f"{ctx} must be a JSON object")
     kind = _require(spec, "kind", ctx)
-    if kind not in TRACE_KEYS:
+    if not isinstance(kind, str) or kind not in TRACES:
         raise ScenarioError(f"{ctx}: unknown kind {kind!r}")
-    _check_keys(spec, TRACE_KEYS[kind], ctx)
-    try:
-        if kind == "constant":
-            return traces.constant_trace(_number(spec, "bytes_per_prb", ctx))
-        if kind == "step":
-            return traces.step_trace(_number(spec, "before", ctx),
-                                     _number(spec, "after", ctx),
-                                     _number(spec, "step_tti", ctx, kind=int))
-        if kind == "square":
-            return traces.square_trace(
-                _number(spec, "high", ctx), _number(spec, "low", ctx),
-                _number(spec, "period_ttis", ctx, kind=int),
-                n_periods=_number(spec, "n_periods", ctx, 64, int))
-        return traces.random_walk_trace(
-            _number(spec, "low", ctx), _number(spec, "high", ctx),
-            seed=_number(spec, "seed", ctx, seed, int),
-            step_fraction=_number(spec, "step_fraction", ctx, 0.08),
-            interval_ttis=_number(spec, "interval_ttis", ctx, 200, int))
-    except TraceError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from exc
+    builder, keys = TRACES[kind]
+    given = {"seed": seed} if "seed" in keys else {}  # the scenario's seed
+    kwargs = _fields(spec, {"kind": None, **keys}, ctx, builder, **given)
+    del kwargs["kind"]
+    return _build(builder, kwargs, ctx)
 
 
 def scenario_from_dict(cfg: dict, name: str = "scenario") -> Scenario:
@@ -151,12 +177,9 @@ def scenario_from_dict(cfg: dict, name: str = "scenario") -> Scenario:
     rejected with the offending key path."""
     if not isinstance(cfg, dict):
         raise ScenarioError("scenario root must be a JSON object")
-    _check_keys(cfg, SCENARIO_KEYS, "scenario")
-    duration_s = _number(cfg, "duration_s", "scenario")
-    seed = _number(cfg, "seed", "scenario", 0, int)
-    ran_cfg = _require(cfg, "ran", "scenario")
-    _check_keys(ran_cfg, RAN_KEYS, "ran")
-    trace_path = cfg.get("trace_path")
+    fields = _fields(cfg, SCENARIO_KEYS, "scenario", Scenario, name=name)
+    ran = _fields(fields["ran"], RAN_KEYS, "ran", RanConfig)
+    trace_path = fields.pop("trace_path", None)
     if trace_path is not None and not isinstance(trace_path, str):
         raise ScenarioError(f"scenario: trace_path must be a string, "
                             f"got {trace_path!r}")
@@ -166,65 +189,19 @@ def scenario_from_dict(cfg: dict, name: str = "scenario") -> Scenario:
         except TraceError as exc:
             raise ScenarioError(str(exc)) from exc
     else:
-        schedule = _build_trace(_require(ran_cfg, "trace", "ran"), seed)
-    try:
-        ran = RanConfig(
-            prb_total=_number(ran_cfg, "prb_total", "ran", 100, int),
-            tti_ms=_number(ran_cfg, "tti_ms", "ran", 0.5),
-            tdd_pattern=ran_cfg.get("tdd_pattern", "DDDSU"),
-            bler=_number(ran_cfg, "bler", "ran", 0.0),
-            harq_rtx_delay_ms=_number(ran_cfg, "harq_rtx_delay_ms", "ran",
-                                      5.5),
-            harq_max_rtx=_number(ran_cfg, "harq_max_rtx", "ran", 3, int),
-            schedule=schedule)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"ran: {exc}") from exc
-    flow_specs = _require(cfg, "flows", "scenario")
-    if not isinstance(flow_specs, list) or not flow_specs:
-        raise ScenarioError("flows must be a non-empty list")
-    flows = []
-    for i, spec in enumerate(flow_specs):
+        schedule = _build_trace(_require(ran, "trace", "ran"),
+                                fields.get("seed", Scenario.seed))
+    ran.pop("trace", None)
+    fields["ran"] = _build(RanConfig, {**ran, "schedule": schedule}, "ran")
+    specs = fields["flows"]
+    if not isinstance(specs, list):
+        raise ScenarioError(f"scenario: flows must be a list, got {specs!r}")
+    fields["flows"] = []
+    for i, spec in enumerate(specs):
         ctx = f"flows[{i}]"
-        _check_keys(spec, FLOW_KEYS, ctx)
-        mbps = _number(spec, "initial_bitrate_mbps", ctx, 5.0)
-        if mbps <= 0:
-            raise ScenarioError(f"{ctx}: initial_bitrate_mbps must be "
-                                f"positive, got {mbps!r}")
-        controller = spec.get("controller", "choir")
-        if controller not in CONTROLLERS:
-            raise ScenarioError(
-                f"{ctx}: unknown controller {controller!r}; "
-                f"expected one of {sorted(CONTROLLERS)}")
-        try:
-            flows.append(FlowConfig(
-                flow_id=_number(spec, "flow_id", ctx, i, int),
-                controller=controller,
-                wired_nd_ms=_number(spec, "wired_nd_ms", ctx, 10.0),
-                ack_per_frames=_number(spec, "ack_per_frames", ctx, 1, int),
-                epsilon=_number(spec, "epsilon", ctx, 1, int),
-                encoder_mode=spec.get("encoder", "instant"),
-                start_s=_number(spec, "start_s", ctx, 0.0),
-                stop_s=(None if spec.get("stop_s") is None
-                        else _number(spec, "stop_s", ctx)),
-                initial_bitrate_bps=mbps * 1e6))
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"{ctx}: {exc}") from exc
-    ids = [f.flow_id for f in flows]
-    if len(set(ids)) != len(ids):
-        raise ScenarioError("duplicate flow_id in flows")
-    log_level = cfg.get("log_level", "full")
-    if log_level not in ("frames", "full"):
-        raise ScenarioError(f"log_level must be 'frames' or 'full', "
-                            f"got {log_level!r}")
-    try:
-        return Scenario(ran=ran, flows=flows, duration_s=duration_s,
-                        seed=seed, log_level=log_level, name=name)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        kwargs = _fields(spec, FLOW_KEYS, ctx, FlowConfig, flow_id=i)
+        fields["flows"].append(_build(FlowConfig, kwargs, ctx))
+    return Scenario(**fields)
 
 
 def load_scenario(path) -> Scenario:
@@ -264,8 +241,7 @@ def run_scenario(scn: Scenario, out_dir=None, seed: int | None = None
         with open(out / EVENTS_LOG, "w") as sink:
             world = build_world(scn, seed, sink)
             world.run(scn.duration_s)
-    metrics = compute_metrics(world.frames_by_flow(), world.duration_ms,
-                              scn.warmup_ms)
+    metrics = compute_metrics(world.frames_by_flow(), world.duration_ms)
     if out_dir is not None:
         write_metrics_csv(out / METRICS_CSV, metrics)
         write_frames_csv(out / FRAMES_CSV, world)
@@ -318,10 +294,9 @@ def sweep_scenario(scn: Scenario, key: str, values: list[float],
     Every value is checked as the scenario loader checks the key, and
     must name its own run, before the first run starts.
     """
-    kind = int if key in ("ack_per_frames", "epsilon") else float
     subs: dict[str, tuple[float, Scenario]] = {}
     for value in values:
-        typed = _number({key: value}, key, "--vary", kind=kind)
+        typed = _number(value, key, "--vary", FLOW_KEYS[key])
         label = f"{key}={value:g}"
         if label in subs:
             raise ScenarioError(f"--vary: {label} is given twice")

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codec import GuidanceFeedback, decode_rate
 
 FRAME_INTERVAL_MS = 16.6        # 60 fps source cadence
 RHO_DEFAULT = 1.25              # pacing headroom over the target bitrate
-INITIAL_BITRATE_BPS = 5e6       # conservative start before any guidance
 MTU_PAYLOAD = 1400              # bytes of payload per paced packet
 MIN_PACING_BPS = 6e6            # keeps in-frame packet spacing well under the
                                 # base station's frame-gap threshold
@@ -92,55 +91,41 @@ class ReceiveRateWindow:
         return best * 8.0 / (self.bucket_ms / 1000.0)
 
 
-@dataclass
-class SenderState:
-    """Mutable rate-control state of one sender."""
-
-    epsilon: int = 1
-    encoder_mode: str = "instant"        # "instant" | "ramp"
-    initial_bps: float = INITIAL_BITRATE_BPS
-    bitrate_hist: deque = field(init=False)  # the last epsilon-1 bitrates
-    recv_window: ReceiveRateWindow = field(default_factory=ReceiveRateWindow)
-    last_guidance_bps: float | None = None
-    last_guidance_ts: float = -math.inf
-    actual_bps: float | None = None      # encoder's current operating point
-
-    def __post_init__(self):
-        self.bitrate_hist = deque(maxlen=self.epsilon - 1)
-
-
 class BaseSender:
-    """Frame-tick driven sender shared by all controllers.
+    """Frame-tick driven sender shared by all controllers; its parameters
+    come from the flow's FlowConfig, which checks and defaults them.
 
     Subclasses define how feedback bytes turn into a guidance bitrate.
     """
 
-    def __init__(self, epsilon: int = 1, encoder_mode: str = "instant",
-                 initial_bps: float = INITIAL_BITRATE_BPS):
-        if encoder_mode not in ENCODER_MODES:
-            raise ValueError(f"unknown encoder mode {encoder_mode!r}")
-        self.state = SenderState(epsilon=epsilon, encoder_mode=encoder_mode,
-                                 initial_bps=initial_bps)
+    def __init__(self, epsilon: int, encoder: str, initial_bps: float):
+        self.epsilon = epsilon
+        self.encoder = encoder               # one of ENCODER_MODES
+        self.initial_bps = initial_bps
+        self.bitrate_hist = deque(maxlen=epsilon - 1)  # the last epsilon-1
+        self.recv_window = ReceiveRateWindow()
+        self.last_guidance_bps: float | None = None
+        self.last_guidance_ts = -math.inf
+        self.actual_bps: float | None = None  # encoder's operating point
         self.frame_seq = 0
         self.last_pacing_bps = 0.0
 
     # -- feedback path ----------------------------------------------------
 
     def guidance_bps(self, now: float) -> float | None:
-        return self.state.last_guidance_bps
+        return self.last_guidance_bps
 
     def apply_guidance(self, rate_bps: float | None, stamp_ts: float) -> None:
         """Latest stamp wins; stale or duplicate feedback is ignored."""
-        st = self.state
-        if stamp_ts <= st.last_guidance_ts:
+        if stamp_ts <= self.last_guidance_ts:
             return
         if rate_bps is None:
             return  # invalid feedback: hold the previous value
-        st.last_guidance_bps = rate_bps
-        st.last_guidance_ts = stamp_ts
+        self.last_guidance_bps = rate_bps
+        self.last_guidance_ts = stamp_ts
 
     def on_ack_bytes(self, arrive_ts: float, acked_bytes: int) -> None:
-        self.state.recv_window.add(arrive_ts, acked_bytes)
+        self.recv_window.add(arrive_ts, acked_bytes)
 
     def on_feedback(self, fb, stamp_ts: float) -> None:
         """Consume one decoded feedback record stamped at stamp_ts."""
@@ -150,20 +135,20 @@ class BaseSender:
 
     def encode_frame(self, now: float) -> VideoFrame:
         """Emit the frame for this tick at the smoothed target bitrate."""
-        st = self.state
-        target = target_bitrate(self.guidance_bps(now), st.bitrate_hist,
-                                st.epsilon)
+        target = target_bitrate(self.guidance_bps(now), self.bitrate_hist,
+                                self.epsilon)
         if target is None:
-            target = st.initial_bps
-        if st.encoder_mode == "instant" or st.actual_bps is None:
+            target = self.initial_bps
+        last = self.actual_bps
+        if self.encoder == "instant" or last is None:
             actual = target
         else:
-            actual = st.actual_bps + (target - st.actual_bps) * RAMP_GAP_FRACTION
-        st.actual_bps = actual
-        st.bitrate_hist.append(actual)
+            actual = last + (target - last) * RAMP_GAP_FRACTION
+        self.actual_bps = actual
+        self.bitrate_hist.append(actual)
         nbytes = max(1, round(actual * FRAME_INTERVAL_MS / 8000.0))
         self.last_pacing_bps = max(
-            pacing_rate(st.recv_window.max_rate_bps(now), target),
+            pacing_rate(self.recv_window.max_rate_bps(now), target),
             MIN_PACING_BPS)
         frame = VideoFrame(self.frame_seq, now, nbytes, target, actual)
         self.frame_seq += 1

@@ -80,6 +80,8 @@ def random_walk_trace(low: float, high: float, seed: int,
     """Bounded random walk, re-drawn every ``interval_ttis`` TTIs."""
     if not 0 < low < high:
         raise TraceError("need 0 < low < high")
+    if interval_ttis < 1:
+        raise TraceError("interval_ttis must be at least 1")
     rng = random.Random(seed)
     value = (low + high) / 2.0
     points = []

@@ -34,21 +34,25 @@ SCONE_CAPACITY_WINDOW_MS = 16.6  # smoothing horizon for the scone capacity fiel
 
 @dataclass
 class FlowConfig:
-    """Scenario-level description of one flow."""
+    """One flow of a scenario: the keys of its JSON object, with defaults."""
 
     flow_id: int
     controller: str = "choir"
     wired_nd_ms: float = 10.0
     ack_per_frames: int = 1
     epsilon: int = 1
-    encoder_mode: str = "instant"
+    encoder: str = "instant"
     start_s: float = 0.0
     stop_s: float | None = None
-    initial_bitrate_bps: float = 5e6
+    initial_bitrate_mbps: float = 5.0
 
     def __post_init__(self):
-        if self.encoder_mode not in ENCODER_MODES:
-            raise ValueError(f"unknown encoder {self.encoder_mode!r}")
+        controllers = sorted(_SENDERS)  # a list: an unhashable value is
+        if self.controller not in controllers:  # unknown, not a TypeError
+            raise ValueError(f"unknown controller {self.controller!r}; "
+                             f"expected one of {controllers}")
+        if self.encoder not in ENCODER_MODES:
+            raise ValueError(f"unknown encoder {self.encoder!r}")
         if self.ack_per_frames < 1:
             raise ValueError("ack_per_frames must be at least 1")
         if self.epsilon < 1:
@@ -57,8 +61,8 @@ class FlowConfig:
             raise ValueError("wired_nd_ms must be nonnegative")
         if self.start_s < 0:
             raise ValueError("start_s must be nonnegative")
-        if not self.initial_bitrate_bps > 0:
-            raise ValueError("initial_bitrate_bps must be positive")
+        if not self.initial_bitrate_mbps > 0:
+            raise ValueError("initial_bitrate_mbps must be positive")
         if self.stop_s is not None and self.stop_s <= self.start_s:
             raise ValueError("stop_s must exceed start_s")
 
@@ -143,7 +147,6 @@ class FlowRuntime:
         # from queue, cadence and estimates, scone averages the estimates
         self.predicts = cfg.controller == "choir"
         self.estimates = cfg.controller != "oracle"
-        self.tick_count = 0
         self.attempt_counter = 0
         self.injected_payload = 0
         self.delivered_payload = 0
@@ -167,7 +170,6 @@ class FlowRuntime:
 
 _SENDERS = {"choir": ChoirSender, "scone": SconeSender,
             "oracle": OracleSender}
-CONTROLLERS = tuple(_SENDERS)
 
 
 def _flow_id(fr: FlowRuntime) -> int:
@@ -203,7 +205,6 @@ class SimWorld:
         self.seed = seed
         self.tti_index = 0
         self.flows: dict[int, FlowRuntime] = {}
-        self._flow_order: list[FlowRuntime] = []
         self._waiting: list[FlowRuntime] = []  # not yet started
         self._live: list[FlowRuntime] = []  # the flows a step visits
         self._next_change = math.inf  # next start, or earliest live stop
@@ -233,11 +234,8 @@ class SimWorld:
             raise ValueError(f"flow {cfg.flow_id} stops before now")
         if cfg.start_s * 1000.0 < self.now_ms:
             raise ValueError(f"flow {cfg.flow_id} starts before now")
-        if cfg.controller not in _SENDERS:
-            raise ValueError(f"unknown controller {cfg.controller!r}")
         fr = FlowRuntime(cfg)
         self.flows[cfg.flow_id] = fr
-        self._flow_order = [self.flows[k] for k in sorted(self.flows)]
         self._waiting.append(fr)
         self._waiting.sort(key=_flow_id)
         self._update_live(self.now_ms)
@@ -276,8 +274,7 @@ class SimWorld:
         its start holds none of them."""
         cfg, ran = fr.cfg, self.ran
         fr.sender = _SENDERS[cfg.controller](
-            epsilon=cfg.epsilon, encoder_mode=cfg.encoder_mode,
-            initial_bps=cfg.initial_bitrate_bps)
+            cfg.epsilon, cfg.encoder, cfg.initial_bitrate_mbps * 1e6)
         fr.queue = FlowQueueState()
         fr.estimator = FlowEstimator(ran.prb_total, ran.tti_ms)
         fr.predictor = FlowPredictor(ran.tti_ms, cfg.wired_nd_ms,
@@ -586,8 +583,7 @@ class SimWorld:
         _send(fr.lane, [(ts + offset + wired, first + i, frame.frame_id, n)
                         for i, (n, offset) in enumerate(offsets)])
         self._pkt_counter += len(offsets)
-        fr.tick_count += 1
-        next_ts = fr.start_ms + fr.tick_count * FRAME_INTERVAL_MS
+        next_ts = fr.start_ms + len(fr.encode_ms) * FRAME_INTERVAL_MS
         if next_ts < fr.stop_ms:
             self._push_sender_event(next_ts, "tick", fr.cfg.flow_id, None)
 
@@ -608,7 +604,7 @@ class SimWorld:
 
     def assert_conservation(self) -> None:
         """Injected payload must equal delivered + queued + HARQ in flight."""
-        for fr in self._flow_order:
+        for _, fr in sorted(self.flows.items()):
             if fr.queue is None:  # not started: nothing injected
                 continue
             total = (fr.delivered_payload + fr.queue.queued_bytes

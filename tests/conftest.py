@@ -12,6 +12,9 @@ from ransim.sender import BaseSender
 class SaturatingSender(BaseSender):
     """Backlogs the RAN regardless of feedback; measures drain capacity."""
 
+    def __init__(self):
+        super().__init__(epsilon=1, encoder="instant", initial_bps=500e6)
+
     def guidance_bps(self, now):
         return 500e6
 
@@ -139,5 +142,5 @@ def run_metrics(world, duration_s, warmup_ms=2000.0):
 def saturate(world, flow_id=0):
     """Swap the flow's sender for one that always overdrives the link."""
     fr = world.flows[flow_id]
-    fr.sender = SaturatingSender(epsilon=1)
+    fr.sender = SaturatingSender()
     return fr

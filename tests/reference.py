@@ -127,7 +127,7 @@ class ReferenceWorld(SimWorld):
         return fr
 
     def _n_present(self, now):
-        return sum(fr.present(now) for fr in self._flow_order)
+        return sum(fr.present(now) for _, fr in sorted(self.flows.items()))
 
     def _retire(self, fr):
         pass  # every flow keeps all base-station state
@@ -137,7 +137,7 @@ class ReferenceWorld(SimWorld):
         t1 = t0 + self.ran.tti_ms
         # arrivals and the uplink visit the flows in _live: here, every
         # started flow
-        self._live = started = [fr for fr in self._flow_order
+        self._live = started = [fr for _, fr in sorted(self.flows.items())
                                 if fr.start_ms <= t0]
         self._process_arrivals(t0)
         present = [fr for fr in started if fr.present(t0)]

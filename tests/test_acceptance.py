@@ -46,16 +46,16 @@ def _packet_delay(pattern, phase_ms, failures=0):
 
 
 def _choir_world(schedule, wired_nd_ms, *, seed=1, bler=0.0, flows=1,
-                 ack_per_frames=1, epsilon=1, initial_bps=5e6,
-                 encoder_mode="instant", controller="choir"):
+                 ack_per_frames=1, epsilon=1, initial_mbps=5.0,
+                 encoder="instant", controller="choir"):
     ran = RanConfig(prb_total=100, tti_ms=TTI, bler=bler, schedule=schedule)
     w = SimWorld(ran, seed=seed, log_level="frames")
     for i in range(flows):
         w.add_flow(FlowConfig(flow_id=i, controller=controller,
                               wired_nd_ms=wired_nd_ms,
                               ack_per_frames=ack_per_frames, epsilon=epsilon,
-                              initial_bitrate_bps=initial_bps,
-                              encoder_mode=encoder_mode))
+                              initial_bitrate_mbps=initial_mbps,
+                              encoder=encoder))
     return w
 
 
@@ -118,7 +118,7 @@ def test_criterion_04_choir_convergence():
     # independent capacity oracle: a sender that always overdrives the link
     ws = _choir_world(constant_trace(30.0), wired, seed=2)
     frs = ws.flows[0]
-    frs.sender = SaturatingSender(epsilon=1)
+    frs.sender = SaturatingSender()
     ws.run(8.0)
     start = 2000.0
     eff_bps = frs.delivered_payload / ws.duration_ms * 8000.0  # ~steady
@@ -147,7 +147,7 @@ def _step_drop_drain(wired_nd_ms, drain_budget_fi):
     encode_frame = fr.sender.encode_frame
 
     def record_encode(now):
-        encodes.append((now, fr.sender.state.last_guidance_ts))
+        encodes.append((now, fr.sender.last_guidance_ts))
         return encode_frame(now)
     fr.sender.encode_frame = record_encode
     n = int(9_000 / TTI)
@@ -246,7 +246,7 @@ def test_criterion_09_smoothing_tradeoff():
     meas_ms = 5000.0  # smoothing factors converge slowly; measure steady state
     covs, p99s = [], []
     for eps in (1, 5, 10, 20):
-        w = _choir_world(trace, 10.0, seed=7, epsilon=eps, initial_bps=25e6)
+        w = _choir_world(trace, 10.0, seed=7, epsilon=eps, initial_mbps=25.0)
         encodes = record_encodes(w.flows[0])
         w.run(20.0)
         m = compute_metrics(w.frames_by_flow(), w.duration_ms,

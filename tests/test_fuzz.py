@@ -37,21 +37,22 @@ class _CheckedWorld(SimWorld):
         super().step()
         self.assert_conservation()
         now = self.now_ms
+        flows = [fr for _, fr in sorted(self.flows.items())]
         live = {fr.cfg.flow_id for fr in self._live}
         retired = {fid for fid, fr in self.flows.items()
                    if fr.start_ms <= now} - live
         assert self._retired <= retired
         self._retired = retired
         assert all(fr.cfg.flow_id in live
-                   for fr in self._flow_order if fr.present(now))
+                   for fr in flows if fr.present(now))
         # the oracle's flow count, whose fast path trusts the live list
         assert self._n_present(now) == \
-            sum(fr.present(now) for fr in self._flow_order)
+            sum(fr.present(now) for fr in flows)
         cell = self.cell
         assert cell._long_sum <= len(cell._long)
         assert cell._short_retx <= cell._short_data
         assert cell._usage_prb <= self.ran.prb_total * len(cell._usage)
-        for fr in self._flow_order:
+        for fr in flows:
             if fr.queue is None:
                 # a flow is built at its start or its first tick, so one
                 # not built yet has not started and holds nothing

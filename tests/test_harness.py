@@ -157,7 +157,9 @@ class TestScenarioValidation:
          "initial_bitrate_mbps must be positive"),
         ("flows[0]", "initial_bitrate_mbps", 0,
          "initial_bitrate_mbps must be positive"),
-        ("flows[0]", "start_s", -0.5, "start_s must be nonnegative")])
+        ("flows[0]", "start_s", -0.5, "start_s must be nonnegative"),
+        # null is a value only for stop_s: here it is not the default 0.0
+        ("flows[0]", "start_s", None, "start_s must be a number, got None")])
     def test_value_is_rejected_not_coerced(self, where, key, value, message):
         cfg = base_config()
         target = {"scenario": cfg, "ran": cfg["ran"],
@@ -166,6 +168,34 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError,
                            match=re.escape(f"{where}: {message}")):
             scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda cfg: [], "scenario root must be a JSON object"),
+        (lambda cfg: cfg.update(ran=5), "ran must be a JSON object"),
+        (lambda cfg: cfg["ran"].update(trace=5),
+         "ran.trace must be a JSON object"),
+        (lambda cfg: cfg.update(flows=[5]), "flows[0] must be a JSON object"),
+        (lambda cfg: cfg["ran"]["trace"].pop("bytes_per_prb") and None,
+         "ran.trace: missing required key 'bytes_per_prb'"),
+        (lambda cfg: cfg["flows"][0].update(wired_nd_ms=None),
+         "flows[0]: wired_nd_ms must be a number, got None"),
+        (lambda cfg: cfg["flows"][0].update(controller=5),
+         "flows[0]: unknown controller 5; "
+         "expected one of ['choir', 'oracle', 'scone']"),
+        (lambda cfg: cfg.update(log_level="x"),
+         "log_level must be 'frames' or 'full', got 'x'"),
+        (lambda cfg: cfg.update(flows=[{"flow_id": 3}, {"flow_id": 3}]),
+         "duplicate flow_id in flows"),
+        (lambda cfg: cfg.update(flows=[]), "flows must be a non-empty list"),
+    ], ids=["root", "ran", "ran.trace", "flow", "missing", "null",
+            "controller", "log_level", "duplicate_ids", "no_flows"])
+    def test_message_of_each_rejection(self, edit, message):
+        # an edit changes the config in place, or returns a new root
+        cfg = base_config()
+        edited = edit(cfg)
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(cfg if edited is None else edited)
+        assert str(exc.value) == message
 
     def test_whole_float_loads_as_int(self):
         cfg = base_config()
@@ -286,6 +316,31 @@ class TestCli:
         assert main(["run", str(p)]) == EXIT_CONFIG
         assert f"{trace}:2: bytes_per_prb must be finite" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        # a flow that never starts: run wrote an all-nan row for it, which
+        # report, finding no line of it in the log, left out
+        (lambda cfg: cfg["flows"].append({"start_s": 3.0}),
+         "flows[1]: start_s must be before duration_s, got 3.0"),
+        (lambda cfg: cfg["ran"].update(trace={
+            "kind": "random_walk", "low": 20.0, "high": 40.0,
+            "interval_ttis": 0}),
+         "ran.trace: interval_ttis must be at least 1"),
+        (lambda cfg: cfg["ran"]["trace"].update(kind=["constant"]),
+         "ran.trace: unknown kind ['constant']"),
+        (lambda cfg: cfg["flows"][0].update(controller=["choir"]),
+         "flows[0]: unknown controller ['choir']; "
+         "expected one of ['choir', 'oracle', 'scone']"),
+    ], ids=["never_starts", "interval_ttis", "kind_list", "controller_list"])
+    def test_rejected_at_load_exit_code(self, tmp_path, capsys, edit,
+                                        message):
+        cfg = base_config()
+        edit(cfg)
+        p = write_scenario(tmp_path, cfg)
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == \
+            EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.json")]) == EXIT_CONFIG

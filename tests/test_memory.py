@@ -25,7 +25,7 @@ def test_retiring_flow_state_is_freed_by_reference_counting():
     leaver = w.add_flow(FlowConfig(flow_id=1, stop_s=0.3))
     held = [leaver.estimator, leaver.predictor, leaver.estimator.bw_ring,
             leaver.predictor.history, leaver.receiver, leaver.sender,
-            leaver.sender.state]
+            leaver.sender.recv_window]
     refs = [weakref.ref(obj) for obj in held]
     del held
     gc.disable()
@@ -174,7 +174,7 @@ tracemalloc.start()
 w = build_world(scn)
 w.run(float(sys.argv[2]))
 print(tracemalloc.get_traced_memory()[0],
-      sum(fr.tick_count for fr in w.flows.values()))
+      sum(len(fr.encode_ms) for fr in w.flows.values()))
 """
 FAIRNESS = Path(__file__).resolve().parent.parent / "scenarios" / \
     "multi_flow_fairness.json"

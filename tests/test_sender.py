@@ -9,6 +9,10 @@ from ransim.sender import (FRAME_INTERVAL_MS, ChoirSender,
                            ReceiveRateWindow, pacing_rate, target_bitrate)
 
 
+def choir(epsilon=1, encoder="instant", initial_bps=5e6):
+    return ChoirSender(epsilon, encoder, initial_bps)
+
+
 class TestTargetBitrate:
     def test_epsilon_one_passthrough(self):
         assert target_bitrate(30e6, [10e6, 20e6], 1) == 30e6
@@ -48,14 +52,14 @@ class TestPacingRate:
 
 class TestEncodeFrame:
     def test_instant_mode_frame_bytes(self):
-        s = ChoirSender(epsilon=1)
+        s = choir(epsilon=1)
         s.apply_guidance(30e6, stamp_ts=1.0)
         frame = s.encode_frame(100.0)
         assert frame.nbytes == 62250
         assert frame.actual_bps == 30e6
 
     def test_ramp_mode_geometric_approach(self):
-        s = ChoirSender(epsilon=1, encoder_mode="ramp", initial_bps=30e6)
+        s = choir(epsilon=1, encoder="ramp", initial_bps=30e6)
         s.encode_frame(0.0)  # seeds the encoder at 30 Mbps
         s.apply_guidance(60e6, stamp_ts=1.0)
         rates = [s.encode_frame(16.6 * (k + 1)).actual_bps / 1e6
@@ -64,19 +68,19 @@ class TestEncodeFrame:
                          pytest.approx(51.1111, abs=1e-3)]
 
     def test_unchanged_bitrate_unchanged_size(self):
-        s = ChoirSender(epsilon=1)
+        s = choir(epsilon=1)
         s.apply_guidance(24e6, stamp_ts=1.0)
         f1 = s.encode_frame(0.0)
         f2 = s.encode_frame(16.6)
         assert f1.nbytes == f2.nbytes
 
     def test_warmup_uses_initial_bitrate(self):
-        s = ChoirSender(epsilon=1, initial_bps=5e6)
+        s = choir(epsilon=1, initial_bps=5e6)
         frame = s.encode_frame(0.0)
         assert frame.target_bps == 5e6
 
     def test_zero_guidance_emits_marker_frame(self):
-        s = ChoirSender(epsilon=1)
+        s = choir(epsilon=1)
         s.apply_guidance(0.0, stamp_ts=1.0)
         frame = s.encode_frame(0.0)
         assert frame.nbytes == 1  # keeps the flow's frame pattern alive
@@ -84,14 +88,14 @@ class TestEncodeFrame:
 
 class TestPacingDominance:
     def test_pacing_at_least_rho_times_target(self):
-        s = ChoirSender(epsilon=1)
+        s = choir(epsilon=1)
         for k, g in enumerate([5e6, 30e6, 80e6, 12e6]):
             s.apply_guidance(g, stamp_ts=float(k + 1))
             frame = s.encode_frame(16.6 * k)
             assert s.last_pacing_bps >= 1.25 * frame.target_bps - 1e-6
 
     def test_release_schedule_spacing_matches_pacing(self):
-        s = ChoirSender(epsilon=1)
+        s = choir(epsilon=1)
         s.apply_guidance(30e6, stamp_ts=1.0)
         frame = s.encode_frame(0.0)
         packets = s.packet_release_offsets(frame.nbytes)
@@ -105,29 +109,29 @@ class TestPacingDominance:
 
 class TestFeedbackOrdering:
     def test_newer_stamp_replaces(self):
-        s = ChoirSender(epsilon=1)
+        s = choir(epsilon=1)
         s.on_feedback(encode_rate(10e6), 5.0)
         s.on_feedback(encode_rate(20e6), 7.0)
-        assert s.state.last_guidance_bps == pytest.approx(20e6, rel=1e-4)
+        assert s.last_guidance_bps == pytest.approx(20e6, rel=1e-4)
 
     def test_stale_stamp_ignored(self):
-        s = ChoirSender(epsilon=1)
+        s = choir(epsilon=1)
         s.on_feedback(encode_rate(20e6), 7.0)
         s.on_feedback(encode_rate(10e6), 5.0)
-        assert s.state.last_guidance_bps == pytest.approx(20e6, rel=1e-4)
+        assert s.last_guidance_bps == pytest.approx(20e6, rel=1e-4)
 
     def test_duplicate_stamp_idempotent(self):
-        s = ChoirSender(epsilon=1)
+        s = choir(epsilon=1)
         s.on_feedback(encode_rate(20e6), 7.0)
-        before = s.state.last_guidance_bps
+        before = s.last_guidance_bps
         s.on_feedback(encode_rate(11e6), 7.0)
-        assert s.state.last_guidance_bps == before
+        assert s.last_guidance_bps == before
 
     def test_invalid_feedback_holds_last(self):
-        s = ChoirSender(epsilon=1)
+        s = choir(epsilon=1)
         s.on_feedback(encode_rate(20e6), 7.0)
         s.on_feedback(encode_rate(-1.0), 9.0)
-        assert s.state.last_guidance_bps == pytest.approx(20e6, rel=1e-4)
+        assert s.last_guidance_bps == pytest.approx(20e6, rel=1e-4)
 
 
 class TestSmoothingOpenLoop:
@@ -138,7 +142,7 @@ class TestSmoothingOpenLoop:
         guidance = [20e6 + 10e6 * rng.random() for _ in range(400)]
         covs = []
         for eps in (1, 5, 10, 20):
-            s = ChoirSender(epsilon=eps, initial_bps=25e6)
+            s = choir(epsilon=eps, initial_bps=25e6)
             rates = []
             for k, g in enumerate(guidance):
                 s.apply_guidance(g, stamp_ts=float(k + 1))
@@ -149,7 +153,7 @@ class TestSmoothingOpenLoop:
 
     def test_epsilon_beyond_64_means_over_epsilon_frames(self):
         # the target is the mean of the guidance and the last 99 bitrates
-        s = ChoirSender(epsilon=100)
+        s = choir(epsilon=100)
         targets = []
         for k in range(150):
             s.apply_guidance(1e5 * k, stamp_ts=float(k + 1))
@@ -160,7 +164,7 @@ class TestSmoothingOpenLoop:
     def test_epsilon_one_transparency(self):
         # the emitted target sequence equals the guidance sequence shifted
         # by exactly one feedback application
-        s = ChoirSender(epsilon=1, initial_bps=5e6)
+        s = choir(epsilon=1, initial_bps=5e6)
         guidance = [7e6, 21e6, 14e6, 28e6]
         targets = []
         for k, g in enumerate(guidance):

@@ -119,3 +119,10 @@ class TestSyntheticTraces:
             CapacitySchedule(((0, -1.0),))
         with pytest.raises(TraceError):
             CapacitySchedule(((5, 1.0),))
+
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_random_walk_interval_must_be_positive(self, interval):
+        # not the schedule's "non-monotonic tti_index 0", which names no key
+        with pytest.raises(TraceError,
+                           match="^interval_ttis must be at least 1$"):
+            random_walk_trace(10.0, 40.0, seed=1, interval_ttis=interval)

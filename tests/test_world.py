@@ -423,7 +423,7 @@ class TestLiveFlows:
         w = build_world(scenario_from_dict(cfg))
 
         def scan(now):
-            return [fr for fr in w._flow_order if fr.present(now)]
+            return [fr for _, fr in sorted(w.flows.items()) if fr.present(now)]
         visits, reads = [], []
         estimate, n_present = w._estimate_and_predict, w._n_present
 
