@@ -39,9 +39,12 @@ accept-lines() {
 round-trip() {
   # events.log is streamed during the run; report must rebuild the same
   # metrics.csv from it, also for join_leave, whose leavers, HARQ failures,
-  # undelivered frames and all-nan flow exercise every row report writes
+  # undelivered frames and all-nan flow exercise every row report writes;
+  # run prints the metrics.csv it writes
   for scn in single_flow join_leave; do
-    ransim run "scenarios/$scn.json" --out "$RUNNER_TEMP/$scn"
+    ransim run "scenarios/$scn.json" --out "$RUNNER_TEMP/$scn" \
+      > "$RUNNER_TEMP/$scn-stdout.csv"
+    cmp "$RUNNER_TEMP/$scn-stdout.csv" "$RUNNER_TEMP/$scn/metrics.csv"
     cp "$RUNNER_TEMP/$scn/metrics.csv" "$RUNNER_TEMP/$scn-metrics.csv"
     ransim report "$RUNNER_TEMP/$scn"
     cmp "$RUNNER_TEMP/$scn-metrics.csv" "$RUNNER_TEMP/$scn/metrics.csv"

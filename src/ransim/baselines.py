@@ -48,16 +48,8 @@ class SconeSender(BaseSender):
 
 
 class OracleSender(BaseSender):
-    """Reads the simulator's ground-truth capacity instead of feedback."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # set by the world before each frame; a plain value, so the sender
-        # holds no reference back to the world
-        self.truth_bps: float | None = None
-
-    def guidance_bps(self, now: float) -> float | None:
-        return self.truth_bps
+    """Takes the simulator's ground-truth capacity, which the world applies
+    as its guidance before each frame, instead of feedback."""
 
     def on_feedback(self, fb, stamp_ts: float) -> None:
         pass  # ACK byte counts still update the receive-rate window

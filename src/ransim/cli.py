@@ -9,8 +9,9 @@ import sys
 from pathlib import Path
 
 from .harness import (METRICS_CSV, ScenarioError, find_run_dirs,
-                      load_scenario, parse_vary, report_run_dir,
-                      run_scenario, sweep_scenario, write_metrics_csv)
+                      load_scenario, metrics_csv_text, parse_vary,
+                      report_run_dir, run_scenario, sweep_scenario,
+                      write_metrics_csv)
 from .traces import TraceError
 
 EXIT_OK = 0
@@ -49,10 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _print_metrics(metrics, label: str = "") -> None:
     if label:
         print(f"== {label} ==")
-    print("flow_id,avg_delay_ms,p95_ms,p999_ms,avg_mbps,jain")
-    for fid, m in sorted(metrics.flows.items()):
-        print(f"{fid},{m.avg_delay_ms:.6f},{m.p95_ms:.6f},{m.p999_ms:.6f},"
-              f"{m.avg_mbps:.6f},{metrics.jain:.6f}")
+    print(metrics_csv_text(metrics), end="")
 
 
 def main(argv=None) -> int:

@@ -241,19 +241,23 @@ def run_scenario(scn: Scenario, out_dir=None, seed: int | None = None
         with open(out / EVENTS_LOG, "w") as sink:
             world = build_world(scn, seed, sink)
             world.run(scn.duration_s)
-    metrics = compute_metrics(world.frames_by_flow(), world.duration_ms)
+    metrics = compute_metrics(world.frames_by_flow(), world.now_ms)
     if out_dir is not None:
         write_metrics_csv(out / METRICS_CSV, metrics)
         write_frames_csv(out / FRAMES_CSV, world)
     return metrics
 
 
+def metrics_csv_text(metrics: RunMetrics) -> str:
+    """The text of metrics.csv, which the CLI also prints."""
+    return "flow_id,avg_delay_ms,p95_ms,p999_ms,avg_mbps,jain\n" + "".join(
+        f"{fid},{m.avg_delay_ms:.6f},{m.p95_ms:.6f},{m.p999_ms:.6f},"
+        f"{m.avg_mbps:.6f},{metrics.jain:.6f}\n"
+        for fid, m in sorted(metrics.flows.items()))
+
+
 def write_metrics_csv(path, metrics: RunMetrics) -> None:
-    with open(path, "w") as fh:
-        fh.write("flow_id,avg_delay_ms,p95_ms,p999_ms,avg_mbps,jain\n")
-        for fid, m in sorted(metrics.flows.items()):
-            fh.write(f"{fid},{m.avg_delay_ms:.6f},{m.p95_ms:.6f},"
-                     f"{m.p999_ms:.6f},{m.avg_mbps:.6f},{metrics.jain:.6f}\n")
+    Path(path).write_text(metrics_csv_text(metrics))
 
 
 def write_frames_csv(path, world: SimWorld) -> None:

@@ -20,7 +20,7 @@ RAMP_GAP_FRACTION = 1.0 / 3.0   # slow-encoder convergence per frame
 ENCODER_MODES = ("instant", "ramp")
 
 
-def target_bitrate(guidance_bps: float | None, hist, epsilon: int
+def target_bitrate(guidance: float | None, hist, epsilon: int
                    ) -> float | None:
     """Smooth the guidance with the last epsilon-1 encoder bitrates.
 
@@ -30,10 +30,10 @@ def target_bitrate(guidance_bps: float | None, hist, epsilon: int
     """
     if epsilon < 1:
         raise ValueError("epsilon must be at least 1")
-    if guidance_bps is None:
+    if guidance is None:
         return None
     take = min(epsilon - 1, len(hist))
-    total = guidance_bps
+    total = guidance
     n = len(hist)
     for i in range(n - take, n):
         total += hist[i]
@@ -53,7 +53,6 @@ class VideoFrame:
     """One encoded frame as encode_frame returns it; the world keeps only
     its encode time and size, in the flow's frame columns."""
 
-    frame_id: int
     encode_ts: float
     nbytes: int
     target_bps: float
@@ -107,13 +106,9 @@ class BaseSender:
         self.last_guidance_bps: float | None = None
         self.last_guidance_ts = -math.inf
         self.actual_bps: float | None = None  # encoder's operating point
-        self.frame_seq = 0
         self.last_pacing_bps = 0.0
 
     # -- feedback path ----------------------------------------------------
-
-    def guidance_bps(self, now: float) -> float | None:
-        return self.last_guidance_bps
 
     def apply_guidance(self, rate_bps: float | None, stamp_ts: float) -> None:
         """Latest stamp wins; stale or duplicate feedback is ignored."""
@@ -135,7 +130,7 @@ class BaseSender:
 
     def encode_frame(self, now: float) -> VideoFrame:
         """Emit the frame for this tick at the smoothed target bitrate."""
-        target = target_bitrate(self.guidance_bps(now), self.bitrate_hist,
+        target = target_bitrate(self.last_guidance_bps, self.bitrate_hist,
                                 self.epsilon)
         if target is None:
             target = self.initial_bps
@@ -150,9 +145,7 @@ class BaseSender:
         self.last_pacing_bps = max(
             pacing_rate(self.recv_window.max_rate_bps(now), target),
             MIN_PACING_BPS)
-        frame = VideoFrame(self.frame_seq, now, nbytes, target, actual)
-        self.frame_seq += 1
-        return frame
+        return VideoFrame(now, nbytes, target, actual)
 
     def packet_release_offsets(self, nbytes: int) -> list[tuple[int, float]]:
         """(payload_bytes, release offset ms) per packet at the pacing rate."""

@@ -88,9 +88,6 @@ class ReceiverState:
         self.last_ack_ts = -math.inf
         self.pending_acks: deque[tuple[float, int]] = deque()
 
-    def register(self, frame: VideoFrame) -> None:
-        self.remaining[frame.frame_id] = frame.nbytes
-
     def on_bytes(self, frame_id: int, nbytes: int) -> bool:
         """Credit delivered payload; True when the frame just completed."""
         self.bytes_since_ack += nbytes
@@ -143,21 +140,19 @@ class FlowRuntime:
         self.frame_bytes = array("q")
         self.start_ms = cfg.start_s * 1000.0
         self.stop_ms = math.inf if cfg.stop_s is None else cfg.stop_s * 1000.0
-        # base-station upkeep only where a stamp reads it: choir predicts
-        # from queue, cadence and estimates, scone averages the estimates
-        self.predicts = cfg.controller == "choir"
-        self.estimates = cfg.controller != "oracle"
         self.attempt_counter = 0
         self.injected_payload = 0
         self.delivered_payload = 0
 
-    def add_frame(self, frame: VideoFrame) -> None:
-        """Store a frame just encoded, whose frame_id is its index, and
-        expect its bytes at the receiver."""
+    def add_frame(self, frame: VideoFrame) -> int:
+        """Store a frame just encoded and expect its bytes at the receiver;
+        returns its frame id, its index in the frame columns."""
+        frame_id = len(self.encode_ms)
         self.encode_ms.append(frame.encode_ts)
         self.decode_ms.append(math.nan)
         self.frame_bytes.append(frame.nbytes)
-        self.receiver.register(frame)
+        self.receiver.remaining[frame_id] = frame.nbytes
+        return frame_id
 
     def present(self, now: float) -> bool:
         """Started, and not yet stopped or still holding queued/HARQ bytes."""
@@ -219,7 +214,6 @@ class SimWorld:
         self._breaks = iter(ran.schedule.breakpoints)
         _, self._bpp = next(self._breaks)
         self._next_break = next(self._breaks, None)
-        self.duration_ms = 0.0
 
     # -- wiring -------------------------------------------------------------
 
@@ -271,14 +265,17 @@ class SimWorld:
 
     def _start(self, fr: FlowRuntime) -> None:
         """Build the parts a running flow reads, so that a flow waiting for
-        its start holds none of them."""
+        its start holds none of them: an estimator where a scone or choir
+        stamp reads its estimates, a predictor where a choir stamp does."""
         cfg, ran = fr.cfg, self.ran
         fr.sender = _SENDERS[cfg.controller](
             cfg.epsilon, cfg.encoder, cfg.initial_bitrate_mbps * 1e6)
         fr.queue = FlowQueueState()
-        fr.estimator = FlowEstimator(ran.prb_total, ran.tti_ms)
-        fr.predictor = FlowPredictor(ran.tti_ms, cfg.wired_nd_ms,
-                                     fr.estimator.bw_ring)
+        if cfg.controller != "oracle":
+            fr.estimator = FlowEstimator(ran.prb_total, ran.tti_ms)
+        if cfg.controller == "choir":
+            fr.predictor = FlowPredictor(ran.tti_ms, cfg.wired_nd_ms,
+                                         fr.estimator.bw_ring)
         fr.receiver = ReceiverState(cfg.ack_per_frames)
         fr.lane = deque()
 
@@ -326,11 +323,9 @@ class SimWorld:
         try:
             for _ in range(n_ttis):
                 self.step()
-            self.duration_ms = self.now_ms
             if self.log is not None:
                 self.log.add(self.now_ms, "run_info", -1, 0,
-                             f"duration_ms={self.duration_ms!r};"
-                             f"seed={self.seed}")
+                             f"duration_ms={self.now_ms!r};seed={self.seed}")
         finally:
             if self.log is not None:
                 self.log.write()
@@ -355,9 +350,9 @@ class SimWorld:
             self._uplink(t0)
         self._process_sender_events(t0, t1)
         self.tti_index += 1
-        self.duration_ms = self.now_ms
-        if self.duration_ms >= self._next_change:
-            self._update_live(self.duration_ms)
+        now = self.now_ms
+        if now >= self._next_change:
+            self._update_live(now)
         nxt = self._next_break
         if nxt is not None and nxt[0] <= self.tti_index:
             self._bpp = nxt[1]
@@ -371,13 +366,13 @@ class SimWorld:
             lane = fr.lane
             if not lane or lane[0][0] > t0:
                 continue
-            segments, predicts, total = fr.queue.segments, fr.predicts, 0
+            segments, predictor, total = fr.queue.segments, fr.predictor, 0
             while lane and lane[0][0] <= t0:
                 ts, pkt_id, frame_id, nbytes = lane.popleft()
                 segments.append((frame_id, nbytes))
                 total += nbytes
-                if predicts:
-                    fr.predictor.on_enqueue(ts, nbytes)
+                if predictor is not None:
+                    predictor.on_enqueue(ts, nbytes)
                 if arrived is not None:  # unique pkt_id: fr is never compared
                     arrived.append((ts, pkt_id, fr, nbytes, frame_id))
             fr.queue.queued_bytes += total
@@ -392,9 +387,9 @@ class SimWorld:
         """Sample queues and estimate bandwidth; predicting waits for a stamp."""
         terms = self.cell.terms(self.ran.prb_total, len(present))
         for fr in present:
-            if fr.predicts:
+            if fr.predictor is not None:
                 sample_rlc_queue(fr.queue, t0)
-            if fr.estimates:
+            if fr.estimator is not None:
                 fr.estimator.compute(t0, terms)
 
     def _downlink(self, t0: float, t1: float, factor: float,
@@ -416,7 +411,7 @@ class SimWorld:
                     OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT
                     * (1 + q.queued_bytes // MTU_PAYLOAD))
             else:
-                if fr.estimates:
+                if fr.estimator is not None:
                     fr.estimator.note_grant(0)
                 continue
             # a TTI without capacity grants nothing, whatever the demand
@@ -441,12 +436,12 @@ class SimWorld:
                 else:
                     block = assemble_block(q, int(prbs * unit + 1e-9))
             if block is None:
-                if fr.estimates:
+                if fr.estimator is not None:
                     fr.estimator.note_grant(0)
                 continue
             fit = ceil(block.bytes / unit - 1e-9)  # min(prbs, max(1, fit))
             uprb = prbs if fit >= prbs else fit if fit > 1 else 1
-            if fr.estimates:  # the block's PRBs are its grant
+            if fr.estimator is not None:  # the block's PRBs are its grant
                 fr.estimator.note_block(t0, block.bytes,
                                         block.overhead_bytes, uprb, factor)
             prb_used += uprb
@@ -539,7 +534,7 @@ class SimWorld:
             fr.predictor.record_stamp(t0, (decoded or 0.0) / 8000.0)
         elif kind == "scone":
             window = max(1, round(SCONE_CAPACITY_WINDOW_MS / self.ran.tti_ms))
-            capacity = mean_alloc_bw(fr.predictor.bw_ring, window)
+            capacity = mean_alloc_bw(fr.estimator.bw_ring, window)
             scone_fb = SconeFeedback(capacity=capacity,
                                      queue_len=float(fr.queue.queued_bytes))
             wire = encode_scone(scone_fb)
@@ -552,7 +547,7 @@ class SimWorld:
             self.log.add(t0, "ack_stamp", fr.cfg.flow_id, acked_bytes, detail)
         arrive = t0 + fr.cfg.wired_nd_ms
         self._push_sender_event(arrive, "feedback", fr.cfg.flow_id,
-                                (kind, wire, t0, acked_bytes))
+                                (wire, t0, acked_bytes))
 
     def _process_sender_events(self, t0: float, t1: float) -> None:
         heap = self._sender_events
@@ -569,18 +564,19 @@ class SimWorld:
             return
         if fr.queue is None:  # a start inside a TTI ticks before it is live
             self._start(fr)
-        if isinstance(fr.sender, OracleSender):
-            fr.sender.truth_bps = self.true_flow_rate(fr.cfg.flow_id) * 8000.0
+        if fr.cfg.controller == "oracle":  # the truth is its guidance
+            fr.sender.apply_guidance(
+                self.true_flow_rate(fr.cfg.flow_id) * 8000.0, ts)
         frame = fr.sender.encode_frame(ts)
-        fr.add_frame(frame)
+        frame_id = fr.add_frame(frame)
         if self.log is not None:
             self.log.add(ts, "frame_encode", fr.cfg.flow_id, frame.nbytes,
-                         f"frame={frame.frame_id};"
+                         f"frame={frame_id};"
                          f"target={frame.target_bps!r};"
                          f"actual={frame.actual_bps!r}")
         offsets = fr.sender.packet_release_offsets(frame.nbytes)
         first, wired = self._pkt_counter + 1, fr.cfg.wired_nd_ms
-        _send(fr.lane, [(ts + offset + wired, first + i, frame.frame_id, n)
+        _send(fr.lane, [(ts + offset + wired, first + i, frame_id, n)
                         for i, (n, offset) in enumerate(offsets)])
         self._pkt_counter += len(offsets)
         next_ts = fr.start_ms + len(fr.encode_ms) * FRAME_INTERVAL_MS
@@ -588,8 +584,8 @@ class SimWorld:
             self._push_sender_event(next_ts, "tick", fr.cfg.flow_id, None)
 
     def _apply_feedback(self, fr: FlowRuntime, ts: float, payload) -> None:
-        kind, wire, stamp_ts, acked_bytes = payload
-        sender = fr.sender
+        wire, stamp_ts, acked_bytes = payload
+        sender, kind = fr.sender, fr.cfg.controller
         if sender is not None:  # None once the flow has retired
             sender.on_ack_bytes(ts, acked_bytes)
             if kind == "choir":

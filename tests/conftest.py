@@ -14,9 +14,7 @@ class SaturatingSender(BaseSender):
 
     def __init__(self):
         super().__init__(epsilon=1, encoder="instant", initial_bps=500e6)
-
-    def guidance_bps(self, now):
-        return 500e6
+        self.last_guidance_bps = 500e6
 
     def on_feedback(self, fb, stamp_ts):
         pass
@@ -52,14 +50,11 @@ def inject_packet(world, flow_id, ts, nbytes):
     fr = world.flows[flow_id]
     if fr.queue is None:
         world._start(fr)
-    frame = VideoFrame(frame_id=fr.sender.frame_seq, encode_ts=ts,
-                       nbytes=nbytes, target_bps=0.0, actual_bps=0.0)
-    fr.sender.frame_seq += 1
-    fr.add_frame(frame)
+    frame_id = fr.add_frame(VideoFrame(encode_ts=ts, nbytes=nbytes,
+                                       target_bps=0.0, actual_bps=0.0))
     world._pkt_counter += 1
-    ransim.world._send(fr.lane, [(ts, world._pkt_counter, frame.frame_id,
-                                  nbytes)])
-    return frame.frame_id
+    ransim.world._send(fr.lane, [(ts, world._pkt_counter, frame_id, nbytes)])
+    return frame_id
 
 
 def record_encodes(fr):
@@ -135,7 +130,7 @@ def make_world(bpp=30.0, *, flows=1, controller="choir", wired_nd_ms=1.0,
 
 def run_metrics(world, duration_s, warmup_ms=2000.0):
     world.run(duration_s)
-    return compute_metrics(world.frames_by_flow(), world.duration_ms,
+    return compute_metrics(world.frames_by_flow(), world.now_ms,
                            warmup_ms)
 
 

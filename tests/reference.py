@@ -3,7 +3,8 @@ the paper's estimator equations, one checked helper each, and
 ``ReferenceWorld``, which must write the same bytes as ``SimWorld``."""
 from functools import partial
 
-from ransim.capacity import GAMMA_DEFAULT
+from ransim.capacity import GAMMA_DEFAULT, FlowEstimator
+from ransim.predictor import FlowPredictor
 from ransim.ran import sample_rlc_queue
 from ransim.world import SimWorld
 
@@ -122,8 +123,12 @@ class ReferenceWorld(SimWorld):
         fr = super().add_flow(cfg)
         if fr.queue is None:  # built at once, not at its start
             self._start(fr)
-        fr.predicts = fr.estimates = True
-        fr.estimator.note_block = partial(note_block, fr.estimator)
+        # every part for every flow, whatever its controller reads
+        fr.estimator = estimator = FlowEstimator(self.ran.prb_total,
+                                                 self.ran.tti_ms)
+        fr.predictor = FlowPredictor(self.ran.tti_ms, cfg.wired_nd_ms,
+                                     estimator.bw_ring)
+        estimator.note_block = partial(note_block, estimator)
         return fr
 
     def _n_present(self, now):
@@ -159,7 +164,6 @@ class ReferenceWorld(SimWorld):
             self._uplink(t0)
         self._process_sender_events(t0, t1)
         self.tti_index += 1
-        self.duration_ms = self.now_ms
         self._bpp = [bpp for tti, bpp in self.ran.schedule.breakpoints
                      if tti <= self.tti_index][-1]
 

@@ -121,11 +121,11 @@ def test_criterion_04_choir_convergence():
     frs.sender = SaturatingSender()
     ws.run(8.0)
     start = 2000.0
-    eff_bps = frs.delivered_payload / ws.duration_ms * 8000.0  # ~steady
+    eff_bps = frs.delivered_payload / ws.now_ms * 8000.0  # ~steady
 
     wc = _choir_world(constant_trace(30.0), wired, seed=2)
     wc.run(8.0)
-    m = compute_metrics(wc.frames_by_flow(), wc.duration_ms)
+    m = compute_metrics(wc.frames_by_flow(), wc.now_ms)
     f = m.flow(0)
     target = 0.95 * eff_bps / 1e6
     floor = wired + TTI  # propagation plus minimal air delay
@@ -188,7 +188,7 @@ def test_criterion_06_fairness_and_scaling():
     for n in (7, 14):
         w = _choir_world(constant_trace(220.0), 1.0, seed=3, flows=n)
         w.run(10.0)
-        m = compute_metrics(w.frames_by_flow(), w.duration_ms)
+        m = compute_metrics(w.frames_by_flow(), w.now_ms)
         rates = [m.flow(i).avg_mbps for i in range(n)]
         p95s = [m.flow(i).p95_ms for i in range(n)]
         results[n] = (statistics.mean(rates), statistics.mean(p95s), m.jain)
@@ -212,7 +212,7 @@ def test_criterion_07_wired_latency_degradation():
     for wired in (1.0, 10.0, 20.0):
         w = _choir_world(SWEEP_TRACE, wired, seed=7)
         w.run(12.0)
-        m = compute_metrics(w.frames_by_flow(), w.duration_ms)
+        m = compute_metrics(w.frames_by_flow(), w.now_ms)
         p999[wired] = m.flow(0).p999_ms
     ok = all(p999[wired] - p999[1.0] <= 2 * (wired - 1.0) + 2 * FI + 1e-9
              for wired in (10.0, 20.0))
@@ -228,7 +228,7 @@ def test_criterion_08_ack_frequency_robustness():
     for ack in (1, 2, 3):
         w = _choir_world(SWEEP_TRACE, 10.0, seed=7, ack_per_frames=ack)
         w.run(12.0)
-        m = compute_metrics(w.frames_by_flow(), w.duration_ms)
+        m = compute_metrics(w.frames_by_flow(), w.now_ms)
         rates.append(m.flow(0).avg_mbps)
         p999s.append(m.flow(0).p999_ms)
     spread = (max(rates) - min(rates)) / statistics.mean(rates)
@@ -249,7 +249,7 @@ def test_criterion_09_smoothing_tradeoff():
         w = _choir_world(trace, 10.0, seed=7, epsilon=eps, initial_mbps=25.0)
         encodes = record_encodes(w.flows[0])
         w.run(20.0)
-        m = compute_metrics(w.frames_by_flow(), w.duration_ms,
+        m = compute_metrics(w.frames_by_flow(), w.now_ms,
                             warmup_ms=meas_ms)
         br = [f.actual_bps for f in encodes if f.encode_ts >= meas_ms]
         covs.append(statistics.pstdev(br) / statistics.mean(br))
@@ -269,7 +269,7 @@ def test_criterion_10_baseline_relation():
     for ctrl in ("choir", "scone"):
         w = _choir_world(SWEEP_TRACE, 10.0, seed=7, controller=ctrl)
         w.run(12.0)
-        m = compute_metrics(w.frames_by_flow(), w.duration_ms)
+        m = compute_metrics(w.frames_by_flow(), w.now_ms)
         metrics[ctrl] = m.flow(0)
     rate_ratio = metrics["choir"].avg_mbps / metrics["scone"].avg_mbps
     delay_ratio = metrics["choir"].avg_delay_ms / metrics["scone"].avg_delay_ms

@@ -245,7 +245,7 @@ class TestReport:
         scn = scenario_from_dict(MIXED_FULL)
         direct = run_scenario(scn, tmp_path)
         world = built[0]
-        expected = compute_metrics(world.frames_by_flow(), world.duration_ms)
+        expected = compute_metrics(world.frames_by_flow(), world.now_ms)
         _assert_same_metrics(direct, expected)
         _assert_same_metrics(report_run_dir(tmp_path), expected)
         assert any(fm.frames == 0 for fm in expected.flows.values())

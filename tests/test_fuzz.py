@@ -7,13 +7,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import log_text, logged_world
 from reference import ReferenceWorld
 
 from ransim import SimWorld
-from ransim.harness import (report_run_dir, scenario_from_dict,
+from ransim.harness import (ScenarioError, report_run_dir, scenario_from_dict,
                             write_frames_csv, write_metrics_csv)
 from ransim.metrics import compute_metrics
 from ransim.predictor import ETA_DEFAULT
@@ -76,10 +77,13 @@ class _CheckedWorld(SimWorld):
                     fr.sender is None
                 assert not q.samples
                 continue
-            est = fr.estimator
-            if fr.estimates and est._blocks:
+            # a flow holds the parts its controller reads, and no other
+            est, predictor = fr.estimator, fr.predictor
+            assert (est is None) == (fr.cfg.controller == "oracle")
+            assert (predictor is None) == (fr.cfg.controller != "choir")
+            if est is not None and est._blocks:
                 assert 0.0 < est._gamma_sum <= len(est._blocks)
-            pred = fr.predictor.last_prediction
+            pred = predictor and predictor.last_prediction
             if pred is not None:
                 assert 0.0 <= pred.guidance <= \
                     ETA_DEFAULT * pred.mean_bw + 1e-9
@@ -91,7 +95,8 @@ _FLOW = st.fixed_dictionaries({
     "ack_per_frames": st.integers(1, 3),
     "epsilon": st.integers(1, 3),
     "encoder": st.sampled_from(["instant", "ramp"]),
-    "start_s": st.sampled_from([0.0, 0.1, 0.3]),
+    # a start at or past DURATION_S, or at or past its stop, cannot load
+    "start_s": st.sampled_from([0.0, 0.1, 0.3, 1.0, 1.5]),
     "stop_s": st.sampled_from([None, 0.5, 0.7]),
 })
 _TRACE = st.one_of(
@@ -128,12 +133,13 @@ def _run(cfg, out: Path, world_cls=_CheckedWorld) -> dict[str, bytes]:
     (out / "events.log").write_text(log_text(world))
     write_frames_csv(out / "frames.csv", world)
     write_metrics_csv(out / "metrics.csv", compute_metrics(
-        world.frames_by_flow(), world.duration_ms, WARMUP_MS))
+        world.frames_by_flow(), world.now_ms, WARMUP_MS))
     write_metrics_csv(out / "report.csv", report_run_dir(out, WARMUP_MS))
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@settings(max_examples=20, deadline=None)
+# a third or more of the draws cannot load and only check their rejection
+@settings(max_examples=40, deadline=None)
 @given(_SCENARIO)
 @example({"duration_s": DURATION_S, "seed": 1, "log_level": "full",
           "ran": {"tti_ms": 1.0, "tdd_pattern": "DSUUU", "bler": 0.5,
@@ -155,6 +161,12 @@ def _run(cfg, out: Path, world_cls=_CheckedWorld) -> dict[str, bytes]:
               dict(controller="choir", start_s=0.2, wired_nd_ms=10.0)]})
 @example(WIRE_LEAVER)
 def test_generated_scenario_runs_clean_and_repeats(cfg):
+    starts = [f.get("start_s", 0.0) for f in cfg["flows"]]
+    if any(start >= cfg["duration_s"] or f.get("stop_s") is not None
+           and f["stop_s"] <= start for f, start in zip(cfg["flows"], starts)):
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(cfg)
+        return
     full = dict(cfg, log_level="full")
     with tempfile.TemporaryDirectory() as tmp:
         # SimWorld's fast paths write what ReferenceWorld writes

@@ -279,6 +279,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "flow_id,avg_delay_ms" in out
 
+    def test_run_prints_the_metrics_csv_it_writes(self, tmp_path, capsys):
+        # a leaver and a flow that never delivers a frame after the warm-up
+        # give a nan row as well as a full one
+        cfg = base_config(flows=[
+            {"controller": "choir", "wired_nd_ms": 1.0},
+            {"controller": "scone", "start_s": 0.5, "stop_s": 1.5}])
+        p = write_scenario(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "nan" in printed
+        assert printed.encode() == (out / "metrics.csv").read_bytes()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = base_config()
         cfg["flows"][0]["controller"] = "bbr"
@@ -361,11 +374,19 @@ class TestCli:
         out = tmp_path / "sweep"
         assert main(["sweep", str(p), "--vary", "wired_nd=1,5",
                      "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
+        sweep = capsys.readouterr().out
         assert main(["report", str(out)]) == EXIT_OK
         report = capsys.readouterr().out
         assert "wired_nd_ms=1" in report
         assert "wired_nd_ms=5" in report
+        # each run's metrics.csv under a label: the value swept, or the
+        # run directory reported
+        labels = ["wired_nd_ms=1", "wired_nd_ms=5"]
+        csvs = [(out / label / "metrics.csv").read_text() for label in labels]
+        assert sweep == "".join(f"== {label} ==\n{csv}"
+                                for label, csv in zip(labels, csvs))
+        assert report == "".join(f"== {out / label} ==\n{csv}"
+                                 for label, csv in zip(labels, csvs))
 
     def _sweep_rejects(self, tmp_path, capsys, vary, message):
         # the bad value comes after a good one: no run may start

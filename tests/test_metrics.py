@@ -137,7 +137,7 @@ class TestEventLogRecompute:
         w = logged_world(ran, seed=4, log_level="frames")
         w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=5.0))
         w.run(4.0)
-        direct = compute_metrics(w.frames_by_flow(), w.duration_ms)
+        direct = compute_metrics(w.frames_by_flow(), w.now_ms)
 
         path = tmp_path / "events.log"
         path.write_text(log_text(w))

@@ -131,7 +131,7 @@ class TestSaturatingDrain:
         fr = saturate(w)
         w.run(6.0)
         # payload capacity = 4200 B/ms minus block overheads
-        rate = fr.delivered_payload / w.duration_ms
+        rate = fr.delivered_payload / w.now_ms
         assert rate == pytest.approx(4200 * 0.992, rel=0.02)
 
 
@@ -193,9 +193,12 @@ class TestMultiFlowIsolation:
 
 def _record_calls(world, method, part="predictor"):
     """Per flow id, the arguments of every call to a method of its predictor
-    (or of another per-flow part, such as its estimator)."""
+    (or of another per-flow part, such as its estimator); none for a flow
+    that lacks the part."""
     calls = {fid: [] for fid in world.flows}
     for fid, fr in world.flows.items():
+        if getattr(fr, part) is None:
+            continue
         inner = getattr(getattr(fr, part), method)
 
         def spy(*args, _inner=inner, _calls=calls[fid]):
@@ -226,7 +229,7 @@ def _write_outputs(world, out):
         (out / "events.log").write_text(log_text(world))
     write_frames_csv(out / "frames.csv", world)
     write_metrics_csv(out / "metrics.csv", compute_metrics(
-        world.frames_by_flow(), world.duration_ms, 2000.0))
+        world.frames_by_flow(), world.now_ms, 2000.0))
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
@@ -312,6 +315,31 @@ class TestEstimateUpkeep:
         for fid in (0, 3):
             assert samples[fid] == present[fid]
 
+    def test_parts_follow_the_controller(self, monkeypatch):
+        # from its first tick an oracle flow holds no estimator or
+        # predictor and a scone flow no predictor; scone's stamp averages
+        # the estimator's own ring
+        w = _mixed_world(wired_nd_ms=5.0)
+        w.step()
+        parts = {fid: (fr.estimator is not None, fr.predictor is not None)
+                 for fid, fr in w.flows.items()}
+        assert parts == {0: (True, True), 1: (True, False),
+                         2: (False, False), 3: (True, True)}
+        scone = w.flows[1]
+        window = round(ransim.world.SCONE_CAPACITY_WINDOW_MS / w.ran.tti_ms)
+        stamps = []
+        encode_scone = ransim.world.encode_scone
+
+        def encode_spy(fb):
+            ring = list(scone.estimator.bw_ring)[-window:]
+            stamps.append((fb.capacity, sum(ring) / len(ring)))
+            return encode_scone(fb)
+        monkeypatch.setattr(ransim.world, "encode_scone", encode_spy)
+        w.run(1.0)
+        assert len(stamps) > 20 and any(cap > 0.0 for cap, _ in stamps)
+        for capacity, mean in stamps:
+            assert capacity == pytest.approx(mean, rel=1e-12)
+
 
 class TestInjectedPacketPath:
     def test_injection_without_sender(self, capsys):
@@ -360,16 +388,17 @@ class TestWireLanes:
         w = make_world(flows=3, wired_nd_ms=2.0, log_level="full")
         # flow 0 paces frames 2, 5, 8, ... over 30 ms, past the first packet
         # of the next frame, 16.6 ms later
-        sender = w.flows[0].sender
-        paced = sender.packet_release_offsets
+        flow0 = w.flows[0]
+        paced = flow0.sender.packet_release_offsets
 
         def stretched(nbytes):
             packets = paced(nbytes)
-            if sender.frame_seq % 3:  # frame_seq is frame_id + 1 here
+            # the frame being paced was just added: its id is len - 1
+            if len(flow0.encode_ms) % 3:
                 return packets
             step = 30.0 / len(packets)
             return [(n, i * step) for i, (n, _) in enumerate(packets)]
-        sender.packet_release_offsets = stretched
+        flow0.sender.packet_release_offsets = stretched
         # flow 2 also gets packets injected out of time order
         injected = [inject_packet(w, 2, ts, 300)
                     for ts in (40.0, 25.0, 33.3, 25.0)]
