@@ -4,9 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codec import GuidanceFeedback, decode_rate, encode_rate
-from .sender import BaseSender
-
-SCONE_DRAIN_TIME_MS = 16.6
+from .sender import FRAME_INTERVAL_MS, BaseSender
 
 
 @dataclass(frozen=True)
@@ -23,7 +21,7 @@ class SconeFeedback:
 
 def scone_target_rate(fb: SconeFeedback) -> float:
     """Capacity minus the rate needed to drain the queue, floored at zero."""
-    return max(0.0, fb.capacity - fb.queue_len / SCONE_DRAIN_TIME_MS)
+    return max(0.0, fb.capacity - fb.queue_len / FRAME_INTERVAL_MS)
 
 
 def encode_scone(fb: SconeFeedback) -> bytes:

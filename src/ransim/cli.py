@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -58,7 +59,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             scn = load_scenario(args.scenario)
-            metrics = run_scenario(scn, out_dir=args.out, seed=args.seed)
+            if args.seed is not None:
+                scn = dataclasses.replace(scn, seed=args.seed)
+            metrics = run_scenario(scn, out_dir=args.out)
             _print_metrics(metrics)
         elif args.command == "sweep":
             scn = load_scenario(args.scenario)

@@ -172,7 +172,7 @@ def _build_trace(spec, seed: int) -> CapacitySchedule:
     return _build(builder, kwargs, ctx)
 
 
-def scenario_from_dict(cfg: dict, name: str = "scenario") -> Scenario:
+def scenario_from_dict(cfg: dict, name: str = Scenario.name) -> Scenario:
     """Validate a scenario dict; unknown keys and non-finite numbers are
     rejected with the offending key path."""
     if not isinstance(cfg, dict):
@@ -215,17 +215,15 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(cfg, name=p.stem)
 
 
-def build_world(scn: Scenario, seed: int | None = None,
-                log_sink: TextIO | None = None) -> SimWorld:
-    world = SimWorld(ran=scn.ran, seed=scn.seed if seed is None else seed,
-                     log_level=scn.log_level, log_sink=log_sink)
+def build_world(scn: Scenario, log_sink: TextIO | None = None) -> SimWorld:
+    world = SimWorld(scn.ran, scn.seed, log_sink=log_sink,
+                     full_log=scn.log_level == LEVEL_FULL)
     for flow in scn.flows:
         world.add_flow(flow)
     return world
 
 
-def run_scenario(scn: Scenario, out_dir=None, seed: int | None = None
-                 ) -> RunMetrics:
+def run_scenario(scn: Scenario, out_dir=None) -> RunMetrics:
     """Run one scenario to completion and optionally persist its outputs.
 
     With out_dir, events.log is written while the run proceeds. A run that
@@ -233,13 +231,13 @@ def run_scenario(scn: Scenario, out_dir=None, seed: int | None = None
     Without out_dir the world keeps no event log.
     """
     if out_dir is None:
-        world = build_world(scn, seed)
+        world = build_world(scn)
         world.run(scn.duration_s)
     else:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / EVENTS_LOG, "w") as sink:
-            world = build_world(scn, seed, sink)
+            world = build_world(scn, sink)
             world.run(scn.duration_s)
     metrics = compute_metrics(world.frames_by_flow(), world.now_ms)
     if out_dir is not None:

@@ -12,31 +12,31 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-ETA_DEFAULT = 0.95           # fraction of allocated bandwidth handed out
+from .sender import FRAME_INTERVAL_MS
+
+ETA = 0.95                   # fraction of allocated bandwidth handed out
 FI_ALPHA = 0.8               # EWMA weight on the previous frame-interval estimate
 ERR_WEIGHT = 0.5             # EWMA weight for the feedback error correction
-FI_NOMINAL_MS = 16.6         # assumed cadence before the first frame is seen
 GAP_THRESHOLD_MS = 2.5       # inter-packet gap that separates frames; paced
-                             # release at rho=1.25 leaves only ~0.2*FI of idle
+                             # release at RHO=1.25 leaves only ~0.2*FI of idle
                              # gap between frames, so the threshold must sit
                              # between that and the in-frame packet spacing
 HISTORY_CAPACITY = 256
 
 
-def detect_frame_boundary(prev_pkt_ts: float, pkt_ts: float,
-                          gap_threshold: float) -> bool:
-    """True when the inter-packet gap strictly exceeds the threshold."""
-    return pkt_ts - prev_pkt_ts > gap_threshold
+def detect_frame_boundary(prev_pkt_ts: float, pkt_ts: float) -> bool:
+    """True when the inter-packet gap strictly exceeds GAP_THRESHOLD_MS."""
+    return pkt_ts - prev_pkt_ts > GAP_THRESHOLD_MS
 
 
-def update_frame_interval(fi_est: float | None, new_fi: float,
-                          alpha: float = FI_ALPHA) -> float | None:
+def update_frame_interval(fi_est: float | None, new_fi: float
+                          ) -> float | None:
     """EWMA update of the frame-interval estimate; rejects new_fi <= 0."""
     if new_fi <= 0:
         return fi_est
     if fi_est is None:
         return new_fi
-    return alpha * fi_est + (1.0 - alpha) * new_fi
+    return FI_ALPHA * fi_est + (1.0 - FI_ALPHA) * new_fi
 
 
 def mean_alloc_bw(bw_samples, n_tti: int) -> float:
@@ -92,22 +92,19 @@ def predict_queue(hist, err: float, fi: float, rlc_q_min: float,
 
 
 def update_error_correction(err_est: float, hist_entry: float,
-                            actual_arrival_rate: float,
-                            weight: float = ERR_WEIGHT) -> float:
+                            actual_arrival_rate: float) -> float:
     """EWMA of guidance-vs-arrival discrepancy, applied to later predictions."""
-    return (1.0 - weight) * err_est + weight * (hist_entry - actual_arrival_rate)
+    return ((1.0 - ERR_WEIGHT) * err_est
+            + ERR_WEIGHT * (hist_entry - actual_arrival_rate))
 
 
-def guidance_bw(mean_bw: float, drain_rate: float, eta: float = ETA_DEFAULT
-                ) -> float:
-    """Feedback rate: eta of the allocated bandwidth minus the drain need.
+def guidance_bw(mean_bw: float, drain_rate: float) -> float:
+    """Feedback rate: ETA of the allocated bandwidth minus the drain need.
 
     Clamped at zero: when draining the queue needs more than the allocation,
     the sender is told to stop.
     """
-    if not 0 < eta < 1:
-        raise ValueError("eta must be in (0, 1)")
-    return max(0.0, eta * mean_bw - drain_rate)
+    return max(0.0, ETA * mean_bw - drain_rate)
 
 
 @dataclass
@@ -186,7 +183,7 @@ class FlowPredictor:
         if p.last_pkt_ts is None:
             p.frame_head_ts = ts
             p.frame_bytes = float(nbytes)
-        elif detect_frame_boundary(p.last_pkt_ts, ts, GAP_THRESHOLD_MS):
+        elif detect_frame_boundary(p.last_pkt_ts, ts):
             fi_n = ts - p.frame_head_ts
             if fi_n > 0 and p.frame_bytes > 0:
                 self._note_completed_frame(p.frame_head_ts, fi_n, p.frame_bytes)
@@ -212,7 +209,7 @@ class FlowPredictor:
     def compute(self, now: float, queue_samples) -> QueuePrediction:
         """Recompute the guidance at now from current windows."""
         fi_est = self.pattern.fi_est
-        fi = fi_est if fi_est else FI_NOMINAL_MS
+        fi = fi_est if fi_est else FRAME_INTERVAL_MS  # until one is seen
         n_tti = max(1, round(fi / self.tti_ms))
         mean_bw = mean_alloc_bw(self.bw_ring, n_tti)
         rlc_q_min = min_rlc_queue(queue_samples, fi, now)

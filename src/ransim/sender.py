@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .codec import GuidanceFeedback, decode_rate
 
 FRAME_INTERVAL_MS = 16.6        # 60 fps source cadence
-RHO_DEFAULT = 1.25              # pacing headroom over the target bitrate
+RHO = 1.25                      # pacing headroom over the target bitrate
 MTU_PAYLOAD = 1400              # bytes of payload per paced packet
 MIN_PACING_BPS = 6e6            # keeps in-frame packet spacing well under the
                                 # base station's frame-gap threshold
@@ -20,32 +20,25 @@ RAMP_GAP_FRACTION = 1.0 / 3.0   # slow-encoder convergence per frame
 ENCODER_MODES = ("instant", "ramp")
 
 
-def target_bitrate(guidance: float | None, hist, epsilon: int
-                   ) -> float | None:
-    """Smooth the guidance with the last epsilon-1 encoder bitrates.
+def target_bitrate(guidance: float | None, hist) -> float | None:
+    """Smooth the guidance with the encoder bitrates in hist, the sender's
+    last epsilon-1 of them: their mean, the guidance first.
 
-    epsilon = 1 passes the guidance straight through. With a shorter history
-    (warm-up) the mean runs over what exists. None guidance means "no
+    An empty hist (epsilon = 1) passes the guidance straight through; during
+    warm-up the mean runs over what exists. None guidance means "no
     feedback yet"; the caller holds its configured initial bitrate.
     """
-    if epsilon < 1:
-        raise ValueError("epsilon must be at least 1")
     if guidance is None:
         return None
-    take = min(epsilon - 1, len(hist))
     total = guidance
-    n = len(hist)
-    for i in range(n - take, n):
-        total += hist[i]
-    return total / (take + 1)
+    for bps in hist:
+        total += bps
+    return total / (len(hist) + 1)
 
 
-def pacing_rate(recv_rate_max_bps: float, br_bps: float,
-                rho: float = RHO_DEFAULT) -> float:
-    """Packet-release rate: rho times the larger of receive rate and bitrate."""
-    if rho <= 1:
-        raise ValueError("rho must exceed 1")
-    return rho * max(recv_rate_max_bps, br_bps)
+def pacing_rate(recv_rate_max_bps: float, br_bps: float) -> float:
+    """Packet-release rate: RHO times the larger of receive rate and bitrate."""
+    return RHO * max(recv_rate_max_bps, br_bps)
 
 
 @dataclass(slots=True)
@@ -62,32 +55,29 @@ class VideoFrame:
 class ReceiveRateWindow:
     """Sliding max of per-100ms ACKed-byte rates over the last second."""
 
-    def __init__(self, bucket_ms: float = RECV_BUCKET_MS,
-                 window_ms: float = RECV_WINDOW_MS):
-        self.bucket_ms = bucket_ms
-        self.window_ms = window_ms
+    def __init__(self):
         self._buckets: deque[list[float]] = deque()  # [bucket_index, bytes]
 
     def add(self, ts: float, nbytes: int) -> None:
-        idx = math.floor(ts / self.bucket_ms)
+        idx = math.floor(ts / RECV_BUCKET_MS)
         if self._buckets and self._buckets[-1][0] == idx:
             self._buckets[-1][1] += nbytes
         else:
             self._buckets.append([idx, float(nbytes)])
-        cutoff = idx - int(self.window_ms / self.bucket_ms) - 1
+        cutoff = idx - int(RECV_WINDOW_MS / RECV_BUCKET_MS) - 1
         while self._buckets and self._buckets[0][0] < cutoff:
             self._buckets.popleft()
 
     def max_rate_bps(self, now: float) -> float:
         """Max over complete buckets whose span lies within the last window."""
-        now_idx = math.floor(now / self.bucket_ms)
-        lo = now_idx - int(self.window_ms / self.bucket_ms)
+        now_idx = math.floor(now / RECV_BUCKET_MS)
+        lo = now_idx - int(RECV_WINDOW_MS / RECV_BUCKET_MS)
         # the rate is monotone in the byte count, so convert only the max
         best = 0.0
         for idx, nbytes in self._buckets:
             if lo <= idx < now_idx and nbytes > best:
                 best = nbytes
-        return best * 8.0 / (self.bucket_ms / 1000.0)
+        return best * 8.0 / (RECV_BUCKET_MS / 1000.0)
 
 
 class BaseSender:
@@ -98,7 +88,6 @@ class BaseSender:
     """
 
     def __init__(self, epsilon: int, encoder: str, initial_bps: float):
-        self.epsilon = epsilon
         self.encoder = encoder               # one of ENCODER_MODES
         self.initial_bps = initial_bps
         self.bitrate_hist = deque(maxlen=epsilon - 1)  # the last epsilon-1
@@ -130,8 +119,7 @@ class BaseSender:
 
     def encode_frame(self, now: float) -> VideoFrame:
         """Emit the frame for this tick at the smoothed target bitrate."""
-        target = target_bitrate(self.last_guidance_bps, self.bitrate_hist,
-                                self.epsilon)
+        target = target_bitrate(self.last_guidance_bps, self.bitrate_hist)
         if target is None:
             target = self.initial_bps
         last = self.actual_bps

@@ -20,11 +20,8 @@ class TddPattern:
     slots: tuple[str, ...]
 
     @classmethod
-    def parse(cls, spec: str | list[str] | tuple[str, ...]) -> "TddPattern":
-        if isinstance(spec, str):
-            slots = tuple(spec.upper())
-        else:
-            slots = tuple(s.upper() for s in spec)
+    def parse(cls, spec: str) -> "TddPattern":
+        slots = tuple(spec.upper())
         if not slots:
             raise ValueError("TDD pattern must not be empty")
         bad = [s for s in slots if s not in _DL_FACTOR]

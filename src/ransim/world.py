@@ -22,14 +22,12 @@ from .baselines import (OracleSender, SconeFeedback, SconeSender,
                         decode_scone, encode_scone)
 from .capacity import CellWindows, FlowEstimator
 from .codec import GuidanceFeedback, decode_rate, encode_rate
-from .eventlog import LEVEL_FRAMES, LEVEL_FULL, EventLog
+from .eventlog import EventLog
 from .predictor import FlowPredictor, mean_alloc_bw
 from .ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FlowQueueState,
                   RanConfig, assemble_block, sample_rlc_queue, schedule_prbs)
 from .sender import (ENCODER_MODES, FRAME_INTERVAL_MS, MTU_PAYLOAD,
                      BaseSender, ChoirSender, VideoFrame)
-
-SCONE_CAPACITY_WINDOW_MS = 16.6  # smoothing horizon for the scone capacity field
 
 
 @dataclass
@@ -184,12 +182,11 @@ def _send(lane: deque, packets: list[tuple[float, int, int, int]]) -> None:
 class SimWorld:
     """One cell, one TTI clock, any number of flows."""
 
-    def __init__(self, ran: RanConfig, seed: int = 0,
-                 log_level: str = LEVEL_FULL, log_sink: TextIO | None = None):
-        """log_sink, a text file or io.StringIO, receives the event log at
-        log_level; without one the world keeps no log."""
-        if log_level not in (LEVEL_FRAMES, LEVEL_FULL):
-            raise ValueError(f"unknown log level {log_level!r}")
+    def __init__(self, ran: RanConfig, seed: int, *,
+                 log_sink: TextIO | None = None, full_log: bool = False):
+        """log_sink, a text file or io.StringIO, receives the event log,
+        every event with full_log and the frame events without; without a
+        sink the world keeps no log."""
         self.ran = ran
         pattern = ran.tdd_pattern
         self._duty = pattern.downlink_duty()
@@ -205,7 +202,7 @@ class SimWorld:
         self._next_change = math.inf  # next start, or earliest live stop
         self.cell = CellWindows(ran.tti_ms)
         self.log = None if log_sink is None else EventLog(log_sink)
-        self._log_full = self.log is not None and log_level == LEVEL_FULL
+        self._log_full = self.log is not None and full_log
         self._rotation = 0
         self._seq = 0
         self._sender_events: list = []   # (ts, seq, kind, flow_id, payload)
@@ -302,8 +299,8 @@ class SimWorld:
             return len(self._live)
         return sum(1 for fr in self._live if fr.present(now))
 
-    def true_flow_rate(self, flow_id: int) -> float:
-        """Ground-truth per-flow payload drain capacity, bytes/ms."""
+    def true_flow_rate(self) -> float:
+        """Ground-truth payload drain capacity of each present flow, bytes/ms."""
         now = self.now_ms
         n = max(1, self._n_present(now))
         grant = self.ran.prb_total / n * self._bpp
@@ -533,7 +530,8 @@ class SimWorld:
             decoded = decode_rate(fb)
             fr.predictor.record_stamp(t0, (decoded or 0.0) / 8000.0)
         elif kind == "scone":
-            window = max(1, round(SCONE_CAPACITY_WINDOW_MS / self.ran.tti_ms))
+            # scone's capacity is the mean over the last frame interval
+            window = max(1, round(FRAME_INTERVAL_MS / self.ran.tti_ms))
             capacity = mean_alloc_bw(fr.estimator.bw_ring, window)
             scone_fb = SconeFeedback(capacity=capacity,
                                      queue_len=float(fr.queue.queued_bytes))
@@ -565,8 +563,7 @@ class SimWorld:
         if fr.queue is None:  # a start inside a TTI ticks before it is live
             self._start(fr)
         if fr.cfg.controller == "oracle":  # the truth is its guidance
-            fr.sender.apply_guidance(
-                self.true_flow_rate(fr.cfg.flow_id) * 8000.0, ts)
+            fr.sender.apply_guidance(self.true_flow_rate() * 8000.0, ts)
         frame = fr.sender.encode_frame(ts)
         frame_id = fr.add_frame(frame)
         if self.log is not None:

@@ -85,10 +85,11 @@ def frame_delay(world, flow_id, frame_id):
 
 
 def logged_world(ran, *, seed=0, log_level="full", world_cls=SimWorld):
-    """A world whose event log writes to an io.StringIO; log_text and
-    events read it back."""
-    return world_cls(ran, seed=seed, log_level=log_level,
-                     log_sink=io.StringIO())
+    """A world whose event log writes to an io.StringIO at log_level,
+    "full" or "frames"; log_text and events read it back."""
+    assert log_level in ("frames", "full"), log_level
+    return world_cls(ran, seed, log_sink=io.StringIO(),
+                     full_log=log_level == "full")
 
 
 def log_text(world) -> str:

@@ -31,7 +31,7 @@ def _idle_world(pattern, failures=0, harq_rtx_delay_ms=5.5):
     ran = RanConfig(prb_total=100, tti_ms=TTI, tdd_pattern=pattern,
                     harq_rtx_delay_ms=harq_rtx_delay_ms,
                     schedule=constant_trace(30.0))
-    w = SimWorld(ran, seed=0, log_level="frames")
+    w = SimWorld(ran, seed=0)
     w.rng = FailFirst(failures)
     add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
                                 wired_nd_ms=0.0))
@@ -49,7 +49,7 @@ def _choir_world(schedule, wired_nd_ms, *, seed=1, bler=0.0, flows=1,
                  ack_per_frames=1, epsilon=1, initial_mbps=5.0,
                  encoder="instant", controller="choir"):
     ran = RanConfig(prb_total=100, tti_ms=TTI, bler=bler, schedule=schedule)
-    w = SimWorld(ran, seed=seed, log_level="frames")
+    w = SimWorld(ran, seed=seed)
     for i in range(flows):
         w.add_flow(FlowConfig(flow_id=i, controller=controller,
                               wired_nd_ms=wired_nd_ms,

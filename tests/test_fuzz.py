@@ -17,7 +17,7 @@ from ransim import SimWorld
 from ransim.harness import (ScenarioError, report_run_dir, scenario_from_dict,
                             write_frames_csv, write_metrics_csv)
 from ransim.metrics import compute_metrics
-from ransim.predictor import ETA_DEFAULT
+from ransim.predictor import ETA
 
 DURATION_S = 1.0
 WARMUP_MS = 200.0
@@ -86,7 +86,7 @@ class _CheckedWorld(SimWorld):
             pred = predictor and predictor.last_prediction
             if pred is not None:
                 assert 0.0 <= pred.guidance <= \
-                    ETA_DEFAULT * pred.mean_bw + 1e-9
+                    ETA * pred.mean_bw + 1e-9
 
 
 _FLOW = st.fixed_dictionaries({

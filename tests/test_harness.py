@@ -344,7 +344,11 @@ class TestCli:
         (lambda cfg: cfg["flows"][0].update(controller=["choir"]),
          "flows[0]: unknown controller ['choir']; "
          "expected one of ['choir', 'oracle', 'scone']"),
-    ], ids=["never_starts", "interval_ttis", "kind_list", "controller_list"])
+        # the sender's deque(maxlen=epsilon - 1) would fail only at the start
+        (lambda cfg: cfg["flows"][0].update(epsilon=0),
+         "flows[0]: epsilon must be at least 1"),
+    ], ids=["never_starts", "interval_ttis", "kind_list", "controller_list",
+            "epsilon"])
     def test_rejected_at_load_exit_code(self, tmp_path, capsys, edit,
                                         message):
         cfg = base_config()
@@ -368,6 +372,23 @@ class TestCli:
         # bler = 0: the seed draws nothing, runs must coincide
         assert (out1 / "metrics.csv").read_bytes() == \
             (out2 / "metrics.csv").read_bytes()
+
+    def test_seed_override_equals_the_seed_in_the_file(self, tmp_path):
+        # join_leave loses blocks (bler 0.2), so the seed decides which
+        src = SCENARIOS / "join_leave.json"
+        p = write_scenario(tmp_path, dict(json.loads(src.read_text()), seed=5))
+        runs = {"file5": [str(p)], "seed5": [str(src), "--seed", "5"],
+                "seed6": [str(src), "--seed", "6"]}
+        for label, args in runs.items():
+            assert main(["run", *args, "--out", str(tmp_path / label)]) == \
+                EXIT_OK
+
+        def read(label, name):
+            return (tmp_path / label / name).read_bytes()
+
+        for name in ("metrics.csv", "frames.csv", "events.log"):
+            assert read("seed5", name) == read("file5", name)
+        assert read("seed6", "events.log") != read("seed5", "events.log")
 
     def test_sweep_and_report(self, tmp_path, capsys):
         p = write_scenario(tmp_path, base_config())
@@ -404,6 +425,7 @@ class TestCli:
     @pytest.mark.parametrize("vary,message", [
         ("ack_per_frames=1,0", "ack_per_frames must be at least 1"),
         ("wired_nd=1,-1", "wired_nd_ms must be nonnegative"),
+        ("epsilon=1,0", "--vary epsilon=0: epsilon must be at least 1"),
     ])
     def test_sweep_rejects_out_of_range(self, tmp_path, capsys, vary,
                                         message):

@@ -13,13 +13,14 @@ from ransim.predictor import (HISTORY_CAPACITY, FeedbackHistory,
 
 class TestFrameBoundary:
     def test_intra_frame_burst(self):
-        assert not detect_frame_boundary(100.0, 100.2, 4.0)
+        assert not detect_frame_boundary(100.0, 100.2)
 
     def test_inter_frame_gap(self):
-        assert detect_frame_boundary(100.0, 116.6, 4.0)
+        assert detect_frame_boundary(100.0, 116.6)
 
     def test_tie_is_not_a_boundary(self):
-        assert not detect_frame_boundary(100.0, 104.0, 4.0)
+        # a gap of exactly the 2.5 ms threshold stays inside the frame
+        assert not detect_frame_boundary(100.0, 102.5)
 
 
 class TestFrameInterval:
@@ -158,21 +159,17 @@ class TestErrorCorrection:
 
 class TestGuidance:
     def test_empty_queue(self):
-        assert guidance_bw(1800, 0, 0.95) == pytest.approx(1710)
+        assert guidance_bw(1800, 0) == pytest.approx(1710)
 
     def test_drain_exceeds_allocation(self):
-        assert guidance_bw(1800, 2000, 0.95) == 0.0
+        assert guidance_bw(1800, 2000) == 0.0
 
     def test_all_zero(self):
-        assert guidance_bw(0, 0, 0.95) == 0.0
-
-    def test_eta_bounds(self):
-        with pytest.raises(ValueError):
-            guidance_bw(100, 0, 1.0)
+        assert guidance_bw(0, 0) == 0.0
 
     @given(st.floats(0, 1e5), st.floats(0, 1e5))
     def test_ceiling_and_floor(self, mean, dr):
-        g = guidance_bw(mean, dr, 0.95)
+        g = guidance_bw(mean, dr)
         assert 0.0 <= g <= 0.95 * mean + 1e-9
 
 
@@ -253,14 +250,14 @@ class TestPipelineEquivalence:
             history.record(ts, rate)
         history.err_est = err
 
-        fi = update_frame_interval(fi_prev, fi_new, alpha)
+        fi = update_frame_interval(fi_prev, fi_new)
         n_tti = max(1, round(fi / tti_ms))
         mean_bw = mean_alloc_bw(bw, n_tti)
         fnum = inflight_frame_count(wired, fi)
         t_horizon = decision_horizon(tti_ms, fi, fnum)
         rates = history.select(now, fi, fnum, wired)
         pred_q = predict_queue(rates, err, fi, rlc, mean_bw, t_horizon)
-        composed = guidance_bw(mean_bw, pred_q / fi, eta)
+        composed = guidance_bw(mean_bw, pred_q / fi)
 
         mono = _monolithic_transcription(
             fi_prev, fi_new, alpha, bw, tti_ms, wired, now,

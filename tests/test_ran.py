@@ -149,7 +149,7 @@ class TestTddDelayMechanics:
     def _delay(self, pattern, phase, nbytes=200):
         ran = RanConfig(prb_total=100, tti_ms=0.5, tdd_pattern=pattern,
                         schedule=constant_trace(30.0))
-        w = SimWorld(ran, seed=0, log_level="frames")
+        w = SimWorld(ran, seed=0)
         add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
                                     wired_nd_ms=0.0))
         fid = inject_packet(w, 0, 50.0 + phase, nbytes)
@@ -184,7 +184,7 @@ class TestHarqLatency:
         ran = RanConfig(prb_total=100, tti_ms=0.5, tdd_pattern="DDDSU",
                         harq_rtx_delay_ms=5.5, harq_max_rtx=3,
                         schedule=constant_trace(30.0))
-        w = SimWorld(ran, seed=0, log_level="frames")
+        w = SimWorld(ran, seed=0)
         w.rng = FailFirst(failures)
         add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
                                     wired_nd_ms=0.0))
@@ -202,7 +202,7 @@ class TestHarqLatency:
             ran = RanConfig(prb_total=100, tti_ms=0.5, tdd_pattern="DDDSU",
                             harq_rtx_delay_ms=6.0, harq_max_rtx=3,
                             schedule=constant_trace(30.0))
-            w = SimWorld(ran, seed=0, log_level="frames")
+            w = SimWorld(ran, seed=0)
             w.rng = FailFirst(failures)
             add_idle_flow(w, FlowConfig(flow_id=0, controller="choir",
                                         wired_nd_ms=0.0))
@@ -240,7 +240,7 @@ class TestByteConservation:
         from ransim.traces import square_trace
         ran = RanConfig(prb_total=100, tti_ms=0.5, bler=0.15,
                         schedule=square_trace(30.0, 12.0, 1000, n_periods=8))
-        w = SimWorld(ran, seed=9, log_level="frames")
+        w = SimWorld(ran, seed=9)
         w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=5.0))
         w.add_flow(FlowConfig(flow_id=1, controller="scone", wired_nd_ms=5.0))
         for _ in range(6000):  # 3 s
@@ -291,7 +291,7 @@ class TestRanConfigValidation:
 
     def test_tti_1ms_supported(self):
         ran = RanConfig(tti_ms=1.0, schedule=constant_trace(60.0))
-        w = SimWorld(ran, seed=0, log_level="frames")
+        w = SimWorld(ran, seed=0)
         w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=1.0))
         w.run(1.0)
         assert w.flows[0].delivered_payload > 0

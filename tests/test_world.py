@@ -17,6 +17,7 @@ from ransim.harness import (build_world, scenario_from_dict,
                             write_frames_csv, write_metrics_csv)
 from ransim.ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, TransportBlock,
                         sample_rlc_queue)
+from ransim.sender import FRAME_INTERVAL_MS
 
 
 class TestFrameCadence:
@@ -87,7 +88,7 @@ class TestCapacityCursor:
     N = 26
 
     def _world(self, schedule):
-        w = SimWorld(RanConfig(schedule=schedule), log_level="frames")
+        w = SimWorld(RanConfig(schedule=schedule), seed=0)
         w.add_flow(FlowConfig(flow_id=0, controller="oracle"))
         return w
 
@@ -108,7 +109,7 @@ class TestCapacityCursor:
         *_, before, bpp = self.SCHEDULE.materialize(w.tti_index + 1)
         assert bpp != before
         ref = self._world(constant_trace(bpp))
-        assert w.true_flow_rate(0) == ref.true_flow_rate(0)
+        assert w.true_flow_rate() == ref.true_flow_rate()
 
     def test_holds_last_breakpoint(self):
         w = self._world(self.SCHEDULE)
@@ -167,7 +168,7 @@ class TestMultiFlowIsolation:
     def test_late_joiner_taxes_incumbent(self):
         ran = RanConfig(prb_total=100, tti_ms=0.5,
                         schedule=constant_trace(30.0))
-        w = SimWorld(ran, seed=1, log_level="frames")
+        w = SimWorld(ran, seed=1)
         w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=1.0))
         w.add_flow(FlowConfig(flow_id=1, controller="choir", wired_nd_ms=1.0,
                               start_s=3.0))
@@ -181,7 +182,7 @@ class TestMultiFlowIsolation:
     def test_leaver_frees_capacity(self, controller):
         # once flow 1 leaves, flow 0 must climb to the single-flow capacity
         single = make_world(bpp=30.0, flows=1, controller=controller)
-        capacity_bps = single.true_flow_rate(0) * 8000.0
+        capacity_bps = single.true_flow_rate() * 8000.0
         w = make_world(bpp=30.0, flows=1, controller=controller)
         w.add_flow(FlowConfig(flow_id=1, controller=controller,
                               wired_nd_ms=1.0, stop_s=3.0))
@@ -326,7 +327,7 @@ class TestEstimateUpkeep:
         assert parts == {0: (True, True), 1: (True, False),
                          2: (False, False), 3: (True, True)}
         scone = w.flows[1]
-        window = round(ransim.world.SCONE_CAPACITY_WINDOW_MS / w.ran.tti_ms)
+        window = round(FRAME_INTERVAL_MS / w.ran.tti_ms)
         stamps = []
         encode_scone = ransim.world.encode_scone
 
