@@ -34,10 +34,19 @@ accept-lines() {
 round-trip() {
   # events.log is streamed during the run; report must rebuild the same
   # metrics.csv from it, also for join_leave, whose leavers, HARQ failures,
-  # undelivered frames and all-nan flow exercise every row report writes;
-  # run prints the metrics.csv it writes
-  for scn in single_flow join_leave; do
-    ransim run "scenarios/$scn.json" --out "$RUNNER_TEMP/$scn" \
+  # undelivered frames and all-nan flow exercise every row report writes,
+  # and for a copy of it logged at the frames level, as perfbench's fair7
+  # and churn48 are; run prints the metrics.csv it writes
+  python -c '
+import json
+cfg = json.load(open("scenarios/join_leave.json"))
+cfg["log_level"] = "frames"
+print(json.dumps(cfg))
+' > "$RUNNER_TEMP/join_leave_frames.json"
+  for path in scenarios/single_flow.json scenarios/join_leave.json \
+      "$RUNNER_TEMP/join_leave_frames.json"; do
+    scn=$(basename "$path" .json)
+    ransim run "$path" --out "$RUNNER_TEMP/$scn" \
       > "$RUNNER_TEMP/$scn-stdout.csv"
     cmp "$RUNNER_TEMP/$scn-stdout.csv" "$RUNNER_TEMP/$scn/metrics.csv"
     cp "$RUNNER_TEMP/$scn/metrics.csv" "$RUNNER_TEMP/$scn-metrics.csv"

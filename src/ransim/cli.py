@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -58,9 +57,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            scn = load_scenario(args.scenario)
-            if args.seed is not None:
-                scn = dataclasses.replace(scn, seed=args.seed)
+            scn = load_scenario(args.scenario, seed=args.seed)
             metrics = run_scenario(scn, out_dir=args.out)
             _print_metrics(metrics)
         elif args.command == "sweep":

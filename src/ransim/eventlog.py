@@ -12,7 +12,6 @@ decides.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator
 from typing import TextIO
 
@@ -23,13 +22,6 @@ CHUNK_LINES = 4096
 
 # events kept at the compact "frames" level; the metrics read only these
 FRAME_EVENTS = frozenset({"frame_encode", "frame_done", "run_info"})
-
-
-class EventRecord(namedtuple("EventRecord",
-                             "time_ms event flow_id nbytes detail")):
-    """One log line: time_ms (float), event, flow_id and nbytes (int) and
-    detail. A tuple, so building one is cheap where report builds many."""
-    __slots__ = ()
 
 
 class EventLog:
@@ -62,11 +54,12 @@ class EventLog:
         self._lines.clear()
 
 
-def parse_event_log(path) -> Iterator[EventRecord]:
-    """The frame-level records (FRAME_EVENTS) of the log at path, yielded
-    one at a time while the file is read; the metrics read nothing else, so
-    other lines are split but not kept. A malformed log raises ValueError
-    while the records are iterated."""
+def parse_event_log(path) -> Iterator[tuple[float, str, int, int, str]]:
+    """The frame-level records (FRAME_EVENTS) of the log at path, each a
+    plain tuple (time_ms, event, flow_id, nbytes, detail), yielded one at a
+    time while the file is read; the metrics read nothing else, so other
+    lines are split but not kept. A malformed log raises ValueError while
+    the records are iterated."""
     with open(path) as fh:
         header = fh.readline()
         if header.strip() != HEADER.strip():
@@ -78,5 +71,5 @@ def parse_event_log(path) -> Iterator[EventRecord]:
             # needs the newline stripped
             time_s, event, flow_s, bytes_s, detail = line.split(",", 4)
             if event in FRAME_EVENTS:
-                yield EventRecord(float(time_s), event, int(flow_s),
-                                  int(bytes_s), detail.rstrip("\n"))
+                yield (float(time_s), event, int(flow_s), int(bytes_s),
+                       detail.rstrip("\n"))

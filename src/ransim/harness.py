@@ -63,10 +63,20 @@ class Scenario:
             raise ScenarioError("duration_s must be positive")
         if not self.flows:
             raise ScenarioError("flows must be a non-empty list")
+        # a flow's first frames are sized from initial_bitrate_mbps before
+        # any feedback; 10 times the cell's peak rate bounds that work
+        ran = self.ran
+        cap_mbps = (10 * ran.prb_total * 8 / ran.tti_ms / 1e3
+                    * max(bpp for _, bpp in ran.schedule.breakpoints))
         for i, flow in enumerate(self.flows):
             if flow.start_s >= self.duration_s:
                 raise ScenarioError(f"flows[{i}]: start_s must be before "
                                     f"duration_s, got {flow.start_s!r}")
+            if flow.initial_bitrate_mbps > cap_mbps:
+                raise ScenarioError(
+                    f"flows[{i}].initial_bitrate_mbps must be at most "
+                    f"{cap_mbps:g}, 10 times the cell's peak rate, "
+                    f"got {flow.initial_bitrate_mbps!r}")
         if len({f.flow_id for f in self.flows}) != len(self.flows):
             raise ScenarioError("duplicate flow_id in flows")
         if self.log_level not in (LEVEL_FRAMES, LEVEL_FULL):
@@ -204,7 +214,8 @@ def scenario_from_dict(cfg: dict, name: str = Scenario.name) -> Scenario:
     return Scenario(**fields)
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, seed: int | None = None) -> Scenario:
+    """The scenario file at path, its seed replaced by a seed given."""
     p = Path(path)
     try:
         cfg = json.loads(p.read_text())
@@ -212,6 +223,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+    if seed is not None and isinstance(cfg, dict):
+        cfg["seed"] = seed
     return scenario_from_dict(cfg, name=p.stem)
 
 

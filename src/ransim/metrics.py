@@ -6,8 +6,6 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .eventlog import EventRecord
-
 WARMUP_EXCLUDE_MS = 2000.0
 
 # one flow's frames as three columns indexed by frame id: encode ms, decode
@@ -103,7 +101,7 @@ def compute_metrics(frames_by_flow: dict[int, FrameColumns],
                       warmup_ms=warmup_ms)
 
 
-def metrics_from_event_records(records: Iterable[EventRecord],
+def metrics_from_event_records(records: Iterable[tuple],
                                warmup_ms: float = WARMUP_EXCLUDE_MS
                                ) -> RunMetrics:
     """Recompute RunMetrics purely from a persisted event log, reading the
@@ -117,30 +115,36 @@ def metrics_from_event_records(records: Iterable[EventRecord],
     """
     by_flow: dict[int, FrameColumns] = {}
     duration_ms = None
-    for rec in records:
-        if rec.event == "frame_encode":
-            cols = by_flow.get(rec.flow_id)
+    for time_ms, event, flow_id, nbytes, detail in records:
+        if event == "frame_encode":
+            cols = by_flow.get(flow_id)
             if cols is None:
-                cols = by_flow[rec.flow_id] = (array("d"), array("d"),
-                                               array("q"))
+                cols = by_flow[flow_id] = (array("d"), array("d"), array("q"))
             encode, decode, sizes = cols
-            fid = int(_detail_field(rec.detail, "frame"))
+            fid = _frame_id(detail)
             if fid != len(encode):
-                raise ValueError(f"flow {rec.flow_id}: frame {fid} encoded "
+                raise ValueError(f"flow {flow_id}: frame {fid} encoded "
                                  f"as its frame {len(encode)}")
-            encode.append(rec.time_ms)
+            encode.append(time_ms)
             decode.append(math.nan)
-            sizes.append(rec.nbytes)
-        elif rec.event == "frame_done":
-            fid = int(_detail_field(rec.detail, "frame"))
-            cols = by_flow.get(rec.flow_id)
+            sizes.append(nbytes)
+        elif event == "frame_done":
+            fid = _frame_id(detail)
+            cols = by_flow.get(flow_id)
             if cols is not None and 0 <= fid < len(cols[1]):
-                cols[1][fid] = rec.time_ms
-        elif rec.event == "run_info":
-            duration_ms = float(_detail_field(rec.detail, "duration_ms"))
+                cols[1][fid] = time_ms
+        elif event == "run_info":
+            duration_ms = float(_detail_field(detail, "duration_ms"))
     if duration_ms is None:
         raise ValueError("no run_info record: the run did not finish")
     return compute_metrics(by_flow, duration_ms, warmup_ms)
+
+
+def _frame_id(detail: str) -> int:
+    # the world writes frame= first, which spares splitting the whole detail
+    if detail.startswith("frame="):
+        return int(detail.split(";", 1)[0][6:])
+    return int(_detail_field(detail, "frame"))
 
 
 def _detail_field(detail: str, key: str) -> str:

@@ -1,12 +1,18 @@
 import heapq
 import io
 import math
+from collections import namedtuple
 
 import ransim.world
 from ransim import (FlowConfig, RanConfig, SimWorld, VideoFrame,
                     compute_metrics, constant_trace)
-from ransim.eventlog import HEADER, EventRecord
+from ransim.eventlog import HEADER
 from ransim.sender import BaseSender
+
+
+# one parsed log line, named for tests that read its fields; report itself
+# reads plain tuples in this order
+EventRecord = namedtuple("EventRecord", "time_ms event flow_id nbytes detail")
 
 
 class SaturatingSender(BaseSender):

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import events
+from conftest import EventRecord, events
 
 import ransim.world
 from ransim import (FlowPredictor, SimWorld, VideoFrame, compute_metrics,
@@ -263,7 +263,8 @@ class TestReport:
             "5.5,frame_done,0,1000,frame=0;note=x,y;;z\n"
             "\n"
             "10.0,run_info,-1,0,duration_ms=10.0;seed=0\n")
-        records = list(harness.parse_event_log(tmp_path / "events.log"))
+        records = [EventRecord(*r) for r in
+                   harness.parse_event_log(tmp_path / "events.log")]
         assert [r.event for r in records] == \
             ["frame_encode", "frame_done", "run_info"]
         assert records[1].detail == "frame=0;note=x,y;;z"
@@ -271,6 +272,57 @@ class TestReport:
         assert m.duration_ms == 10.0
         assert m.flow(0).delays_ms == (5.0,)
         assert m.flow(0).avg_mbps == 1000 * 8.0 / 0.01 / 1e6
+
+    def test_parse_yields_plain_tuples(self, tmp_path):
+        # the last line has no newline to strip
+        (tmp_path / "events.log").write_text(
+            HEADER +
+            "0.5,frame_encode,0,1000,frame=0;target=8e5;actual=8e5\n"
+            "1.0,predict,0,0,q=1\n"
+            "10.0,run_info,-1,0,duration_ms=10.0;seed=0")
+        records = list(harness.parse_event_log(tmp_path / "events.log"))
+        assert records == [
+            (0.5, "frame_encode", 0, 1000, "frame=0;target=8e5;actual=8e5"),
+            (10.0, "run_info", -1, 0, "duration_ms=10.0;seed=0")]
+        for rec in records:
+            assert type(rec) is tuple
+            assert [type(v) for v in rec] == [float, str, int, int, str]
+
+    def test_frame_key_after_another_key_reads_the_same(self, tmp_path):
+        # the world writes frame= first; any other order takes the general
+        # detail lookup and must give the same metrics
+        scn = scenario_from_dict(dict(MIXED_FULL, log_level="frames"))
+        run_scenario(scn, tmp_path / "usual")
+        (tmp_path / "moved").mkdir()
+        lines = (tmp_path / "usual" / "events.log").read_text().splitlines(
+            keepends=True)
+        moved = []
+        for line in lines:
+            head, sep, detail = line.rpartition(",")
+            if detail.startswith("frame="):
+                frame, _, rest = detail.rstrip("\n").partition(";")
+                detail = f"{rest};{frame}\n"
+            moved.append(head + sep + detail)
+        frame_lines = sum(line.split(",")[1].startswith("frame_")
+                          for line in lines)
+        assert sum(";frame=" in line for line in moved) == frame_lines > 0
+        (tmp_path / "moved" / "events.log").write_text("".join(moved))
+        _assert_same_metrics(report_run_dir(tmp_path / "moved"),
+                             report_run_dir(tmp_path / "usual"))
+
+    def test_non_frame_line_cut_to_three_fields_is_rejected(self, tmp_path):
+        # report keeps only frame lines, but splits every line into its five
+        # fields
+        run_scenario(scenario_from_dict(
+            dict(MIXED_FULL, flows=[{"controller": "choir"}])), tmp_path)
+        log = tmp_path / "events.log"
+        lines = log.read_text().splitlines(keepends=True)
+        mid = next(i for i in range(len(lines) // 2, len(lines))
+                   if lines[i].split(",")[1] not in FRAME_EVENTS)
+        lines[mid] = ",".join(lines[mid].split(",")[:3]) + "\n"
+        log.write_text("".join(lines))
+        with pytest.raises(ScenarioError, match=re.escape(f"{log}: ")):
+            report_run_dir(tmp_path)
 
     def test_frame_done_without_its_encode_is_ignored(self, tmp_path):
         # frame 1 of flow 0, and flow 1, have no frame_encode line

@@ -197,6 +197,24 @@ class TestScenarioValidation:
             scenario_from_dict(cfg if edited is None else edited)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("ran,cap", [
+        ({}, 480.0),  # 100 PRBs of 30 B each 0.5 ms TTI: 48 Mbps peak
+        ({"tti_ms": 1.0, "prb_total": 25}, 60.0),
+        # the largest value of the trace sets the peak
+        ({"trace": {"kind": "square", "high": 45.0, "low": 0.0,
+                    "period_ttis": 40}}, 720.0),
+    ])
+    def test_initial_bitrate_capped_at_ten_times_peak_rate(self, ran, cap):
+        cfg = base_config()
+        cfg["ran"].update(ran)
+        cfg["flows"].append({"initial_bitrate_mbps": cap})
+        assert scenario_from_dict(cfg).flows[1].initial_bitrate_mbps == cap
+        cfg["flows"][1]["initial_bitrate_mbps"] = cap * 1.001
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"flows[1].initial_bitrate_mbps must be at most {cap:g}, "
+                f"10 times the cell's peak rate, got {cap * 1.001!r}")):
+            scenario_from_dict(cfg)
+
     def test_whole_float_loads_as_int(self):
         cfg = base_config()
         cfg["ran"]["prb_total"] = 100.0
@@ -347,8 +365,12 @@ class TestCli:
         # the sender's deque(maxlen=epsilon - 1) would fail only at the start
         (lambda cfg: cfg["flows"][0].update(epsilon=0),
          "flows[0]: epsilon must be at least 1"),
+        # the first frame would be split into about 1.5e9 packets
+        (lambda cfg: cfg["flows"][0].update(initial_bitrate_mbps=1e9),
+         "flows[0].initial_bitrate_mbps must be at most 480, 10 times the "
+         "cell's peak rate, got 1000000000.0"),
     ], ids=["never_starts", "interval_ttis", "kind_list", "controller_list",
-            "epsilon"])
+            "epsilon", "initial_bitrate"])
     def test_rejected_at_load_exit_code(self, tmp_path, capsys, edit,
                                         message):
         cfg = base_config()
@@ -389,6 +411,27 @@ class TestCli:
         for name in ("metrics.csv", "frames.csv", "events.log"):
             assert read("seed5", name) == read("file5", name)
         assert read("seed6", "events.log") != read("seed5", "events.log")
+
+    def test_seed_override_also_draws_the_trace(self, tmp_path):
+        # a random walk without its own seed is drawn from the scenario's,
+        # so --seed must reach it before the trace is built
+        cfg = base_config(duration_s=1.0, ran={"trace": {
+            "kind": "random_walk", "low": 20.0, "high": 40.0}})
+        runs = {"file1": [str(write_scenario(tmp_path, dict(cfg, seed=1),
+                                             "s1.json"))],
+                "file5": [str(write_scenario(tmp_path, dict(cfg, seed=5),
+                                             "s5.json"))]}
+        runs["seed5"] = [runs["file1"][0], "--seed", "5"]
+        for label, args in runs.items():
+            assert main(["run", *args, "--out", str(tmp_path / label)]) == \
+                EXIT_OK
+
+        def read(label, name):
+            return (tmp_path / label / name).read_bytes()
+
+        for name in ("frames.csv", "events.log"):
+            assert read("seed5", name) == read("file5", name)
+        assert read("file1", "frames.csv") != read("file5", "frames.csv")
 
     def test_sweep_and_report(self, tmp_path, capsys):
         p = write_scenario(tmp_path, base_config())
