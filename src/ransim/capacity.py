@@ -160,6 +160,8 @@ class FlowEstimator:
                 share = floor
         else:
             share = prb_total / n_active
+        # read by no code here: tests/test_invariants.py checks it against
+        # the registered floor, so it is kept to detect a fault
         self.prb_share = share
         if self._density_prbs > 0:
             self._bpp_held = self._density_bytes / self._density_prbs

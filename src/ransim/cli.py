@@ -78,7 +78,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime error: {exc}", file=sys.stderr)
+        # a MemoryError() has an empty str(); its type still names the fault
+        print(f"runtime error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

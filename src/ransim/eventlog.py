@@ -36,7 +36,7 @@ class EventLog:
     def records(self) -> list[str]:
         """The lines not yet written; empty after SimWorld.run. Kept only for
         perfbench/worker.py, which reads its len() after each run; ROADMAP
-        item 4 drops that read and this property."""
+        item 5 drops that read and this property."""
         return self._lines
 
     def add(self, time_ms: float, event: str, flow_id: int, nbytes: int,

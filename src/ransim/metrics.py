@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 WARMUP_EXCLUDE_MS = 2000.0
 
@@ -40,25 +40,16 @@ def jain_index(values) -> float:
 
 @dataclass(frozen=True)
 class FlowMetrics:
-    flow_id: int
-    frames: int
-    undelivered: int
     avg_delay_ms: float
     p95_ms: float
     p999_ms: float
     avg_mbps: float
-    delays_ms: tuple[float, ...] = field(repr=False, default=())
 
 
 @dataclass(frozen=True)
 class RunMetrics:
     flows: dict[int, FlowMetrics]
     jain: float
-    duration_ms: float
-    warmup_ms: float
-
-    def flow(self, flow_id: int) -> FlowMetrics:
-        return self.flows[flow_id]
 
 
 def compute_metrics(frames_by_flow: dict[int, FrameColumns],
@@ -66,8 +57,8 @@ def compute_metrics(frames_by_flow: dict[int, FrameColumns],
                     warmup_ms: float = WARMUP_EXCLUDE_MS) -> RunMetrics:
     """Aggregate per-flow frame columns into run metrics.
 
-    Frames encoded during the warm-up window are excluded; frames never
-    delivered by run end are excluded from delays and counted separately.
+    Frames encoded during the warm-up window are excluded, and so are
+    frames never delivered by run end.
     """
     flows: dict[int, FlowMetrics] = {}
     span_ms = max(duration_ms - warmup_ms, 1e-9)
@@ -75,12 +66,8 @@ def compute_metrics(frames_by_flow: dict[int, FrameColumns],
     for flow_id, (encode, decode, sizes) in sorted(frames_by_flow.items()):
         delays: list[float] = []
         bits = 0.0
-        undelivered = 0
         for enc, dec, nbytes in zip(encode, decode, sizes):
-            if enc < warmup_ms:
-                continue
-            if isnan(dec):
-                undelivered += 1
+            if enc < warmup_ms or isnan(dec):
                 continue
             delays.append(dec - enc)
             bits += nbytes * 8.0
@@ -90,15 +77,10 @@ def compute_metrics(frames_by_flow: dict[int, FrameColumns],
             p999 = nearest_rank_percentile(delays, 99.9)
         else:
             avg = p95 = p999 = float("nan")
-        flows[flow_id] = FlowMetrics(
-            flow_id=flow_id, frames=len(delays), undelivered=undelivered,
-            avg_delay_ms=avg, p95_ms=p95, p999_ms=p999,
-            avg_mbps=bits / (span_ms / 1000.0) / 1e6,
-            delays_ms=tuple(delays))
+        flows[flow_id] = FlowMetrics(avg, p95, p999,
+                                     bits / (span_ms / 1000.0) / 1e6)
     rates = [m.avg_mbps for m in flows.values()]
-    fairness = jain_index(rates) if rates else 1.0
-    return RunMetrics(flows=flows, jain=fairness, duration_ms=duration_ms,
-                      warmup_ms=warmup_ms)
+    return RunMetrics(flows, jain_index(rates) if rates else 1.0)
 
 
 def metrics_from_event_records(records: Iterable[tuple],

@@ -3,10 +3,15 @@ import io
 import math
 from collections import namedtuple
 
+import pytest
+
+import ransim.harness
+import ransim.metrics
 import ransim.world
 from ransim import (FlowConfig, RanConfig, SimWorld, VideoFrame,
                     compute_metrics, constant_trace)
 from ransim.eventlog import HEADER
+from ransim.metrics import WARMUP_EXCLUDE_MS
 from ransim.sender import BaseSender
 
 
@@ -88,6 +93,29 @@ def frame_delay(world, flow_id, frame_id):
     """Encode-to-decode latency of a decoded frame, in ms."""
     return (decode_time(world, flow_id, frame_id)
             - world.flows[flow_id].encode_ms[frame_id])
+
+
+def decoded_delays(columns, warmup_ms=WARMUP_EXCLUDE_MS):
+    """The delays, in frame order, of one flow's frames encoded from
+    warmup_ms on and decoded, read from its frame columns: the series that
+    compute_metrics averages and ranks."""
+    encode, decode, _ = columns
+    return [dec - enc for enc, dec in zip(encode, decode)
+            if enc >= warmup_ms and not math.isnan(dec)]
+
+
+@pytest.fixture
+def metrics_inputs(monkeypatch):
+    """The (frame columns by flow, duration ms) of each compute_metrics
+    call that run_scenario and report make, in call order."""
+    calls = []
+
+    def spy(frames_by_flow, duration_ms, *args):
+        calls.append((frames_by_flow, duration_ms))
+        return compute_metrics(frames_by_flow, duration_ms, *args)
+    monkeypatch.setattr(ransim.harness, "compute_metrics", spy)
+    monkeypatch.setattr(ransim.metrics, "compute_metrics", spy)
+    return calls
 
 
 def logged_world(ran, *, seed=0, log_level="full", world_cls=SimWorld):

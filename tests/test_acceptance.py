@@ -9,7 +9,8 @@ import statistics
 import pytest
 
 from conftest import (FailFirst, SaturatingSender, add_idle_flow,
-                      frame_delay, inject_packet, record_encodes)
+                      decoded_delays, frame_delay, inject_packet,
+                      record_encodes)
 
 from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
                     constant_trace, decode_rate, encode_rate,
@@ -126,7 +127,7 @@ def test_criterion_04_choir_convergence():
     wc = _choir_world(constant_trace(30.0), wired, seed=2)
     wc.run(8.0)
     m = compute_metrics(wc.frames_by_flow(), wc.now_ms)
-    f = m.flow(0)
+    f = m.flows[0]
     target = 0.95 * eff_bps / 1e6
     floor = wired + TTI  # propagation plus minimal air delay
     ok = (abs(f.avg_mbps - target) / target <= 0.05
@@ -189,8 +190,8 @@ def test_criterion_06_fairness_and_scaling():
         w = _choir_world(constant_trace(220.0), 1.0, seed=3, flows=n)
         w.run(10.0)
         m = compute_metrics(w.frames_by_flow(), w.now_ms)
-        rates = [m.flow(i).avg_mbps for i in range(n)]
-        p95s = [m.flow(i).p95_ms for i in range(n)]
+        rates = [m.flows[i].avg_mbps for i in range(n)]
+        p95s = [m.flows[i].p95_ms for i in range(n)]
         results[n] = (statistics.mean(rates), statistics.mean(p95s), m.jain)
     ratio = results[14][0] / results[7][0]
     p95_change = abs(results[14][1] - results[7][1]) / results[7][1]
@@ -213,7 +214,7 @@ def test_criterion_07_wired_latency_degradation():
         w = _choir_world(SWEEP_TRACE, wired, seed=7)
         w.run(12.0)
         m = compute_metrics(w.frames_by_flow(), w.now_ms)
-        p999[wired] = m.flow(0).p999_ms
+        p999[wired] = m.flows[0].p999_ms
     ok = all(p999[wired] - p999[1.0] <= 2 * (wired - 1.0) + 2 * FI + 1e-9
              for wired in (10.0, 20.0))
     _report(7, "Wired-latency degradation", ok,
@@ -229,8 +230,8 @@ def test_criterion_08_ack_frequency_robustness():
         w = _choir_world(SWEEP_TRACE, 10.0, seed=7, ack_per_frames=ack)
         w.run(12.0)
         m = compute_metrics(w.frames_by_flow(), w.now_ms)
-        rates.append(m.flow(0).avg_mbps)
-        p999s.append(m.flow(0).p999_ms)
+        rates.append(m.flows[0].avg_mbps)
+        p999s.append(m.flows[0].p999_ms)
     spread = (max(rates) - min(rates)) / statistics.mean(rates)
     nondecreasing = all(p999s[i + 1] >= p999s[i] - 1e-9 for i in range(2))
     ok = spread <= 0.05 and nondecreasing
@@ -249,11 +250,10 @@ def test_criterion_09_smoothing_tradeoff():
         w = _choir_world(trace, 10.0, seed=7, epsilon=eps, initial_mbps=25.0)
         encodes = record_encodes(w.flows[0])
         w.run(20.0)
-        m = compute_metrics(w.frames_by_flow(), w.now_ms,
-                            warmup_ms=meas_ms)
         br = [f.actual_bps for f in encodes if f.encode_ts >= meas_ms]
         covs.append(statistics.pstdev(br) / statistics.mean(br))
-        p99s.append(nearest_rank_percentile(list(m.flow(0).delays_ms), 99.0))
+        p99s.append(nearest_rank_percentile(
+            decoded_delays(w.frames_by_flow()[0], meas_ms), 99.0))
     cov_mono = all(covs[i + 1] <= covs[i] + 1e-9 for i in range(3))
     p99_mono = all(p99s[i + 1] >= p99s[i] - 1e-9 for i in range(3))
     ok = cov_mono and p99_mono
@@ -270,7 +270,7 @@ def test_criterion_10_baseline_relation():
         w = _choir_world(SWEEP_TRACE, 10.0, seed=7, controller=ctrl)
         w.run(12.0)
         m = compute_metrics(w.frames_by_flow(), w.now_ms)
-        metrics[ctrl] = m.flow(0)
+        metrics[ctrl] = m.flows[0]
     rate_ratio = metrics["choir"].avg_mbps / metrics["scone"].avg_mbps
     delay_ratio = metrics["choir"].avg_delay_ms / metrics["scone"].avg_delay_ms
     ok = rate_ratio >= 0.95 and delay_ratio <= 1.25

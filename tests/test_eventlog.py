@@ -9,11 +9,11 @@ from collections import Counter
 
 import pytest
 
-from conftest import EventRecord, events
+from conftest import EventRecord, decoded_delays, events
 
 import ransim.world
-from ransim import (FlowPredictor, SimWorld, VideoFrame, compute_metrics,
-                    harness, mean_alloc_bw)
+from ransim import (FlowPredictor, SimWorld, VideoFrame, harness,
+                    mean_alloc_bw)
 from ransim.eventlog import CHUNK_LINES, FRAME_EVENTS, HEADER, EventLog
 from ransim.harness import (ScenarioError, build_world, report_run_dir,
                             run_scenario, scenario_from_dict, sweep_scenario)
@@ -55,16 +55,15 @@ def built(monkeypatch):
     return worlds
 
 
-def _assert_same_metrics(got, expected):
-    # a flow with no frame after the warm-up has NaN delays, so compare the
-    # delay series rather than the NaN-valued fields
-    assert (got.duration_ms, got.jain) == (expected.duration_ms, expected.jain)
-    assert got.flows.keys() == expected.flows.keys()
-    for fid, fm in expected.flows.items():
-        gm = got.flow(fid)
-        assert gm.delays_ms == fm.delays_ms
-        assert (gm.frames, gm.undelivered, gm.avg_mbps) == \
-            (fm.frames, fm.undelivered, fm.avg_mbps)
+def _assert_same_columns(got, expected):
+    # the (frame columns by flow, duration) each side passed to
+    # compute_metrics, compared byte for byte, as an undecoded frame's NaN
+    # is unequal to itself
+    assert got[1] == expected[1]
+    assert got[0].keys() == expected[0].keys()
+    for fid, cols in expected[0].items():
+        assert [(c.typecode, c.tobytes()) for c in got[0][fid]] == \
+            [(c.typecode, c.tobytes()) for c in cols], f"flow {fid}"
 
 
 class TestStreamedLog:
@@ -231,7 +230,7 @@ class TestWithoutSink:
         metrics = run_scenario(scn)
         sweep_scenario(scn, "wired_nd_ms", [1.0, 5.0])
         assert adds == [] and formatted == Counter()
-        assert metrics.flow(0).frames > 0
+        assert metrics.flows[0].avg_mbps > 0
         # the spies see the lines of a run that keeps its log
         run_scenario(scn, tmp_path)
         assert len(adds) > CHUNK_LINES
@@ -241,21 +240,26 @@ class TestWithoutSink:
 
 
 class TestReport:
-    def test_full_log_equals_in_memory_metrics(self, tmp_path, built):
-        scn = scenario_from_dict(MIXED_FULL)
-        direct = run_scenario(scn, tmp_path)
-        world = built[0]
-        expected = compute_metrics(world.frames_by_flow(), world.now_ms)
-        _assert_same_metrics(direct, expected)
-        _assert_same_metrics(report_run_dir(tmp_path), expected)
-        assert any(fm.frames == 0 for fm in expected.flows.values())
+    def test_full_log_equals_in_memory_metrics(self, tmp_path,
+                                               metrics_inputs):
+        direct = run_scenario(scenario_from_dict(MIXED_FULL), tmp_path)
+        reported = report_run_dir(tmp_path)
+        run_in, report_in = metrics_inputs
+        _assert_same_columns(report_in, run_in)
+        assert harness.metrics_csv_text(reported) == \
+            harness.metrics_csv_text(direct)
+        # a flow with no frame after the warm-up, and undecoded frames
+        assert any(not decoded_delays(cols) for cols in run_in[0].values())
+        assert any(math.isnan(d) for _, decode, _ in run_in[0].values()
+                   for d in decode)
 
     def test_bad_header_raises(self, tmp_path):
         (tmp_path / "events.log").write_text("time,event\n0.0,x,0,0,\n")
         with pytest.raises(ValueError, match="not an event log"):
             report_run_dir(tmp_path)
 
-    def test_detail_with_commas_and_semicolons(self, tmp_path):
+    def test_detail_with_commas_and_semicolons(self, tmp_path,
+                                               metrics_inputs):
         (tmp_path / "events.log").write_text(
             HEADER +
             "0.5,frame_encode,0,1000,frame=0;target=8e5;actual=8e5;n=a,b\n"
@@ -269,9 +273,10 @@ class TestReport:
             ["frame_encode", "frame_done", "run_info"]
         assert records[1].detail == "frame=0;note=x,y;;z"
         m = report_run_dir(tmp_path, warmup_ms=0.0)
-        assert m.duration_ms == 10.0
-        assert m.flow(0).delays_ms == (5.0,)
-        assert m.flow(0).avg_mbps == 1000 * 8.0 / 0.01 / 1e6
+        [(columns, duration_ms)] = metrics_inputs
+        assert duration_ms == 10.0
+        assert decoded_delays(columns[0], 0.0) == [5.0]
+        assert m.flows[0].avg_mbps == 1000 * 8.0 / 0.01 / 1e6
 
     def test_parse_yields_plain_tuples(self, tmp_path):
         # the last line has no newline to strip
@@ -288,7 +293,8 @@ class TestReport:
             assert type(rec) is tuple
             assert [type(v) for v in rec] == [float, str, int, int, str]
 
-    def test_frame_key_after_another_key_reads_the_same(self, tmp_path):
+    def test_frame_key_after_another_key_reads_the_same(self, tmp_path,
+                                                        metrics_inputs):
         # the world writes frame= first; any other order takes the general
         # detail lookup and must give the same metrics
         scn = scenario_from_dict(dict(MIXED_FULL, log_level="frames"))
@@ -307,8 +313,9 @@ class TestReport:
                           for line in lines)
         assert sum(";frame=" in line for line in moved) == frame_lines > 0
         (tmp_path / "moved" / "events.log").write_text("".join(moved))
-        _assert_same_metrics(report_run_dir(tmp_path / "moved"),
-                             report_run_dir(tmp_path / "usual"))
+        report_run_dir(tmp_path / "moved")
+        report_run_dir(tmp_path / "usual")
+        _assert_same_columns(metrics_inputs[-2], metrics_inputs[-1])
 
     def test_non_frame_line_cut_to_three_fields_is_rejected(self, tmp_path):
         # report keeps only frame lines, but splits every line into its five
@@ -324,7 +331,8 @@ class TestReport:
         with pytest.raises(ScenarioError, match=re.escape(f"{log}: ")):
             report_run_dir(tmp_path)
 
-    def test_frame_done_without_its_encode_is_ignored(self, tmp_path):
+    def test_frame_done_without_its_encode_is_ignored(self, tmp_path,
+                                                      metrics_inputs):
         # frame 1 of flow 0, and flow 1, have no frame_encode line
         (tmp_path / "events.log").write_text(
             HEADER +
@@ -335,10 +343,11 @@ class TestReport:
             "10.0,run_info,-1,0,duration_ms=10.0;seed=0\n")
         m = report_run_dir(tmp_path, warmup_ms=0.0)
         assert list(m.flows) == [0]
-        assert m.flow(0).delays_ms == (5.0,)
-        assert (m.flow(0).frames, m.flow(0).undelivered) == (1, 0)
+        [(columns, _)] = metrics_inputs
+        assert [list(c) for c in columns[0]] == [[0.5], [5.5], [1000]]
 
-    def test_flow_without_a_decoded_frame_reads_nan(self, tmp_path):
+    def test_flow_without_a_decoded_frame_reads_nan(self, tmp_path,
+                                                    metrics_inputs):
         (tmp_path / "events.log").write_text(
             HEADER +
             "0.5,frame_encode,0,1000,frame=0;target=8e5;actual=8e5\n"
@@ -347,8 +356,10 @@ class TestReport:
             "17.1,frame_encode,1,700,frame=1;target=8e5;actual=8e5\n"
             "20.0,run_info,-1,0,duration_ms=20.0;seed=0\n")
         m = report_run_dir(tmp_path, warmup_ms=0.0)
-        f = m.flow(1)
-        assert (f.frames, f.undelivered, f.avg_mbps) == (0, 2, 0.0)
+        f = m.flows[1]
+        assert f.avg_mbps == 0.0
+        [(columns, _)] = metrics_inputs
+        assert [math.isnan(d) for d in columns[1][1]] == [True, True]
         assert all(math.isnan(v) for v in (f.avg_delay_ms, f.p95_ms,
                                             f.p999_ms))
         harness.write_metrics_csv(tmp_path / "metrics.csv", m)

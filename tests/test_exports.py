@@ -14,24 +14,61 @@ def test_every_export_resolves():
     assert len(set(ransim.__all__)) == len(ransim.__all__)
 
 
-def _reads(node, owners=frozenset()):
-    """Names and attributes loaded under node, outside a def or class of the
-    same name; a docstring is a constant and reads nothing."""
+SRC = Path(ransim.__file__).parent
+
+
+def _reads(node, owners=frozenset(), kinds=(ast.Name, ast.Attribute)):
+    """Names and attributes (the node types in kinds) loaded under node,
+    outside a def or class of the same name; a docstring is a constant and
+    reads nothing."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         owners |= {node.name}
-    name = getattr(node, "id", None) or getattr(node, "attr", None)
-    if isinstance(getattr(node, "ctx", None), ast.Load) and name not in owners:
-        yield name
+    if isinstance(node, kinds) and isinstance(node.ctx, ast.Load):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        if name not in owners:
+            yield name
     for child in ast.iter_child_nodes(node):
-        yield from _reads(child, owners)
+        yield from _reads(child, owners, kinds)
 
 
 def test_every_export_is_used_by_the_package():
     # an export that only the tests read belongs in the tests
-    read = {name for path in Path(ransim.__file__).parent.glob("*.py")
-            if path.name != "__init__.py"
+    read = {name for path in SRC.glob("*.py") if path.name != "__init__.py"
             for name in _reads(ast.parse(path.read_text()))}
     assert sorted(set(ransim.__all__) - read) == []
+
+
+# the estimator's PRB share is kept to detect a fault: no code in the
+# package reads it, but test_invariants.py's share-floor check does
+KEPT_FOR_CHECKS = {"prb_share"}
+
+
+def _stored(tree):
+    """Each attribute assigned under tree, and each field of its
+    dataclasses, as (where, name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                          ast.Store):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            yield from ((node.name, st.target.id) for st in node.body
+                        if isinstance(st, ast.AnnAssign))
+
+
+def test_every_stored_attribute_is_read_by_the_package():
+    # state written but never read; only an attribute load reads it, not a
+    # local or a parameter of the same name
+    trees = {path.name: ast.parse(path.read_text())
+             for path in SRC.glob("*.py")}
+    read = {name for tree in trees.values()
+            for name in _reads(tree, kinds=(ast.Attribute,))}
+    unread = sorted(f"{file}:{where} {name}"
+                    for file, tree in trees.items()
+                    for where, name in _stored(tree)
+                    if name not in read | KEPT_FOR_CHECKS)
+    assert unread == []
+    assert read.isdisjoint(KEPT_FOR_CHECKS)  # else it needs no exemption
 
 
 # perfbench/tracing.py patches these names by lookup in a module's or a

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ransim.cli import EXIT_CONFIG, EXIT_OK, main
+import ransim.cli
+from ransim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from ransim.harness import (ScenarioError, build_world, load_scenario,
                             parse_vary, report_run_dir, run_scenario,
                             scenario_from_dict, sweep_scenario)
@@ -238,17 +239,17 @@ class TestRunScenario:
         assert (out / "metrics.csv").exists()
         assert (out / "frames.csv").exists()
         assert (out / "events.log").exists()
-        assert metrics.flow(0).frames > 0
+        assert metrics.flows[0].avg_mbps > 0
         header = (out / "metrics.csv").read_text().splitlines()[0]
         assert header == "flow_id,avg_delay_ms,p95_ms,p999_ms,avg_mbps,jain"
 
-    def test_frame_count_matches_cadence(self):
-        scn = scenario_from_dict(base_config(duration_s=3.0))
-        metrics = run_scenario(scn)
-        f = metrics.flow(0)
+    def test_frame_count_matches_cadence(self, metrics_inputs):
+        run_scenario(scenario_from_dict(base_config(duration_s=3.0)))
+        [(columns, _)] = metrics_inputs
         # 3 s at 60 fps minus the 2 s warm-up window
         expected = int(1000 / 16.6)
-        assert abs((f.frames + f.undelivered) - expected) <= 2
+        measured = sum(enc >= 2000.0 for enc in columns[0][0])
+        assert abs(measured - expected) <= 2
 
     def test_report_recomputes_identically(self, tmp_path):
         scn = scenario_from_dict(base_config())
@@ -256,9 +257,9 @@ class TestRunScenario:
         direct = run_scenario(scn, out_dir=out)
         again = report_run_dir(out)
         for fid in direct.flows:
-            assert again.flow(fid).avg_delay_ms == \
-                direct.flow(fid).avg_delay_ms
-            assert again.flow(fid).avg_mbps == direct.flow(fid).avg_mbps
+            assert again.flows[fid].avg_delay_ms == \
+                direct.flows[fid].avg_delay_ms
+            assert again.flows[fid].avg_mbps == direct.flows[fid].avg_mbps
 
     def test_determinism_byte_identical_csvs(self, tmp_path):
         scn = scenario_from_dict(base_config(seed=9))
@@ -285,8 +286,8 @@ class TestSweep:
                                  out_dir=tmp_path)
         assert set(results) == {1.0, 5.0}
         assert (tmp_path / "wired_nd_ms=1" / "metrics.csv").exists()
-        assert results[5.0].flow(0).avg_delay_ms > \
-            results[1.0].flow(0).avg_delay_ms
+        assert results[5.0].flows[0].avg_delay_ms > \
+            results[1.0].flows[0].avg_delay_ms
 
 
 class TestCli:
@@ -482,6 +483,18 @@ class TestCli:
     def test_sweep_rejects_duplicate_value(self, tmp_path, capsys):
         self._sweep_rejects(tmp_path, capsys, "epsilon=2,2.0",
                             "epsilon=2 is given twice")
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "MemoryError"),  # its str() is empty
+        (RuntimeError("step failed"), "step failed")])
+    def test_runtime_error_exit_code_carries_a_message(
+            self, tmp_path, capsys, monkeypatch, exc, message):
+        def failing_run(scn, out_dir=None):
+            raise exc
+        monkeypatch.setattr(ransim.cli, "run_scenario", failing_run)
+        p = write_scenario(tmp_path, base_config())
+        assert main(["run", str(p)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
 
     def test_report_empty_dir(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == EXIT_CONFIG

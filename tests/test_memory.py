@@ -169,12 +169,15 @@ def test_short_stays_peak_like_long_stays():
 _RETAINED_RUN = """
 import sys, tracemalloc
 from ransim.harness import build_world, load_scenario
+from ransim.metrics import compute_metrics
 scn = load_scenario(sys.argv[1])
 tracemalloc.start()
 w = build_world(scn)
 w.run(float(sys.argv[2]))
-print(tracemalloc.get_traced_memory()[0],
-      sum(len(fr.encode_ms) for fr in w.flows.values()))
+ran = tracemalloc.get_traced_memory()[0]
+metrics = compute_metrics(w.frames_by_flow(), w.now_ms)
+print(ran, sum(len(fr.encode_ms) for fr in w.flows.values()),
+      tracemalloc.get_traced_memory()[0] - ran)
 """
 FAIRNESS = Path(__file__).resolve().parent.parent / "scenarios" / \
     "multi_flow_fairness.json"
@@ -184,15 +187,17 @@ def test_run_retains_three_columns_per_frame():
     # what a run keeps grows, past the warm-up of its rings and histories,
     # only by its frames: three 8 B column entries each. Measured (2 vCPU,
     # Python 3.11.7): 30 B per frame from 4 s to 8 s, where a VideoFrame
-    # apiece kept 221 B
+    # apiece kept 221 B. The metrics keep four floats per flow and the Jain
+    # index, nothing per frame: 3,520 B at 4 s and at 8 s
     src = str(Path(ransim.__file__).resolve().parent.parent)
     runs = [subprocess.Popen(
         [sys.executable, "-c", _RETAINED_RUN, str(FAIRNESS), seconds],
         env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
         text=True) for seconds in ("4", "8")]
-    (short, short_frames), (long, long_frames) = [
+    (short, short_frames, short_kept), (long, long_frames, long_kept) = [
         map(int, run.communicate()[0].split()) for run in runs]
     assert all(run.returncode == 0 for run in runs)
     assert long_frames > 1.9 * short_frames > 3000
     per_frame = (long - short) / (long_frames - short_frames)
     assert per_frame < 60, per_frame
+    assert long_kept <= short_kept, (short_kept, long_kept)
