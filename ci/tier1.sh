@@ -75,9 +75,9 @@ sweep-bad-value() {
 
 run-bad-config() {
   # each bad edit of single_flow is a configuration error (exit 2) at load
-  # time: a flow that never starts, a null number and a random walk that
-  # never steps
-  for edit in never-starts null-delay zero-interval; do
+  # time: a flow that never starts, a null number, a random walk that never
+  # steps, and a cell beyond NR's bytes per PRB or PRBs per carrier
+  for edit in never-starts null-delay zero-interval huge-bpp huge-prbs; do
     python -c '
 import json, sys
 cfg = json.load(open("scenarios/single_flow.json"))
@@ -86,6 +86,10 @@ if sys.argv[1] == "never-starts":
     flow["start_s"] = cfg["duration_s"]
 elif sys.argv[1] == "null-delay":
     flow["wired_nd_ms"] = None
+elif sys.argv[1] == "huge-bpp":
+    ran["trace"]["bytes_per_prb"] = 1e7
+elif sys.argv[1] == "huge-prbs":
+    ran["prb_total"] = 1e7
 else:
     ran["trace"] = {"kind": "random_walk", "low": 20.0, "high": 40.0,
                     "interval_ttis": 0}

@@ -28,6 +28,7 @@ import functools
 import inspect
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TextIO
@@ -244,14 +245,14 @@ def run_scenario(scn: Scenario, out_dir=None) -> RunMetrics:
     Without out_dir the world keeps no event log.
     """
     if out_dir is None:
-        world = build_world(scn)
-        world.run(scn.duration_s)
+        opened = nullcontext()  # enters as None: no sink, no log
     else:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / EVENTS_LOG, "w") as sink:
-            world = build_world(scn, sink)
-            world.run(scn.duration_s)
+        opened = open(out / EVENTS_LOG, "w")
+    with opened as sink:
+        world = build_world(scn, sink)
+        world.run(scn.duration_s)
     metrics = compute_metrics(world.frames_by_flow(), world.now_ms)
     if out_dir is not None:
         write_metrics_csv(out / METRICS_CSV, metrics)

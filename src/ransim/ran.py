@@ -16,6 +16,7 @@ OVERHEAD_FIXED = 8
 OVERHEAD_PER_SEGMENT = 5
 
 RLC_SAMPLE_RING = 512
+MAX_PRB_TOTAL = 273  # NR's most PRBs per carrier: 100 MHz at 30 kHz SCS
 
 
 @dataclass
@@ -36,8 +37,8 @@ class RanConfig:
         elif not isinstance(self.tdd_pattern, TddPattern):
             raise ValueError(f"tdd_pattern must be a string such as "
                              f"'DDDSU', got {self.tdd_pattern!r}")
-        if self.prb_total <= 0:
-            raise ValueError("prb_total must be positive")
+        if not 0 < self.prb_total <= MAX_PRB_TOTAL:
+            raise ValueError(f"prb_total must lie in [1, {MAX_PRB_TOTAL}]")
         if self.tti_ms not in (0.5, 1.0):
             raise ValueError("tti_ms must be 0.5 or 1.0")
         if not 0.0 <= self.bler < 1.0:
@@ -71,7 +72,6 @@ class FlowQueueState:
         self.queued_bytes = 0
         self.samples: deque[tuple[float, int]] = deque(maxlen=RLC_SAMPLE_RING)
         self.harq_pending: deque[TransportBlock] = deque()
-        self.harq_flight_payload = 0
 
     def enqueue(self, frame_id: int, nbytes: int) -> None:
         self.segments.append((frame_id, nbytes))

@@ -13,6 +13,11 @@ import random
 from dataclasses import dataclass
 
 
+# the most one PRB carries in a TTI: 8 layers x 168 resource elements x
+# 8 bits (256-QAM) x code rate 948/1024 / 8 bits per byte = 1244.25 B
+MAX_BYTES_PER_PRB = 1244
+
+
 class TraceError(ValueError):
     """Malformed or unusable capacity trace."""
 
@@ -30,8 +35,9 @@ class CapacitySchedule:
         for tti, bpp in self.breakpoints:
             if tti <= last:
                 raise TraceError(f"non-monotonic tti_index {tti}")
-            if bpp < 0:
-                raise TraceError(f"negative bytes_per_prb at tti {tti}")
+            if not 0 <= bpp <= MAX_BYTES_PER_PRB:
+                raise TraceError(f"bytes_per_prb at tti {tti} must lie in "
+                                 f"[0, {MAX_BYTES_PER_PRB}], got {bpp!r}")
             last = tti
         if self.breakpoints[0][0] != 0:
             raise TraceError("schedule must start at tti_index 0")

@@ -157,8 +157,7 @@ class FlowRuntime:
         if now < self.start_ms:
             return False
         q = self.queue
-        return (now < self.stop_ms or q.queued_bytes > 0
-                or q.harq_flight_payload > 0)
+        return now < self.stop_ms or q.queued_bytes > 0 or bool(q.harq_pending)
 
 
 _SENDERS = {"choir": ChoirSender, "scone": SconeSender,
@@ -197,7 +196,7 @@ class SimWorld:
         self.seed = seed
         self.tti_index = 0
         self.flows: dict[int, FlowRuntime] = {}
-        self._waiting: list[FlowRuntime] = []  # not yet started
+        self._unretired: list[FlowRuntime] = []  # waiting or live, by id
         self._live: list[FlowRuntime] = []  # the flows a step visits
         self._next_change = math.inf  # next start, or earliest live stop
         self.cell = CellWindows(ran.tti_ms)
@@ -205,7 +204,7 @@ class SimWorld:
         self._log_full = self.log is not None and full_log
         self._rotation = 0
         self._seq = 0
-        self._sender_events: list = []   # (ts, seq, kind, flow_id, payload)
+        self._sender_events: list = []  # (ts, seq, flow, feedback or None)
         self._pkt_counter = 0
         # bytes per PRB at tti_index, read from the trace's breakpoints
         self._breaks = iter(ran.schedule.breakpoints)
@@ -227,38 +226,35 @@ class SimWorld:
             raise ValueError(f"flow {cfg.flow_id} starts before now")
         fr = FlowRuntime(cfg)
         self.flows[cfg.flow_id] = fr
-        self._waiting.append(fr)
-        self._waiting.sort(key=_flow_id)
+        self._unretired.append(fr)
+        self._unretired.sort(key=_flow_id)
         self._update_live(self.now_ms)
-        self._push_sender_event(fr.start_ms, "tick", cfg.flow_id, None)
+        self._push_sender_event(fr.start_ms, fr, None)
         return fr
 
     def _update_live(self, now: float) -> None:
         """Live flows, in flow-id order: started by now, and not retired. A
         flow retires once it has stopped and holds nothing in the system: no
         queued or HARQ bytes, an empty wire lane to the base station and no
-        pending ACK. Only the waiting and the live flows are visited, so a
-        retired flow is never read again here."""
-        waiting, visit = self._waiting, self._live
-        started = [fr for fr in waiting if fr.start_ms <= now]
-        if started:
-            for fr in started:
-                if fr.queue is None:
-                    self._start(fr)
-            visit = sorted(visit + started, key=_flow_id)
-            self._waiting = waiting = [fr for fr in waiting
-                                       if fr.start_ms > now]
-        self._live = live = []
-        for fr in visit:
+        pending ACK. Only the unretired flows are visited, so a retired flow
+        is never read again here."""
+        unretired, live, changes = [], [], []
+        for fr in self._unretired:
+            if fr.start_ms > now:
+                unretired.append(fr)
+                changes.append(fr.start_ms)
+                continue
+            if fr.queue is None:
+                self._start(fr)
             if (now < fr.stop_ms or fr.queue.queued_bytes or fr.lane
-                    or fr.queue.harq_flight_payload
-                    or fr.receiver.pending_acks):
+                    or fr.queue.harq_pending or fr.receiver.pending_acks):
+                unretired.append(fr)
                 live.append(fr)
+                changes.append(fr.stop_ms)
             else:
                 self._retire(fr)
-        self._next_change = min(
-            [fr.stop_ms for fr in live] + [fr.start_ms for fr in waiting],
-            default=math.inf)
+        self._unretired, self._live = unretired, live
+        self._next_change = min(changes, default=math.inf)
 
     def _start(self, fr: FlowRuntime) -> None:
         """Build the parts a running flow reads, so that a flow waiting for
@@ -284,15 +280,14 @@ class SimWorld:
         logged but applied to no sender. The queue's containers and the wire
         lane, all empty, become the shared empty tuple, as an emptied deque
         keeps its blocks; a write to them fails. The frame columns stay, and
-        so do the queue's counters, all zero."""
+        so does the queue's one counter, queued_bytes, at zero."""
         fr.estimator = fr.predictor = fr.receiver = fr.sender = None
         q = fr.queue
         q.segments = q.harq_pending = q.samples = fr.lane = ()
 
-    def _push_sender_event(self, ts: float, kind: str, flow_id: int,
-                           payload) -> None:
-        self._seq += 1
-        heapq.heappush(self._sender_events, (ts, self._seq, kind, flow_id, payload))
+    def _push_sender_event(self, ts: float, fr: FlowRuntime, feedback) -> None:
+        self._seq += 1  # unique: fr is never compared
+        heapq.heappush(self._sender_events, (ts, self._seq, fr, feedback))
 
     def _n_present(self, now: float) -> int:
         if now < self._next_change:  # step's rule: every live flow is present
@@ -429,7 +424,6 @@ class SimWorld:
             if prbs > 0:
                 if is_retx:
                     block = q.harq_pending.popleft()
-                    q.harq_flight_payload -= block.payload_bytes
                 else:
                     block = assemble_block(q, int(prbs * unit + 1e-9))
             if block is None:
@@ -463,7 +457,6 @@ class SimWorld:
             block.rtx_count += 1
             block.ready_ms = t0 + self.ran.harq_rtx_delay_ms
             fr.queue.harq_pending.append(block)
-            fr.queue.harq_flight_payload += block.payload_bytes
             if self._log_full:
                 self.log.add(t0, "harq_fail", fr.cfg.flow_id, block.bytes,
                              f"rtx={block.rtx_count};ready={block.ready_ms!r}")
@@ -544,22 +537,19 @@ class SimWorld:
                       if kind == "scone" else "")
             self.log.add(t0, "ack_stamp", fr.cfg.flow_id, acked_bytes, detail)
         arrive = t0 + fr.cfg.wired_nd_ms
-        self._push_sender_event(arrive, "feedback", fr.cfg.flow_id,
-                                (wire, t0, acked_bytes))
+        self._push_sender_event(arrive, fr, (wire, t0, acked_bytes))
 
     def _process_sender_events(self, t0: float, t1: float) -> None:
         heap = self._sender_events
         while heap and heap[0][0] < t1:
-            ts, _, kind, flow_id, payload = heapq.heappop(heap)
-            fr = self.flows[flow_id]
-            if kind == "tick":
+            ts, _, fr, feedback = heapq.heappop(heap)
+            if feedback is None:
                 self._frame_tick(fr, ts)
-            elif kind == "feedback":
-                self._apply_feedback(fr, ts, payload)
+            else:
+                self._apply_feedback(fr, ts, feedback)
 
     def _frame_tick(self, fr: FlowRuntime, ts: float) -> None:
-        if ts >= fr.stop_ms:
-            return
+        # ts < stop_ms, by FlowConfig's start_s < stop_s and the push below
         if fr.queue is None:  # a start inside a TTI ticks before it is live
             self._start(fr)
         if fr.cfg.controller == "oracle":  # the truth is its guidance
@@ -578,10 +568,10 @@ class SimWorld:
         self._pkt_counter += len(offsets)
         next_ts = fr.start_ms + len(fr.encode_ms) * FRAME_INTERVAL_MS
         if next_ts < fr.stop_ms:
-            self._push_sender_event(next_ts, "tick", fr.cfg.flow_id, None)
+            self._push_sender_event(next_ts, fr, None)
 
-    def _apply_feedback(self, fr: FlowRuntime, ts: float, payload) -> None:
-        wire, stamp_ts, acked_bytes = payload
+    def _apply_feedback(self, fr: FlowRuntime, ts: float, feedback) -> None:
+        wire, stamp_ts, acked_bytes = feedback
         sender, kind = fr.sender, fr.cfg.controller
         if sender is not None:  # None once the flow has retired
             sender.on_ack_bytes(ts, acked_bytes)
@@ -601,7 +591,7 @@ class SimWorld:
             if fr.queue is None:  # not started: nothing injected
                 continue
             total = (fr.delivered_payload + fr.queue.queued_bytes
-                     + fr.queue.harq_flight_payload)
+                     + sum(b.payload_bytes for b in fr.queue.harq_pending))
             if total != fr.injected_payload:
                 raise AssertionError(
                     f"flow {fr.cfg.flow_id}: injected {fr.injected_payload} "

@@ -48,7 +48,7 @@ def add_idle_flow(world, cfg):
     sender-event heap, so only ``inject_packet`` feeds it."""
     fr = world.add_flow(cfg)
     world._sender_events = [e for e in world._sender_events
-                            if e[3] != cfg.flow_id]
+                            if e[2] is not fr]
     heapq.heapify(world._sender_events)
     return fr
 

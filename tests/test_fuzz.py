@@ -68,7 +68,7 @@ class _CheckedWorld(SimWorld):
             assert lane == sorted(lane)
             assert not lane or fr.cfg.flow_id in live
             q = fr.queue
-            assert q.queued_bytes >= 0 and q.harq_flight_payload >= 0
+            assert q.queued_bytes >= 0
             assert all(b.rtx_count <= self.ran.harq_max_rtx
                        for b in q.harq_pending)
             if fr.cfg.flow_id in retired:

@@ -160,15 +160,32 @@ class TestScenarioValidation:
          "initial_bitrate_mbps must be positive"),
         ("flows[0]", "start_s", -0.5, "start_s must be nonnegative"),
         # null is a value only for stop_s: here it is not the default 0.0
-        ("flows[0]", "start_s", None, "start_s must be a number, got None")])
+        ("flows[0]", "start_s", None, "start_s must be a number, got None"),
+        # the cell is bounded by NR's physical limits, so no scenario asks
+        # for unbounded work per TTI
+        ("ran", "prb_total", 274, "prb_total must lie in [1, 273]"),
+        ("ran", "prb_total", 1e7, "prb_total must lie in [1, 273]"),
+        ("ran.trace", "bytes_per_prb", 1244.5,
+         "bytes_per_prb at tti 0 must lie in [0, 1244]"),
+        ("ran.trace", "bytes_per_prb", 1e7,
+         "bytes_per_prb at tti 0 must lie in [0, 1244]")])
     def test_value_is_rejected_not_coerced(self, where, key, value, message):
         cfg = base_config()
         target = {"scenario": cfg, "ran": cfg["ran"],
+                  "ran.trace": cfg["ran"]["trace"],
                   "flows[0]": cfg["flows"][0]}[where]
         target[key] = value
         with pytest.raises(ScenarioError,
                            match=re.escape(f"{where}: {message}")):
             scenario_from_dict(cfg)
+
+    def test_largest_cell_loads(self):
+        cfg = base_config()
+        cfg["ran"]["prb_total"] = 273
+        cfg["ran"]["trace"]["bytes_per_prb"] = 1244
+        scn = scenario_from_dict(cfg)
+        assert scn.ran.prb_total == 273
+        assert scn.ran.schedule.breakpoints == ((0, 1244.0),)
 
     @pytest.mark.parametrize("edit,message", [
         (lambda cfg: [], "scenario root must be a JSON object"),

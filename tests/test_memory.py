@@ -40,11 +40,11 @@ def test_retiring_flow_state_is_freed_by_reference_counting():
     assert leaver.estimator is leaver.predictor is leaver.receiver is \
         leaver.sender is None
     assert not leaver.queue.samples
-    # what stays: the frame columns, every frame decoded, and zero queue
-    # counters
+    # what stays: the frame columns, every frame decoded, and a zero queue
+    # counter
     assert len(leaver.encode_ms) == len(leaver.decode_ms) > 0
     assert not any(math.isnan(t) for t in leaver.decode_ms)
-    assert leaver.queue.queued_bytes == leaver.queue.harq_flight_payload == 0
+    assert leaver.queue.queued_bytes == 0 and not leaver.queue.harq_pending
     w.assert_conservation()
 
 

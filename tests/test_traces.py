@@ -119,6 +119,9 @@ class TestSyntheticTraces:
             CapacitySchedule(((0, -1.0),))
         with pytest.raises(TraceError):
             CapacitySchedule(((5, 1.0),))
+        with pytest.raises(TraceError,
+                           match=r"at tti 7 must lie in \[0, 1244\], got 1244.5"):
+            CapacitySchedule(((0, 1244.0), (7, 1244.5)))
 
     @pytest.mark.parametrize("interval", [0, -5])
     def test_random_walk_interval_must_be_positive(self, interval):

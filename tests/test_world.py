@@ -447,11 +447,23 @@ class TestLiveFlows:
         "join_leave.json"
 
     def test_step_visits_exactly_the_present_flows(self):
+        self._visits_exactly_the_present_flows(reverse_ids=False)
+
+    def test_step_visits_exactly_the_present_flows_added_out_of_id_order(self):
+        # flow_ids in reverse of the listing order: the flows are added out
+        # of id order, and the highest id starts first
+        self._visits_exactly_the_present_flows(reverse_ids=True)
+
+    def _visits_exactly_the_present_flows(self, reverse_ids):
         # join_leave plus a leaver whose last packets are still on the wire
         # after its stop, so it is present again once they arrive
         cfg = json.loads(self.SCENARIO.read_text())
         cfg["flows"].append({"controller": "choir", "wired_nd_ms": 20.0,
                              "start_s": 0.4, "stop_s": 1.3})
+        if reverse_ids:
+            last = len(cfg["flows"]) - 1
+            for i, flow in enumerate(cfg["flows"]):
+                flow["flow_id"] = last - i
         w = build_world(scenario_from_dict(cfg))
 
         def scan(now):
@@ -474,7 +486,8 @@ class TestLiveFlows:
             assert flows == want
         for n, want in reads:
             assert n == want
-        assert len(w._live) == 4  # flows 0, 2, 6 and 7 never stop
+        # the four flows that never stop are still live
+        assert [fr.cfg.stop_s for fr in w._live] == [None] * 4
 
 
 class TestTxBlockPrbs:
