@@ -1,20 +1,16 @@
 """Comparator controllers sharing the sender and feedback plumbing."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .codec import GuidanceFeedback, decode_rate, encode_rate
 from .sender import FRAME_INTERVAL_MS, BaseSender
 
 
-@dataclass(frozen=True)
 class SconeFeedback:
     """Capacity plus queue occupancy, drained over a fixed frame interval."""
 
-    capacity: float                      # bytes/ms
-    queue_len: float                     # bytes
-
-    def __post_init__(self):
+    def __init__(self, capacity: float, queue_len: float):
+        self.capacity = capacity      # bytes/ms
+        self.queue_len = queue_len    # bytes
         if self.capacity < 0 or self.queue_len < 0:
             raise ValueError("capacity and queue_len must be nonnegative")
 

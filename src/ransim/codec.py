@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 FLAG_VALID = 0x01
 
@@ -28,8 +28,7 @@ _WIRE = struct.Struct(">HbB")
 WIRE_SIZE = _WIRE.size
 
 
-@dataclass(frozen=True)
-class GuidanceFeedback:
+class GuidanceFeedback(NamedTuple):
     """One guidance value as carried on the wire."""
 
     mantissa: int

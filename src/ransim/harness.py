@@ -25,11 +25,9 @@ section fills. An explicit ``trace_path`` CSV overrides ``ran.trace``.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TextIO
 
@@ -44,24 +42,26 @@ from .world import FlowConfig, SimWorld
 METRICS_CSV = "metrics.csv"
 FRAMES_CSV = "frames.csv"
 EVENTS_LOG = "events.log"
+SCENARIO_NAME = "scenario"  # the defaults of Scenario's name and seed
+SCENARIO_SEED = 0
 
 
 class ScenarioError(ValueError):
     """Configuration that fails validation."""
 
 
-@dataclass
 class Scenario:
-    ran: RanConfig
-    flows: list[FlowConfig]
-    duration_s: float
-    seed: int = 0
-    log_level: str = LEVEL_FULL
-    name: str = "scenario"
-
-    def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ScenarioError("duration_s must be positive")
+    def __init__(self, ran: RanConfig, flows: list[FlowConfig],
+                 duration_s: float, seed: int = SCENARIO_SEED,
+                 log_level: str = LEVEL_FULL, name: str = SCENARIO_NAME):
+        self.ran = ran
+        self.flows = flows
+        self.duration_s = duration_s
+        self.seed = seed
+        self.log_level = log_level
+        self.name = name
+        if not 0 < self.duration_s < math.inf:  # NaN fails too
+            raise ScenarioError("duration_s must be positive and finite")
         if not self.flows:
             raise ScenarioError("flows must be a non-empty list")
         # a flow's first frames are sized from initial_bitrate_mbps before
@@ -134,10 +134,14 @@ def _number(raw, key: str, ctx: str, kind=float):
 
 @functools.cache
 def _params(target) -> tuple[tuple[str, ...], frozenset[str]]:
-    """target's parameters without a default, and those defaulting to None."""
-    params = inspect.signature(target).parameters.values()
-    return (tuple(p.name for p in params if p.default is p.empty),
-            frozenset(p.name for p in params if p.default is None))
+    """target's parameters without a default, and those defaulting to None;
+    a class's are those of its __init__ after self."""
+    is_class = isinstance(target, type)
+    fn = target.__init__ if is_class else target
+    names = fn.__code__.co_varnames[is_class:fn.__code__.co_argcount]
+    defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
+    return (tuple(n for n in names if n not in defaults),
+            frozenset(n for n, d in defaults.items() if d is None))
 
 
 def _fields(spec, keys: dict, ctx: str, target, **given) -> dict:
@@ -183,7 +187,7 @@ def _build_trace(spec, seed: int) -> CapacitySchedule:
     return _build(builder, kwargs, ctx)
 
 
-def scenario_from_dict(cfg: dict, name: str = Scenario.name) -> Scenario:
+def scenario_from_dict(cfg: dict, name: str = SCENARIO_NAME) -> Scenario:
     """Validate a scenario dict; unknown keys and non-finite numbers are
     rejected with the offending key path."""
     if not isinstance(cfg, dict):
@@ -201,7 +205,7 @@ def scenario_from_dict(cfg: dict, name: str = Scenario.name) -> Scenario:
             raise ScenarioError(str(exc)) from exc
     else:
         schedule = _build_trace(_require(ran, "trace", "ran"),
-                                fields.get("seed", Scenario.seed))
+                                fields.get("seed", SCENARIO_SEED))
     ran.pop("trace", None)
     fields["ran"] = _build(RanConfig, {**ran, "schedule": schedule}, "ran")
     specs = fields["flows"]
@@ -317,11 +321,12 @@ def sweep_scenario(scn: Scenario, key: str, values: list[float],
         if label in subs:
             raise ScenarioError(f"--vary: {label} is given twice")
         try:
-            flows = [replace(f, **{key: typed}) for f in scn.flows]
+            flows = [FlowConfig(**{**vars(f), key: typed})
+                     for f in scn.flows]
         except ValueError as exc:
             raise ScenarioError(f"--vary {label}: {exc}") from exc
-        subs[label] = value, replace(scn, flows=flows,
-                                     name=f"{scn.name}_{label}")
+        subs[label] = value, Scenario(**{**vars(scn), "flows": flows,
+                                         "name": f"{scn.name}_{label}"})
     results: dict[float, RunMetrics] = {}
     for label, (value, sub) in subs.items():
         sub_out = None if out_dir is None else Path(out_dir) / label

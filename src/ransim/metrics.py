@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 WARMUP_EXCLUDE_MS = 2000.0
 
@@ -38,16 +38,14 @@ def jain_index(values) -> float:
     return total * total / (len(vals) * sum_sq)
 
 
-@dataclass(frozen=True)
-class FlowMetrics:
+class FlowMetrics(NamedTuple):
     avg_delay_ms: float
     p95_ms: float
     p999_ms: float
     avg_mbps: float
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     flows: dict[int, FlowMetrics]
     jain: float
 

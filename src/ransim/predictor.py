@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .sender import FRAME_INTERVAL_MS
 
@@ -107,23 +107,23 @@ def guidance_bw(mean_bw: float, drain_rate: float) -> float:
     return max(0.0, ETA * mean_bw - drain_rate)
 
 
-@dataclass
 class FramePatternState:
     """Frame cadence learned from enqueue timestamps."""
 
-    fi_est: float | None = None
-    last_pkt_ts: float | None = None
-    frame_head_ts: float | None = None
-    frame_bytes: float = 0.0
+    def __init__(self):
+        self.fi_est: float | None = None
+        self.last_pkt_ts: float | None = None
+        self.frame_head_ts: float | None = None
+        self.frame_bytes = 0.0
 
 
-@dataclass
 class FeedbackHistory:
     """Ring of stamped guidance values plus the error-correction state."""
 
-    err_est: float = 0.0
-    entries: deque = field(
-        default_factory=lambda: deque(maxlen=HISTORY_CAPACITY))
+    def __init__(self):
+        self.err_est = 0.0
+        self.entries: deque[tuple[float, float]] = deque(
+            maxlen=HISTORY_CAPACITY)
 
     def record(self, ts: float, bw: float) -> None:
         if self.entries and ts <= self.entries[-1][0]:
@@ -153,8 +153,7 @@ class FeedbackHistory:
         return rates
 
 
-@dataclass(frozen=True)
-class QueuePrediction:
+class QueuePrediction(NamedTuple):
     """Prediction made at time ts, as read by ACK stamping and the event log."""
 
     ts: float

@@ -3,8 +3,8 @@ transport blocks and HARQ retry state.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
 
 from .tdd import TddPattern
 from .traces import CapacitySchedule, constant_trace
@@ -19,19 +19,20 @@ RLC_SAMPLE_RING = 512
 MAX_PRB_TOTAL = 273  # NR's most PRBs per carrier: 100 MHz at 30 kHz SCS
 
 
-@dataclass
 class RanConfig:
     """Static downlink parameters of one simulated cell."""
 
-    prb_total: int = 100
-    tti_ms: float = 0.5
-    tdd_pattern: TddPattern | str = "DDDSU"
-    bler: float = 0.0
-    harq_rtx_delay_ms: float = 5.5
-    harq_max_rtx: int = 3
-    schedule: CapacitySchedule = field(default_factory=lambda: constant_trace(30.0))
-
-    def __post_init__(self):
+    def __init__(self, prb_total: int = 100, tti_ms: float = 0.5,
+                 tdd_pattern: TddPattern | str = "DDDSU", bler: float = 0.0,
+                 harq_rtx_delay_ms: float = 5.5, harq_max_rtx: int = 3,
+                 schedule: CapacitySchedule | None = None):
+        self.prb_total = prb_total
+        self.tti_ms = tti_ms
+        self.tdd_pattern = tdd_pattern
+        self.bler = bler
+        self.harq_rtx_delay_ms = harq_rtx_delay_ms
+        self.harq_max_rtx = harq_max_rtx
+        self.schedule = constant_trace(30.0) if schedule is None else schedule
         if isinstance(self.tdd_pattern, str):
             self.tdd_pattern = TddPattern.parse(self.tdd_pattern)
         elif not isinstance(self.tdd_pattern, TddPattern):
@@ -43,21 +44,25 @@ class RanConfig:
             raise ValueError("tti_ms must be 0.5 or 1.0")
         if not 0.0 <= self.bler < 1.0:
             raise ValueError("bler must lie in [0, 1)")
-        if self.harq_rtx_delay_ms <= 0:
-            raise ValueError("harq_rtx_delay_ms must be positive")
-        if self.harq_max_rtx < 0:
+        if not 0 < self.harq_rtx_delay_ms < math.inf:  # NaN fails too
+            raise ValueError("harq_rtx_delay_ms must be positive and finite")
+        if not self.harq_max_rtx >= 0:
             raise ValueError("harq_max_rtx must be nonnegative")
 
 
-@dataclass(slots=True)
 class TransportBlock:
     """One MAC-layer block: (frame_id, nbytes) segments plus framing overhead."""
 
-    bytes: int
-    overhead_bytes: int
-    segments: list[tuple[int, int]]
-    rtx_count: int = 0
-    ready_ms: float = 0.0  # earliest retransmission time while HARQ-pending
+    __slots__ = ("bytes", "overhead_bytes", "segments", "rtx_count",
+                 "ready_ms")
+
+    def __init__(self, bytes: int, overhead_bytes: int,
+                 segments: list[tuple[int, int]]):
+        self.bytes = bytes
+        self.overhead_bytes = overhead_bytes
+        self.segments = segments
+        self.rtx_count = 0
+        self.ready_ms = 0.0  # earliest retransmission time while HARQ-pending
 
     @property
     def payload_bytes(self) -> int:

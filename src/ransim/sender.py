@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codec import GuidanceFeedback, decode_rate
 
@@ -41,8 +41,7 @@ def pacing_rate(recv_rate_max_bps: float, br_bps: float) -> float:
     return RHO * max(recv_rate_max_bps, br_bps)
 
 
-@dataclass(slots=True)
-class VideoFrame:
+class VideoFrame(NamedTuple):
     """One encoded frame as encode_frame returns it; the world keeps only
     its encode time and size, in the flow's frame columns."""
 

@@ -1,8 +1,6 @@
 """TDD slot pattern: the fixed downlink/special/uplink cycle of the air interface."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DOWNLINK = "D"
 SPECIAL = "S"
 UPLINK = "U"
@@ -13,11 +11,11 @@ UPLINK = "U"
 _DL_FACTOR = {DOWNLINK: 1.0, SPECIAL: 0.5, UPLINK: 0.0}
 
 
-@dataclass(frozen=True)
 class TddPattern:
     """Cyclic slot schedule, e.g. DDDSU repeated for the whole run."""
 
-    slots: tuple[str, ...]
+    def __init__(self, slots: tuple[str, ...]):
+        self.slots = slots
 
     @classmethod
     def parse(cls, spec: str) -> "TddPattern":

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-from dataclasses import dataclass
 
 
 # the most one PRB carries in a TTI: 8 layers x 168 resource elements x
@@ -22,18 +21,16 @@ class TraceError(ValueError):
     """Malformed or unusable capacity trace."""
 
 
-@dataclass(frozen=True)
 class CapacitySchedule:
     """Step function tti_index -> bytes per PRB per full downlink TTI."""
 
-    breakpoints: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
+    def __init__(self, breakpoints: tuple[tuple[int, float], ...]):
+        self.breakpoints = breakpoints
         if not self.breakpoints:
             raise TraceError("capacity schedule is empty")
         last = -1
         for tti, bpp in self.breakpoints:
-            if tti <= last:
+            if not tti > last:  # NaN fails too
                 raise TraceError(f"non-monotonic tti_index {tti}")
             if not 0 <= bpp <= MAX_BYTES_PER_PRB:
                 raise TraceError(f"bytes_per_prb at tti {tti} must lie in "

@@ -14,7 +14,6 @@ import random
 from array import array
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from math import ceil
 from typing import TextIO
 
@@ -30,39 +29,43 @@ from .sender import (ENCODER_MODES, FRAME_INTERVAL_MS, MTU_PAYLOAD,
                      BaseSender, ChoirSender, VideoFrame)
 
 
-@dataclass
 class FlowConfig:
     """One flow of a scenario: the keys of its JSON object, with defaults."""
 
-    flow_id: int
-    controller: str = "choir"
-    wired_nd_ms: float = 10.0
-    ack_per_frames: int = 1
-    epsilon: int = 1
-    encoder: str = "instant"
-    start_s: float = 0.0
-    stop_s: float | None = None
-    initial_bitrate_mbps: float = 5.0
-
-    def __post_init__(self):
+    def __init__(self, flow_id: int, controller: str = "choir",
+                 wired_nd_ms: float = 10.0, ack_per_frames: int = 1,
+                 epsilon: int = 1, encoder: str = "instant",
+                 start_s: float = 0.0, stop_s: float | None = None,
+                 initial_bitrate_mbps: float = 5.0):
+        self.flow_id = flow_id
+        self.controller = controller
+        self.wired_nd_ms = wired_nd_ms
+        self.ack_per_frames = ack_per_frames
+        self.epsilon = epsilon
+        self.encoder = encoder
+        self.start_s = start_s
+        self.stop_s = stop_s
+        self.initial_bitrate_mbps = initial_bitrate_mbps
         controllers = sorted(_SENDERS)  # a list: an unhashable value is
         if self.controller not in controllers:  # unknown, not a TypeError
             raise ValueError(f"unknown controller {self.controller!r}; "
                              f"expected one of {controllers}")
         if self.encoder not in ENCODER_MODES:
             raise ValueError(f"unknown encoder {self.encoder!r}")
-        if self.ack_per_frames < 1:
+        # each range is written so that NaN fails it
+        if not self.ack_per_frames >= 1:
             raise ValueError("ack_per_frames must be at least 1")
-        if self.epsilon < 1:
+        if not self.epsilon >= 1:
             raise ValueError("epsilon must be at least 1")
-        if self.wired_nd_ms < 0:
-            raise ValueError("wired_nd_ms must be nonnegative")
-        if self.start_s < 0:
-            raise ValueError("start_s must be nonnegative")
+        if not 0 <= self.wired_nd_ms < math.inf:
+            raise ValueError("wired_nd_ms must be nonnegative and finite")
+        if not 0 <= self.start_s < math.inf:
+            raise ValueError("start_s must be nonnegative and finite")
         if not self.initial_bitrate_mbps > 0:
             raise ValueError("initial_bitrate_mbps must be positive")
-        if self.stop_s is not None and self.stop_s <= self.start_s:
-            raise ValueError("stop_s must exceed start_s")
+        if (self.stop_s is not None
+                and not self.start_s < self.stop_s < math.inf):
+            raise ValueError("stop_s must exceed start_s and be finite")
 
 
 class ReceiverState:

@@ -1,6 +1,5 @@
 """The event log written to its sink during a run, and read back by
 report; a run without a sink formats no line."""
-import dataclasses
 import io
 import math
 import re
@@ -219,7 +218,7 @@ class TestWithoutSink:
 
         def predict(predictor, now, samples):
             pred = compute(predictor, now, samples)
-            return dataclasses.replace(pred, **{
+            return pred._replace(**{
                 f: _Formatted(getattr(pred, f), f, formatted)
                 for f in ("fi", "mean_bw", "pred_q", "guidance")})
         monkeypatch.setattr(FlowPredictor, "compute", predict)

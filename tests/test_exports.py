@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from conftest import log_text, make_world
@@ -45,15 +48,22 @@ KEPT_FOR_CHECKS = {"prb_share"}
 
 def _stored(tree):
     """Each attribute assigned under tree, and each field of its
-    dataclasses, as (where, name)."""
+    NamedTuple classes, as (where, name)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                           ast.Store):
             yield node.lineno, node.attr
         elif isinstance(node, ast.ClassDef) and any(
-                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                ast.unparse(b).endswith("NamedTuple") for b in node.bases):
             yield from ((node.name, st.target.id) for st in node.body
                         if isinstance(st, ast.AnnAssign))
+
+
+def test_stored_finds_namedtuple_fields():
+    tree = ast.parse("class P(typing.NamedTuple):\n    x: int\n"
+                     "class Q(NamedTuple):\n    y: int = 0\n    z = 1\n"
+                     "class R:\n    w: int\n")
+    assert sorted(_stored(tree)) == [("P", "x"), ("Q", "y")]
 
 
 def test_every_stored_attribute_is_read_by_the_package():
@@ -113,3 +123,15 @@ def test_run_steps_through_the_instance_and_records_reads():
     assert len(steps) == 100
     assert len(world.log.records) == 0
     assert log_text(world).count(",run_info,") == 1
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each ransim process pays for what the package imports at start-up, and
+    # these two cost several ms; a fresh interpreter without site, so that
+    # neither pytest nor a .pth file has loaded them first
+    code = ("import sys, ransim.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -4,13 +4,12 @@ A scenario plus its seed must reproduce these sha256 digests byte for byte,
 so a refactor that changes behaviour fails here. A digest changes only
 together with a CHANGES.md entry that says why.
 """
-import dataclasses
 import hashlib
 from pathlib import Path
 
 import pytest
 
-from ransim.harness import (EVENTS_LOG, FRAMES_CSV, METRICS_CSV,
+from ransim.harness import (EVENTS_LOG, FRAMES_CSV, METRICS_CSV, Scenario,
                             load_scenario, run_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -107,8 +106,8 @@ def test_every_scenario_is_pinned():
 
 @pytest.mark.parametrize("name,level", sorted(GOLDEN))
 def test_output_digests(name, level, tmp_path):
-    scn = dataclasses.replace(load_scenario(SCENARIOS / f"{name}.json"),
-                              log_level=level)
+    scn = load_scenario(SCENARIOS / f"{name}.json")
+    scn = Scenario(**{**vars(scn), "log_level": level})
     run_scenario(scn, tmp_path)
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
            for f in (METRICS_CSV, FRAMES_CSV, EVENTS_LOG)}

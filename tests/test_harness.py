@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -11,9 +10,9 @@ import pytest
 
 import ransim.cli
 from ransim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from ransim.harness import (ScenarioError, build_world, load_scenario,
-                            parse_vary, report_run_dir, run_scenario,
-                            scenario_from_dict, sweep_scenario)
+from ransim.harness import (Scenario, ScenarioError, build_world,
+                            load_scenario, parse_vary, report_run_dir,
+                            run_scenario, scenario_from_dict, sweep_scenario)
 from ransim.world import SimWorld
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -47,6 +46,12 @@ class TestScenarioValidation:
         scn = scenario_from_dict(base_config())
         assert scn.duration_s == 3.0
         assert scn.flows[0].controller == "choir"
+
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf])
+    def test_python_api_rejects_non_finite_duration(self, duration_s):
+        scn = scenario_from_dict(base_config())
+        with pytest.raises(ScenarioError, match="^duration_s must be "):
+            Scenario(scn.ran, scn.flows, duration_s)
 
     def test_unknown_controller(self):
         cfg = base_config()
@@ -306,6 +311,28 @@ class TestSweep:
         assert results[5.0].flows[0].avg_delay_ms > \
             results[1.0].flows[0].avg_delay_ms
 
+    def test_sweep_copies_every_other_attribute(self, monkeypatch):
+        # each run's scenario and flows differ from the swept one only in
+        # the swept key and the name, whatever the other attributes hold
+        cfg = base_config(seed=9, log_level="frames")
+        cfg["flows"] = [{"controller": "scone", "encoder": "ramp",
+                         "start_s": 0.5, "stop_s": 2.5, "ack_per_frames": 2,
+                         "initial_bitrate_mbps": 2.0, "wired_nd_ms": 3.0},
+                        {"controller": "oracle", "epsilon": 2}]
+        scn = scenario_from_dict(cfg)
+        before = [vars(f).copy() for f in scn.flows]
+        subs = []
+        monkeypatch.setattr(ransim.harness, "run_scenario",
+                            lambda sub, out: subs.append(sub))
+        sweep_scenario(scn, "epsilon", [3.0, 4.0])
+        assert [vars(f) for f in scn.flows] == before
+        for sub, value in zip(subs, (3, 4), strict=True):
+            assert sub.name == f"scenario_epsilon={value}"
+            assert {**vars(sub), "flows": None, "name": None} == \
+                {**vars(scn), "flows": None, "name": None}
+            assert [vars(f) for f in sub.flows] == \
+                [{**f, "epsilon": value} for f in before]
+
 
 class TestCli:
     def test_run_ok(self, tmp_path, capsys):
@@ -561,7 +588,7 @@ class TestMemory:
         # and a delay per frame; 277 B when report built one VideoFrame
         # apiece, and about 840 B when every record of the log was held
         scn = load_scenario(SCENARIOS / "multi_flow_fairness.json")
-        run_scenario(dataclasses.replace(scn, duration_s=3.0), tmp_path)
+        run_scenario(Scenario(**{**vars(scn), "duration_s": 3.0}), tmp_path)
         with open(tmp_path / "events.log") as fh:
             frames = sum(1 for line in fh if ",frame_encode," in line)
         expected = report_run_dir(tmp_path)  # imports and caches warm up

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -288,6 +290,28 @@ class TestRanConfigValidation:
     def test_rejects_nonpositive_prbs(self):
         with pytest.raises(ValueError):
             RanConfig(prb_total=0)
+
+    # a world built in Python gets no check from the loader's _number, so
+    # each range check rejects NaN, and a time must be finite
+    @pytest.mark.parametrize("cls,key,value", [
+        (FlowConfig, "wired_nd_ms", math.nan),
+        (FlowConfig, "wired_nd_ms", math.inf),
+        (FlowConfig, "start_s", math.nan),
+        (FlowConfig, "start_s", math.inf),
+        (FlowConfig, "stop_s", math.nan),
+        (FlowConfig, "stop_s", math.inf),
+        (FlowConfig, "ack_per_frames", math.nan),
+        (FlowConfig, "epsilon", math.nan),
+        (FlowConfig, "initial_bitrate_mbps", math.nan),
+        (RanConfig, "harq_rtx_delay_ms", math.nan),
+        (RanConfig, "harq_rtx_delay_ms", math.inf),
+        (RanConfig, "harq_max_rtx", math.nan),
+        (RanConfig, "bler", math.nan),
+        (RanConfig, "prb_total", math.nan)])
+    def test_rejects_nan_and_infinite_times(self, cls, key, value):
+        args = (0,) if cls is FlowConfig else ()
+        with pytest.raises(ValueError, match=f"^{key} must "):
+            cls(*args, **{key: value})
 
     def test_tti_1ms_supported(self):
         ran = RanConfig(tti_ms=1.0, schedule=constant_trace(60.0))

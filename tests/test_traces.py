@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ransim.traces import (CapacitySchedule, TraceError, constant_trace,
@@ -115,6 +117,8 @@ class TestSyntheticTraces:
             CapacitySchedule(())
         with pytest.raises(TraceError):
             CapacitySchedule(((0, 10.0), (0, 20.0)))
+        with pytest.raises(TraceError, match="non-monotonic tti_index nan"):
+            CapacitySchedule(((0, 10.0), (math.nan, 20.0)))
         with pytest.raises(TraceError):
             CapacitySchedule(((0, -1.0),))
         with pytest.raises(TraceError):
