@@ -116,12 +116,8 @@ class FlowEstimator:
 
     def note_block(self, now: float, total_bytes: int, overhead: int,
                    prbs_used: int, slot_factor: float) -> None:
-        """Record one transmitted block for density and payload statistics
-        and, as ``note_grant`` would, its PRBs as the TTI's grant."""
-        self._uprb.append(prbs_used)
-        self._uprb_sum += prbs_used
-        if len(self._uprb) > self._uprb_n:
-            self._uprb_sum -= self._uprb.popleft()
+        """Record a sent block's grant, density and payload fraction."""
+        self.note_grant(prbs_used)
         eff_prbs = prbs_used * slot_factor
         ratio = (total_bytes - overhead) / total_bytes if total_bytes else 0.0
         self._blocks.append((now, float(total_bytes), eff_prbs, ratio))

@@ -37,7 +37,7 @@ from .metrics import (WARMUP_EXCLUDE_MS, RunMetrics, compute_metrics,
                       metrics_from_event_records)
 from .ran import RanConfig
 from .traces import CapacitySchedule, TraceError
-from .world import FlowConfig, SimWorld
+from .world import FlowConfig, SimWorld, check_initial_bitrate
 
 METRICS_CSV = "metrics.csv"
 FRAMES_CSV = "frames.csv"
@@ -64,20 +64,14 @@ class Scenario:
             raise ScenarioError("duration_s must be positive and finite")
         if not self.flows:
             raise ScenarioError("flows must be a non-empty list")
-        # a flow's first frames are sized from initial_bitrate_mbps before
-        # any feedback; 10 times the cell's peak rate bounds that work
-        ran = self.ran
-        cap_mbps = (10 * ran.prb_total * 8 / ran.tti_ms / 1e3
-                    * max(bpp for _, bpp in ran.schedule.breakpoints))
         for i, flow in enumerate(self.flows):
             if flow.start_s >= self.duration_s:
                 raise ScenarioError(f"flows[{i}]: start_s must be before "
                                     f"duration_s, got {flow.start_s!r}")
-            if flow.initial_bitrate_mbps > cap_mbps:
-                raise ScenarioError(
-                    f"flows[{i}].initial_bitrate_mbps must be at most "
-                    f"{cap_mbps:g}, 10 times the cell's peak rate, "
-                    f"got {flow.initial_bitrate_mbps!r}")
+            try:
+                check_initial_bitrate(self.ran, flow.initial_bitrate_mbps)
+            except ValueError as exc:
+                raise ScenarioError(f"flows[{i}].{exc}") from None
         if len({f.flow_id for f in self.flows}) != len(self.flows):
             raise ScenarioError("duplicate flow_id in flows")
         if self.log_level not in (LEVEL_FRAMES, LEVEL_FULL):

@@ -61,11 +61,20 @@ class FlowConfig:
             raise ValueError("wired_nd_ms must be nonnegative and finite")
         if not 0 <= self.start_s < math.inf:
             raise ValueError("start_s must be nonnegative and finite")
-        if not self.initial_bitrate_mbps > 0:
-            raise ValueError("initial_bitrate_mbps must be positive")
+        if not 0 < self.initial_bitrate_mbps < math.inf:
+            raise ValueError("initial_bitrate_mbps must be positive and finite")
         if (self.stop_s is not None
                 and not self.start_s < self.stop_s < math.inf):
             raise ValueError("stop_s must exceed start_s and be finite")
+
+
+def check_initial_bitrate(ran: RanConfig, mbps: float) -> None:
+    """Bound the rate that sizes a flow's frames until its first feedback."""
+    cap = (10 * ran.prb_total * 8 / ran.tti_ms / 1e3
+           * max(bpp for _, bpp in ran.schedule.breakpoints))
+    if mbps > cap:
+        raise ValueError(f"initial_bitrate_mbps must be at most {cap:g}, "
+                         f"10 times the cell's peak rate, got {mbps!r}")
 
 
 class ReceiverState:
@@ -142,8 +151,6 @@ class FlowRuntime:
         self.start_ms = cfg.start_s * 1000.0
         self.stop_ms = math.inf if cfg.stop_s is None else cfg.stop_s * 1000.0
         self.attempt_counter = 0
-        self.injected_payload = 0
-        self.delivered_payload = 0
 
     def add_frame(self, frame: VideoFrame) -> int:
         """Store a frame just encoded and expect its bytes at the receiver;
@@ -227,6 +234,7 @@ class SimWorld:
             raise ValueError(f"flow {cfg.flow_id} stops before now")
         if cfg.start_s * 1000.0 < self.now_ms:
             raise ValueError(f"flow {cfg.flow_id} starts before now")
+        check_initial_bitrate(self.ran, cfg.initial_bitrate_mbps)
         fr = FlowRuntime(cfg)
         self.flows[cfg.flow_id] = fr
         self._unretired.append(fr)
@@ -292,15 +300,15 @@ class SimWorld:
         self._seq += 1  # unique: fr is never compared
         heapq.heappush(self._sender_events, (ts, self._seq, fr, feedback))
 
-    def _n_present(self, now: float) -> int:
-        if now < self._next_change:  # step's rule: every live flow is present
-            return len(self._live)
-        return sum(1 for fr in self._live if fr.present(now))
+    def _present(self, now: float) -> list[FlowRuntime]:
+        """Every live flow until one stops, then those present at now."""
+        if now < self._next_change:
+            return self._live
+        return [fr for fr in self._live if fr.present(now)]
 
     def true_flow_rate(self) -> float:
         """Ground-truth payload drain capacity of each present flow, bytes/ms."""
-        now = self.now_ms
-        n = max(1, self._n_present(now))
+        n = max(1, len(self._present(self.now_ms)))
         grant = self.ran.prb_total / n * self._bpp
         if grant <= OVERHEAD_FIXED + OVERHEAD_PER_SEGMENT + 1:
             return 0.0
@@ -330,11 +338,8 @@ class SimWorld:
         t0 = self.now_ms
         t1 = t0 + self.ran.tti_ms
         self._process_arrivals(t0)
-        # nothing before the downlink changes queued or HARQ bytes; a live
-        # flow is present until its stop, and after it while it holds bytes
-        present = self._live
-        if t0 >= self._next_change:  # a live flow has stopped
-            present = [fr for fr in present if fr.present(t0)]
+        # nothing before the downlink changes queued or HARQ bytes
+        present = self._present(t0)
         self._estimate_and_predict(t0, present)
         factor, uplink = self._slots[self.tti_index % len(self._slots)]
         if factor > 0.0:
@@ -371,7 +376,6 @@ class SimWorld:
                 if arrived is not None:  # unique pkt_id: fr is never compared
                     arrived.append((ts, pkt_id, fr, nbytes, frame_id))
             fr.queue.queued_bytes += total
-            fr.injected_payload += total
         if arrived:
             for ts, pkt_id, fr, nbytes, frame_id in sorted(arrived):
                 self.log.add(ts, "enqueue", fr.cfg.flow_id, nbytes,
@@ -471,7 +475,6 @@ class SimWorld:
                              block.payload_bytes, f"rtx={block.rtx_count}")
 
     def _deliver_block(self, fr: FlowRuntime, block, t1: float) -> None:
-        fr.delivered_payload += block.payload_bytes
         # one credit per run of consecutive segments from one frame; after
         # an RLC requeue a block can interleave frames (A, B, A)
         segments = block.segments
@@ -589,16 +592,22 @@ class SimWorld:
     # -- invariants ----------------------------------------------------------
 
     def assert_conservation(self) -> None:
-        """Injected payload must equal delivered + queued + HARQ in flight."""
-        for _, fr in sorted(self.flows.items()):
-            if fr.queue is None:  # not started: nothing injected
+        """Each receiver must be owed exactly the payload on its flow's wire
+        lane, in its queue and in its HARQ blocks; a flow without one, not
+        started or retired, must have decoded every frame."""
+        for fid, fr in sorted(self.flows.items()):
+            if fr.receiver is None:
+                undecoded = sum(map(math.isnan, fr.decode_ms))
+                if undecoded:
+                    raise AssertionError(f"flow {fid}: {undecoded} undecoded "
+                                         f"frame(s) at tti {self.tti_index}")
                 continue
-            total = (fr.delivered_payload + fr.queue.queued_bytes
-                     + sum(b.payload_bytes for b in fr.queue.harq_pending))
-            if total != fr.injected_payload:
-                raise AssertionError(
-                    f"flow {fr.cfg.flow_id}: injected {fr.injected_payload} "
-                    f"!= accounted {total} at tti {self.tti_index}")
+            owed = sum(fr.receiver.remaining.values())
+            held = (sum(pkt[3] for pkt in fr.lane) + fr.queue.queued_bytes
+                    + sum(b.payload_bytes for b in fr.queue.harq_pending))
+            if owed != held:
+                raise AssertionError(f"flow {fid}: owed {owed} != held {held} "
+                                     f"at tti {self.tti_index}")
 
     def frames_by_flow(self) -> dict[int, tuple[array, array, array]]:
         """Each flow's frame columns (metrics.FrameColumns): encode ms,

@@ -89,6 +89,14 @@ def decode_time(world, flow_id, frame_id):
     return decode
 
 
+def delivered_bytes(fr):
+    """The payload the flow has delivered: every byte it encoded less the
+    bytes its receiver is still owed, of which there are none once the
+    receiver is gone."""
+    owed = sum(fr.receiver.remaining.values()) if fr.receiver else 0
+    return sum(fr.frame_bytes) - owed
+
+
 def frame_delay(world, flow_id, frame_id):
     """Encode-to-decode latency of a decoded frame, in ms."""
     return (decode_time(world, flow_id, frame_id)

@@ -131,8 +131,8 @@ class ReferenceWorld(SimWorld):
         estimator.note_block = partial(note_block, estimator)
         return fr
 
-    def _n_present(self, now):
-        return sum(fr.present(now) for _, fr in sorted(self.flows.items()))
+    def _present(self, now):
+        return [fr for _, fr in sorted(self.flows.items()) if fr.present(now)]
 
     def _retire(self, fr):
         pass  # every flow keeps all base-station state
@@ -181,7 +181,6 @@ class ReferenceWorld(SimWorld):
 
     def _deliver_block(self, fr, block, t1):
         for frame_id, nbytes in block.segments:
-            fr.delivered_payload += nbytes
             if fr.receiver.on_bytes(frame_id, nbytes):
                 # a frame's decode time is its column's entry, NaN before
                 fr.decode_ms[frame_id] = t1

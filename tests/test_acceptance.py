@@ -9,8 +9,8 @@ import statistics
 import pytest
 
 from conftest import (FailFirst, SaturatingSender, add_idle_flow,
-                      decoded_delays, frame_delay, inject_packet,
-                      record_encodes)
+                      decoded_delays, delivered_bytes, frame_delay,
+                      inject_packet, record_encodes)
 
 from ransim import (FlowConfig, RanConfig, SimWorld, compute_metrics,
                     constant_trace, decode_rate, encode_rate,
@@ -98,12 +98,12 @@ def test_criterion_03_estimator_tracking():
         w.step()
         if w.now_ms >= 2000.0:
             if delivered_at_2s is None:
-                delivered_at_2s = fr.delivered_payload
+                delivered_at_2s = delivered_bytes(fr)
             bw_sum += fr.predictor.bw_ring[-1]
             bw_n += 1
             retx_sum += fr.estimator._retx_held
             retx_n += 1
-    goodput = (fr.delivered_payload - delivered_at_2s) / (w.now_ms - 2000.0)
+    goodput = (delivered_bytes(fr) - delivered_at_2s) / (w.now_ms - 2000.0)
     bw_mean = bw_sum / bw_n
     retx_mean = retx_sum / retx_n
     ok = (abs(bw_mean - goodput) / goodput <= 0.10
@@ -122,7 +122,7 @@ def test_criterion_04_choir_convergence():
     frs.sender = SaturatingSender()
     ws.run(8.0)
     start = 2000.0
-    eff_bps = frs.delivered_payload / ws.now_ms * 8000.0  # ~steady
+    eff_bps = delivered_bytes(frs) / ws.now_ms * 8000.0  # ~steady
 
     wc = _choir_world(constant_trace(30.0), wired, seed=2)
     wc.run(8.0)

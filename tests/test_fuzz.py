@@ -46,9 +46,8 @@ class _CheckedWorld(SimWorld):
         self._retired = retired
         assert all(fr.cfg.flow_id in live
                    for fr in flows if fr.present(now))
-        # the oracle's flow count, whose fast path trusts the live list
-        assert self._n_present(now) == \
-            sum(fr.present(now) for fr in flows)
+        # the present flows, whose fast path trusts the live list
+        assert self._present(now) == [fr for fr in flows if fr.present(now)]
         cell = self.cell
         assert cell._long_sum <= len(cell._long)
         assert cell._short_retx <= cell._short_data
@@ -60,11 +59,9 @@ class _CheckedWorld(SimWorld):
                 assert fr.start_ms > now and not fr.lane and \
                     not fr.encode_ms and fr.sender is None
                 continue
-            # every byte the sender released is on the wire or enqueued; a
-            # lane is in (ts, pkt) order, and its flow is live while it holds
+            # a lane is in (ts, pkt) order, and its flow is live while it
+            # holds packets
             lane = list(fr.lane)
-            assert sum(fr.frame_bytes) == \
-                sum(p[3] for p in lane) + fr.injected_payload
             assert lane == sorted(lane)
             assert not lane or fr.cfg.flow_id in live
             q = fr.queue

@@ -1,10 +1,12 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (FailFirst, add_idle_flow, decode_time, events,
-                      frame_delay, inject_packet, logged_world)
+from conftest import (FailFirst, add_idle_flow, decode_time,
+                      delivered_bytes, events, frame_delay, inject_packet,
+                      logged_world, make_world)
 
 from ransim import (FlowConfig, RanConfig, SimWorld, constant_trace,
                     sample_rlc_queue, schedule_prbs)
@@ -249,7 +251,35 @@ class TestByteConservation:
             w.step()
             w.assert_conservation()
         for fr in w.flows.values():
-            assert fr.delivered_payload > 0
+            assert delivered_bytes(fr) > 0
+
+    @pytest.mark.parametrize("fault", ["lane", "harq", "relabel",
+                                       "retired"])
+    def test_catches_each_fault(self, fault):
+        w = make_world(bler=0.3, wired_nd_ms=5.0, stop_s=0.3)
+        fr = w.flows[0]
+        q = fr.queue
+        # step to a state the fault can act on, checking each TTI before it
+        ready = {"lane": lambda: fr.lane, "harq": lambda: q.harq_pending,
+                 "relabel": lambda: q.segments,
+                 "retired": lambda: fr.receiver is None}[fault]
+        while not ready():
+            w.step()
+            w.assert_conservation()
+        if fault == "lane":  # a packet lost on the wire
+            fr.lane.popleft()
+        elif fault == "harq":  # a HARQ block lost
+            q.harq_pending.popleft()
+        elif fault == "relabel":  # bytes that no frame is owed
+            q.segments[0] = (10**9, q.segments[0][1])
+        else:  # a retired flow with a frame never decoded
+            fr.decode_ms[0] = math.nan
+        message = re.escape("1 undecoded frame(s)") if fault == "retired" else ""
+        with pytest.raises(AssertionError, match="^flow 0: " + message):
+            # the re-labelled bytes are found out when they are delivered
+            for _ in range(200):
+                w.step()
+                w.assert_conservation()
 
 
 class TestDeterminism:
@@ -303,6 +333,7 @@ class TestRanConfigValidation:
         (FlowConfig, "ack_per_frames", math.nan),
         (FlowConfig, "epsilon", math.nan),
         (FlowConfig, "initial_bitrate_mbps", math.nan),
+        (FlowConfig, "initial_bitrate_mbps", math.inf),
         (RanConfig, "harq_rtx_delay_ms", math.nan),
         (RanConfig, "harq_rtx_delay_ms", math.inf),
         (RanConfig, "harq_max_rtx", math.nan),
@@ -313,9 +344,19 @@ class TestRanConfigValidation:
         with pytest.raises(ValueError, match=f"^{key} must "):
             cls(*args, **{key: value})
 
+    def test_add_flow_caps_initial_bitrate(self):
+        # 100 PRBs of 30 B each 0.5 ms TTI: 10 times the 48 Mbps peak; a
+        # world with such a flow is never stepped, as its first frame would
+        # be split into about 1.5e11 packets
+        w = SimWorld(RanConfig(schedule=constant_trace(30.0)), seed=0)
+        with pytest.raises(ValueError, match="^initial_bitrate_mbps must be "
+                           "at most 480, 10 times the cell's peak rate"):
+            w.add_flow(FlowConfig(0, initial_bitrate_mbps=1e12))
+        assert not w.flows
+
     def test_tti_1ms_supported(self):
         ran = RanConfig(tti_ms=1.0, schedule=constant_trace(60.0))
         w = SimWorld(ran, seed=0)
         w.add_flow(FlowConfig(flow_id=0, controller="choir", wired_nd_ms=1.0))
         w.run(1.0)
-        assert w.flows[0].delivered_payload > 0
+        assert delivered_bytes(w.flows[0]) > 0

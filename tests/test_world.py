@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (decode_time, decoded_delays, events, inject_packet,
-                      log_text, logged_world, make_world, record_encodes,
-                      run_metrics, saturate)
+from conftest import (decode_time, decoded_delays, delivered_bytes, events,
+                      inject_packet, log_text, logged_world, make_world,
+                      record_encodes, run_metrics, saturate)
 from reference import ReferenceWorld
 
 import ransim.world
@@ -134,7 +134,7 @@ class TestSaturatingDrain:
         fr = saturate(w)
         w.run(6.0)
         # payload capacity = 4200 B/ms minus block overheads
-        rate = fr.delivered_payload / w.now_ms
+        rate = delivered_bytes(fr) / w.now_ms
         assert rate == pytest.approx(4200 * 0.992, rel=0.02)
 
 
@@ -350,7 +350,7 @@ class TestInjectedPacketPath:
         fid = inject_packet(w, 0, 10.0, 500)
         w.run(0.1)
         assert not math.isnan(w.flows[0].decode_ms[fid])
-        assert w.flows[0].delivered_payload == 500
+        assert delivered_bytes(w.flows[0]) == 500
 
     def test_packet_before_start_waits_for_the_start_tti(self):
         # the packet reaches the base station at 10 ms, before its flow
@@ -364,7 +364,7 @@ class TestInjectedPacketPath:
         estimate = w._estimate_and_predict
 
         def estimate_spy(t0, flows):
-            queued[t0] = (list(fr.queue.segments), fr.injected_payload)
+            queued[t0] = (list(fr.queue.segments), fr.queue.queued_bytes)
             estimate(t0, flows)
         w._estimate_and_predict = estimate_spy
         w.run(0.1)
@@ -437,9 +437,7 @@ class TestWireLanes:
         w, _, _, enqueued = self._run(monkeypatch)
         tti = w.ran.tti_ms
         assert all(t0 - tti < ts <= t0 for t0, ts, *_ in enqueued)
-        for fr in w.flows.values():
-            assert sum(fr.frame_bytes) == \
-                sum(p[3] for p in fr.lane) + fr.injected_payload
+        w.assert_conservation()
 
 
 class TestLiveFlows:
@@ -469,23 +467,24 @@ class TestLiveFlows:
         def scan(now):
             return [fr for _, fr in sorted(w.flows.items()) if fr.present(now)]
         visits, reads = [], []
-        estimate, n_present = w._estimate_and_predict, w._n_present
+        estimate, present = w._estimate_and_predict, w._present
 
         def estimate_spy(t0, flows):
             visits.append((list(flows), scan(t0)))
             estimate(t0, flows)
 
-        def n_present_spy(now):
-            reads.append((n_present(now), len(scan(now))))
-            return reads[-1][0]
+        def present_spy(now):
+            flows = present(now)
+            reads.append((list(flows), scan(now)))
+            return flows
         w._estimate_and_predict = estimate_spy
-        w._n_present = n_present_spy
+        w._present = present_spy
         w.run(cfg["duration_s"])
-        assert len(visits) == 4000 and len(reads) > 300
-        for flows, want in visits:
+        # step reads the present flows once a TTI, and each oracle frame
+        # once more
+        assert len(visits) == 4000 and len(reads) > 4300
+        for flows, want in visits + reads:
             assert flows == want
-        for n, want in reads:
-            assert n == want
         # the four flows that never stop are still live
         assert [fr.cfg.stop_s for fr in w._live] == [None] * 4
 
@@ -535,7 +534,7 @@ class TestDeliverBlock:
         want = self._deliver(ack_per_frames, ReferenceWorld._deliver_block)
         for (fr, log, _), (ref, ref_log, _) in zip(got, want, strict=True):
             assert log == ref_log
-            assert fr.delivered_payload == ref.delivered_payload
+            assert delivered_bytes(fr) == delivered_bytes(ref)
             rx, ref_rx = fr.receiver, ref.receiver
             assert rx.bytes_since_ack == ref_rx.bytes_since_ack
             assert rx.pending_acks == ref_rx.pending_acks
@@ -548,4 +547,4 @@ class TestDeliverBlock:
     def test_one_credit_per_run(self):
         *_, (fr, _, credits) = self._deliver(1, SimWorld._deliver_block)
         assert credits == [(0, 1500), (0, 800), (1, 1200), (0, 700), (2, 800)]
-        assert fr.delivered_payload == sum(self.SIZES)
+        assert delivered_bytes(fr) == sum(self.SIZES)
