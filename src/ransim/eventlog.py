@@ -5,10 +5,9 @@ function of the frame events recorded here.
 
 A log writes to a sink, a text file or an ``io.StringIO``, given when the
 world is built: the header at once, then each event formatted into its line
-when it is added, every ``CHUNK_LINES`` lines and at the end of the run. So
-a run of any length holds at most one chunk. A world built without a sink
-has no log and formats no line; which events it logs (its level) the world
-decides.
+and written when it is added. The log holds no text; the sink's own buffer
+batches the writes. A world built without a sink has no log and formats no
+line; which events it logs (its level) the world decides.
 """
 from __future__ import annotations
 
@@ -18,40 +17,35 @@ from typing import TextIO
 LEVEL_FRAMES = "frames"
 LEVEL_FULL = "full"
 HEADER = "time_ms,event,flow_id,bytes,detail\n"
-CHUNK_LINES = 4096
 
 # events kept at the compact "frames" level; the metrics read only these
 FRAME_EVENTS = frozenset({"frame_encode", "frame_done", "run_info"})
 
 
 class EventLog:
-    """Append-only log of formatted lines, written to its sink in chunks."""
+    """Append-only log of formatted lines, each written to its sink when it
+    is added."""
 
     def __init__(self, sink: TextIO):
         self._sink = sink
-        self._lines: list[str] = []
         sink.write(HEADER)
 
     @property
-    def records(self) -> list[str]:
-        """The lines not yet written; empty after SimWorld.run. Kept only for
+    def records(self) -> tuple:
+        """Always empty, as the log holds no line. Kept only for
         perfbench/worker.py, which reads its len() after each run; ROADMAP
         item 5 drops that read and this property."""
-        return self._lines
+        return ()
 
     def add(self, time_ms: float, event: str, flow_id: int, nbytes: int,
             detail: str = "") -> None:
-        lines = self._lines
         # repr keeps the full float, so metrics recomputed from the log are
         # bit-identical to the in-memory ones
-        lines.append(f"{time_ms!r},{event},{flow_id},{nbytes},{detail}\n")
-        if len(lines) >= CHUNK_LINES:
-            self.write()
+        self._sink.write(f"{time_ms!r},{event},{flow_id},{nbytes},{detail}\n")
 
     def write(self) -> None:
-        """Write the held lines to the sink."""
-        self._sink.write("".join(self._lines))
-        self._lines.clear()
+        """Flush the sink, so every line added is in its file."""
+        self._sink.flush()
 
 
 def parse_event_log(path) -> Iterator[tuple[float, str, int, int, str]]:
@@ -60,7 +54,7 @@ def parse_event_log(path) -> Iterator[tuple[float, str, int, int, str]]:
     time while the file is read; the metrics read nothing else, so other
     lines are split but not kept. A malformed log raises ValueError while
     the records are iterated."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip() != HEADER.strip():
             raise ValueError(f"not an event log: header {header.rstrip()!r}")

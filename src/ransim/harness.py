@@ -217,10 +217,11 @@ def load_scenario(path, seed: int | None = None) -> Scenario:
     """The scenario file at path, its seed replaced by a seed given."""
     p = Path(path)
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # JSON text is UTF-8 (RFC 8259)
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     if seed is not None and isinstance(cfg, dict):
         cfg["seed"] = seed
@@ -238,16 +239,16 @@ def build_world(scn: Scenario, log_sink: TextIO | None = None) -> SimWorld:
 def run_scenario(scn: Scenario, out_dir=None) -> RunMetrics:
     """Run one scenario to completion and optionally persist its outputs.
 
-    With out_dir, events.log is written while the run proceeds. A run that
-    fails leaves the lines logged until then, without the closing run_info.
-    Without out_dir the world keeps no event log.
+    With out_dir, each events.log line is written to the file as it is
+    logged. A run that fails leaves the lines logged until then, without
+    the closing run_info. Without out_dir the world keeps no event log.
     """
     if out_dir is None:
         opened = nullcontext()  # enters as None: no sink, no log
     else:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        opened = open(out / EVENTS_LOG, "w")
+        opened = open(out / EVENTS_LOG, "w", encoding="utf-8")
     with opened as sink:
         world = build_world(scn, sink)
         world.run(scn.duration_s)
@@ -267,13 +268,13 @@ def metrics_csv_text(metrics: RunMetrics) -> str:
 
 
 def write_metrics_csv(path, metrics: RunMetrics) -> None:
-    Path(path).write_text(metrics_csv_text(metrics))
+    Path(path).write_text(metrics_csv_text(metrics), encoding="utf-8")
 
 
 def write_frames_csv(path, world: SimWorld) -> None:
     """One row per encoded frame; a frame not decoded by the end of the
     run, its decode time NaN, leaves decode_ms and delay_ms empty."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("flow_id,frame_id,encode_ms,decode_ms,delay_ms,frame_bytes\n")
         for fid, (encode, decode, sizes) in world.frames_by_flow().items():
             for k, (enc, dec, nbytes) in enumerate(zip(encode, decode, sizes)):

@@ -8,6 +8,7 @@ the last value extends to the end of the run.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 
@@ -99,37 +100,39 @@ def load_trace(path) -> CapacitySchedule:
     """Parse a trace CSV, validating header, ordering and values."""
     rows: list[tuple[int, float]] = []
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise TraceError(f"cannot open trace file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not UTF-8: {exc}") from exc
+    # newline="" splits lines as the file object would have
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceError(f"{path}: empty trace file") from None
+    if [h.strip() for h in header] != ["tti_index", "bytes_per_prb"]:
+        raise TraceError(f"{path}:1: header must be 'tti_index,bytes_per_prb'")
+    last = -1
+    for row in reader:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(row) != 2:
+            raise TraceError(f"{where}: expected 2 columns")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}: empty trace file") from None
-        if [h.strip() for h in header] != ["tti_index", "bytes_per_prb"]:
-            raise TraceError(
-                f"{path}:1: header must be 'tti_index,bytes_per_prb'")
-        last = -1
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 2:
-                raise TraceError(f"{where}: expected 2 columns")
-            try:
-                tti = int(row[0])
-                bpp = float(row[1])
-            except ValueError as exc:
-                raise TraceError(f"{where}: {exc}") from exc
-            if not math.isfinite(bpp):
-                raise TraceError(f"{where}: bytes_per_prb must be "
-                                 f"finite, got {row[1].strip()!r}")
-            if tti <= last:
-                raise TraceError(f"{where}: tti_index {tti} out of order")
-            last = tti
-            rows.append((tti, bpp))
+            tti = int(row[0])
+            bpp = float(row[1])
+        except ValueError as exc:
+            raise TraceError(f"{where}: {exc}") from exc
+        if not math.isfinite(bpp):
+            raise TraceError(f"{where}: bytes_per_prb must be finite, "
+                             f"got {row[1].strip()!r}")
+        if tti <= last:
+            raise TraceError(f"{where}: tti_index {tti} out of order")
+        last = tti
+        rows.append((tti, bpp))
     if not rows:
         raise TraceError(f"{path}: trace has no data rows")
     if rows[0][0] != 0:

@@ -320,8 +320,8 @@ class SimWorld:
     # -- main loop ----------------------------------------------------------
 
     def run(self, duration_s: float) -> None:
-        """Step duration_s of simulated time. The log's last lines go to its
-        sink also when a step raises, so a failed run leaves what it logged."""
+        """Step duration_s of simulated time. The log's sink is flushed also
+        when a step raises, so a failed run leaves what it logged."""
         n_ttis = int(round(duration_s * 1000.0 / self.ran.tti_ms))
         try:
             for _ in range(n_ttis):

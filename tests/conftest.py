@@ -135,9 +135,7 @@ def logged_world(ran, *, seed=0, log_level="full", world_cls=SimWorld):
 
 
 def log_text(world) -> str:
-    """The whole log of a logged_world so far, header first: the held lines
-    are written to the sink first."""
-    world.log.write()
+    """The whole log of a logged_world so far, header first."""
     return world.log._sink.getvalue()
 
 

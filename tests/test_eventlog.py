@@ -13,7 +13,7 @@ from conftest import EventRecord, decoded_delays, events
 import ransim.world
 from ransim import (FlowPredictor, SimWorld, VideoFrame, harness,
                     mean_alloc_bw)
-from ransim.eventlog import CHUNK_LINES, FRAME_EVENTS, HEADER, EventLog
+from ransim.eventlog import FRAME_EVENTS, HEADER, EventLog
 from ransim.harness import (ScenarioError, build_world, report_run_dir,
                             run_scenario, scenario_from_dict, sweep_scenario)
 
@@ -28,30 +28,6 @@ MIXED_FULL = {
               {"controller": "oracle"},
               {"controller": "choir", "stop_s": 1.0}],
 }
-
-
-class _PeakList(list):
-    """A list that remembers the most items it ever held."""
-    peak = 0
-
-    def append(self, item):
-        super().append(item)
-        self.peak = max(self.peak, len(self))
-
-
-@pytest.fixture
-def built(monkeypatch):
-    """Worlds built by run_scenario, each with a spy on its held lines."""
-    worlds = []
-
-    def spying_build_world(*args, **kwargs):
-        world = build_world(*args, **kwargs)
-        world.log._lines = _PeakList()
-        worlds.append(world)
-        return world
-
-    monkeypatch.setattr(harness, "build_world", spying_build_world)
-    return worlds
 
 
 def _assert_same_columns(got, expected):
@@ -77,29 +53,37 @@ class TestStreamedLog:
         # the scenario reaches the cases it is meant to cover
         assert b",harq_fail,3," in streamed
         assert b",rlc_requeue,3," in streamed
-        assert streamed.count(b"\n") > 3 * CHUNK_LINES
+        assert streamed.count(b"\n") > 20_000
 
-    def test_held_lines_stay_within_one_chunk(self, tmp_path, built):
+    def test_log_holds_no_line(self, tmp_path, monkeypatch):
+        # after every add the log keeps its sink and nothing else, so each
+        # line is in the file object, none held back for a later write
+        kept = []
+        add = EventLog.add
+
+        def add_then_look(log, *args):
+            add(log, *args)
+            kept.append((frozenset(vars(log)), len(log.records)))
+
+        monkeypatch.setattr(EventLog, "add", add_then_look)
         run_scenario(scenario_from_dict(MIXED_FULL), tmp_path)
-        lines = built[0].log._lines
-        assert lines.peak == CHUNK_LINES
+        assert len(kept) > 20_000
+        assert set(kept) == {(frozenset({"_sink"}), 0)}
         written = (tmp_path / "events.log").read_text().count("\n")
-        assert written > 3 * CHUNK_LINES
+        assert written == len(kept) + 1  # and the header
 
-    def test_records_empty_after_streamed_run(self, tmp_path, built,
-                                              monkeypatch):
+    def test_records_empty_after_streamed_run(self, tmp_path, monkeypatch):
         held = []
         run = SimWorld.run
 
         def run_then_look(world, duration_s):
             run(world, duration_s)
-            held.append((len(world.log.records), list(world.log.records)))
+            held.append(world.log.records)
 
         monkeypatch.setattr(SimWorld, "run", run_then_look)
         run_scenario(scenario_from_dict(MIXED_FULL), tmp_path)
         # as soon as the run returns, with events.log still open
-        assert held == [(0, [])]
-        assert len(built[0].log.records) == 0
+        assert held == [()]
 
     def test_failed_run_leaves_what_was_logged(self, tmp_path,
                                                monkeypatch):
@@ -112,37 +96,41 @@ class TestStreamedLog:
             step(world)
 
         monkeypatch.setattr(SimWorld, "step", failing_step)
-        with pytest.raises(RuntimeError, match="fault injected"):
-            run_scenario(scn, tmp_path / "run")
         sink = io.StringIO()
         with pytest.raises(RuntimeError, match="fault injected"):
             build_world(scn, log_sink=sink).run(scn.duration_s)
-        partial = (tmp_path / "run" / "events.log").read_text()
-        # every line logged before the fault; it falls inside a chunk (one
-        # header line plus whole chunks would leave 1), so the tail comes
-        # from the write on the way out
-        assert partial == sink.getvalue()
-        assert partial.count("\n") % CHUNK_LINES != 1
-        assert partial.count("\n") > 3 * CHUNK_LINES
+        partial = sink.getvalue()
+        assert partial.count("\n") > 10_000
         assert ",run_info," not in partial
+        # every line logged before the fault is on disk when run raises,
+        # before the file is closed
+        log = tmp_path / "open.log"
+        with open(log, "w", encoding="utf-8") as fh:
+            with pytest.raises(RuntimeError, match="fault injected"):
+                build_world(scn, log_sink=fh).run(scn.duration_s)
+            assert log.read_text(encoding="utf-8") == partial
+        with pytest.raises(RuntimeError, match="fault injected"):
+            run_scenario(scn, tmp_path / "run")
+        assert (tmp_path / "run" / "events.log").read_text() == partial
         assert not (tmp_path / "run" / "metrics.csv").exists()
         with pytest.raises(ScenarioError, match="no run_info record"):
             report_run_dir(tmp_path / "run")
 
 
 class TestEventLog:
-    def test_lines_held_until_written(self):
+    def test_sink_holds_each_line_when_added(self):
         sink = io.StringIO()
         log = EventLog(sink)
-        log.add(0.1 + 0.2, "tx_block", 2, 1200, "prbs=4;mcs=a,b")
-        log.add(1.5, "frame_done", 0, 900, "frame=7")
-        lines = ["0.30000000000000004,tx_block,2,1200,prbs=4;mcs=a,b\n",
-                 "1.5,frame_done,0,900,frame=7\n"]
         assert sink.getvalue() == HEADER
-        assert log.records == lines
+        log.add(0.1 + 0.2, "tx_block", 2, 1200, "prbs=4;mcs=a,b")
+        line = "0.30000000000000004,tx_block,2,1200,prbs=4;mcs=a,b\n"
+        assert sink.getvalue() == HEADER + line
+        log.add(1.5, "frame_done", 0, 900, "frame=7")
+        line += "1.5,frame_done,0,900,frame=7\n"
+        assert sink.getvalue() == HEADER + line
         log.write()
-        assert log.records == []
-        assert sink.getvalue() == HEADER + "".join(lines)
+        assert sink.getvalue() == HEADER + line
+        assert log.records == ()
 
     def test_frames_level_keeps_frame_events(self):
         logged = {}
@@ -232,7 +220,7 @@ class TestWithoutSink:
         assert metrics.flows[0].avg_mbps > 0
         # the spies see the lines of a run that keeps its log
         run_scenario(scn, tmp_path)
-        assert len(adds) > CHUNK_LINES
+        assert len(adds) > 20_000
         assert set(formatted) == {"target_bps", "actual_bps", "delay",
                                   "fi", "mean_bw", "pred_q", "guidance",
                                   "capacity"}

@@ -393,6 +393,24 @@ class TestCli:
         assert f"{trace}:2: bytes_per_prb must be finite" in \
             capsys.readouterr().err
 
+    def test_scenario_not_utf8_exit_code(self, tmp_path, capsys):
+        # whatever the locale, a file ransim reads is UTF-8 or rejected
+        p = write_scenario(tmp_path, base_config())
+        p.write_bytes(p.read_bytes().replace(b"choir", b"ch\xffir"))
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: {p}: invalid JSON: 'utf-8' codec can't decode "
+            f"byte 0xff")
+
+    def test_trace_not_utf8_exit_code(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"tti_index,bytes_per_prb\n0,30.0\n100,2\xff.0\n")
+        p = write_scenario(tmp_path, base_config(trace_path=str(trace)))
+        assert main(["run", str(p)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"config error: {trace}: not UTF-8: 'utf-8' codec can't decode "
+            f"byte 0xff")
+
     @pytest.mark.parametrize("edit,message", [
         # a flow that never starts: run wrote an all-nan row for it, which
         # report, finding no line of it in the log, left out
