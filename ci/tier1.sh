@@ -11,8 +11,8 @@
 set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
-CHECKS=(tests accept-lines round-trip hash-seed sweep-bad-value run-bad-config
-        no-out-memory churn-memory bench-smoke bench-outputs)
+CHECKS=(tests accept-lines round-trip hash-seed sweep-bad-value sweep-matrix
+        run-bad-config no-out-memory churn-memory bench-smoke bench-outputs)
 
 install() {
   python -m pip install --upgrade pip setuptools
@@ -71,6 +71,32 @@ sweep-bad-value() {
   rc=0
   ransim sweep scenarios/single_flow.json --vary ack_per_frames=1.5 || rc=$?
   test "$rc" -eq 2
+}
+
+sweep-matrix() {
+  # two --vary arguments sweep their cross-product: one directory per point,
+  # nested in --vary order, and report finds each point and rewrites its
+  # metrics.csv byte for byte
+  out="$RUNNER_TEMP/matrix"
+  ransim sweep scenarios/single_flow.json --vary ran.bler=0,0.1 \
+    --vary wired_nd_ms=1,10 --out "$out"
+  points=()
+  for bler in 0 0.1; do
+    for nd in 1 10; do
+      points+=("ran.bler=$bler/wired_nd_ms=$nd")
+    done
+  done
+  test "$(find "$out" -name events.log | wc -l)" -eq ${#points[@]}
+  for point in "${points[@]}"; do
+    test -d "$out/$point"
+    mkdir -p "$RUNNER_TEMP/matrix-copy/$point"
+    cp "$out/$point/metrics.csv" "$RUNNER_TEMP/matrix-copy/$point/"
+  done
+  ransim report "$out"
+  for point in "${points[@]}"; do
+    cmp "$RUNNER_TEMP/matrix-copy/$point/metrics.csv" \
+      "$out/$point/metrics.csv"
+  done
 }
 
 run-bad-config() {

@@ -10,8 +10,8 @@ from pathlib import Path
 
 from .harness import (METRICS_CSV, ScenarioError, find_run_dirs,
                       load_scenario, metrics_csv_text, parse_vary,
-                      report_run_dir, run_scenario, sweep_scenario,
-                      write_metrics_csv)
+                      read_scenario, report_run_dir, run_scenario,
+                      sweep_scenario, write_metrics_csv)
 from .traces import TraceError
 
 EXIT_OK = 0
@@ -33,13 +33,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None,
                        help="directory for metrics/frames/event log")
 
-    sweep_p = sub.add_parser("sweep", help="run a scenario over a parameter")
+    sweep_p = sub.add_parser("sweep", help="run a scenario over parameters")
     sweep_p.add_argument("scenario", help="scenario JSON file")
-    sweep_p.add_argument("--vary", required=True,
-                         help="key=v1,v2,... (wired_nd, ack_per_frames, "
-                              "epsilon)")
+    sweep_p.add_argument("--vary", required=True, action="append",
+                         type=parse_vary,
+                         help="PATH=v1,v2,...: a key path such as ran.bler, "
+                              "or a flow key alone for every flow; repeat "
+                              "it for the cross-product")
     sweep_p.add_argument("--out", default=None,
-                         help="root directory for per-value run outputs")
+                         help="root directory for per-point run outputs")
 
     report_p = sub.add_parser("report",
                               help="recompute metrics from persisted runs")
@@ -61,11 +63,11 @@ def main(argv=None) -> int:
             metrics = run_scenario(scn, out_dir=args.out)
             _print_metrics(metrics)
         elif args.command == "sweep":
-            scn = load_scenario(args.scenario)
-            key, values = parse_vary(args.vary)
-            results = sweep_scenario(scn, key, values, out_dir=args.out)
-            for value, metrics in results.items():
-                _print_metrics(metrics, label=f"{key}={value:g}")
+            name = load_scenario(args.scenario).name  # as run checks it
+            results = sweep_scenario(read_scenario(args.scenario),
+                                     args.vary, args.out, name)
+            for label, metrics in results.items():
+                _print_metrics(metrics, label)
         elif args.command == "report":
             run_dirs = find_run_dirs(args.out_dir)
             if not run_dirs:

@@ -23,6 +23,7 @@ FLAG_VALID = 0x01
 _MANTISSA_MAX = 0xFFFF
 _EXP_MIN = -128
 _EXP_MAX = 127
+_KBPS_MAX = _MANTISSA_MAX * 2.0 ** _EXP_MAX  # the largest rate carried
 
 _WIRE = struct.Struct(">HbB")
 WIRE_SIZE = _WIRE.size
@@ -51,7 +52,7 @@ def encode_rate(rate_bps: float) -> GuidanceFeedback:
     """Encode a rate in bits/s; negative rates yield an invalid-flag record."""
     if rate_bps < 0 or math.isnan(rate_bps):
         return GuidanceFeedback(0, 0, 0)
-    kbps = rate_bps / 1000.0
+    kbps = min(rate_bps / 1000.0, _KBPS_MAX)  # saturate, +inf too
     if kbps == 0.0:
         return GuidanceFeedback(0, 0, FLAG_VALID)
     # Start from the frexp estimate, then walk to the smallest exponent whose
@@ -62,10 +63,7 @@ def encode_rate(rate_bps: float) -> GuidanceFeedback:
         exp -= 1
     while exp < _EXP_MAX and round(kbps / 2.0 ** exp) > _MANTISSA_MAX:
         exp += 1
-    mantissa = round(kbps / 2.0 ** exp)
-    if mantissa > _MANTISSA_MAX:
-        mantissa = _MANTISSA_MAX  # saturate: rate beyond 0xFFFF * 2**127 kbps
-    return GuidanceFeedback(int(mantissa), exp, FLAG_VALID)
+    return GuidanceFeedback(round(kbps / 2.0 ** exp), exp, FLAG_VALID)
 
 
 def decode_rate(fb: GuidanceFeedback) -> float | None:

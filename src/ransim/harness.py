@@ -25,9 +25,10 @@ section fills. An explicit ``trace_path`` CSV overrides ``ran.trace``.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from pathlib import Path
 from typing import TextIO
 
@@ -213,19 +214,23 @@ def scenario_from_dict(cfg: dict, name: str = SCENARIO_NAME) -> Scenario:
     return Scenario(**fields)
 
 
-def load_scenario(path, seed: int | None = None) -> Scenario:
-    """The scenario file at path, its seed replaced by a seed given."""
-    p = Path(path)
+def read_scenario(path):
+    """The JSON value of the scenario file at path."""
     try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         # JSON text is UTF-8 (RFC 8259)
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_scenario(path, seed: int | None = None) -> Scenario:
+    """The scenario file at path, its seed replaced by a seed given."""
+    cfg = read_scenario(path)
     if seed is not None and isinstance(cfg, dict):
         cfg["seed"] = seed
-    return scenario_from_dict(cfg, name=p.stem)
+    return scenario_from_dict(cfg, name=Path(path).stem)
 
 
 def build_world(scn: Scenario, log_sink: TextIO | None = None) -> SimWorld:
@@ -282,51 +287,46 @@ def write_frames_csv(path, world: SimWorld) -> None:
                 fh.write(f"{fid},{k},{enc:.6f},{done},{nbytes}\n")
 
 
-SWEEPABLE = {"wired_nd_ms", "ack_per_frames", "epsilon"}
+def parse_vary(text: str) -> tuple[str, list]:
+    """PATH=v1,v2,...: each value a float where float() reads it, else text."""
+    path, _, values = text.partition("=")
+    parsed = values.split(",")
+    for i, value in enumerate(parsed):
+        with suppress(ValueError):
+            parsed[i] = float(value)
+    return path.strip(), parsed
 
 
-def parse_vary(text: str) -> tuple[str, list[float]]:
-    key, _, values = text.partition("=")
-    key = key.strip()
-    alias = {"wired_nd": "wired_nd_ms"}
-    key = alias.get(key, key)
-    if key not in SWEEPABLE:
-        raise ScenarioError(
-            f"--vary key must be one of {sorted(SWEEPABLE)} (got {key!r})")
-    if not values:
-        raise ScenarioError("--vary needs key=v1,v2,...")
-    try:
-        parsed = [float(v) for v in values.split(",")]
-    except ValueError as exc:
-        raise ScenarioError(f"--vary values: {exc}") from exc
-    return key, parsed
-
-
-def sweep_scenario(scn: Scenario, key: str, values: list[float],
-                   out_dir=None) -> dict[float, RunMetrics]:
-    """Re-run the scenario once per value, applying the key to every flow.
-
-    Every value is checked as the scenario loader checks the key, and
-    must name its own run, before the first run starts.
-    """
-    subs: dict[str, tuple[float, Scenario]] = {}
-    for value in values:
-        typed = _number(value, key, "--vary", FLOW_KEYS[key])
-        label = f"{key}={value:g}"
-        if label in subs:
+def sweep_scenario(cfg: dict, vary: list[tuple[str, list]], out_dir=None,
+                   name: str = SCENARIO_NAME) -> dict[str, RunMetrics]:
+    """Run the scenario dict cfg once per point of vary's cross-product, by
+    its label path=value/...; all are built before the first run starts."""
+    import copy  # here, so that a run does not pay for its import
+    points: dict[str, Scenario] = {}
+    for combo in itertools.product(*[[(p, v) for v in vs] for p, vs in vary]):
+        label = "/".join(f"{p}={v:g}" if isinstance(v, float) else f"{p}={v}"
+                         for p, v in combo)
+        if label in points:
             raise ScenarioError(f"--vary: {label} is given twice")
+        point = copy.deepcopy(cfg)
+        try:  # each value at its dotted path, or in every flow for a flow key
+            for path, value in combo:
+                *parents, key = path.split(".")
+                node = point
+                for part in parents:
+                    node = node.setdefault(part, {})
+                for node in point["flows"] if path in FLOW_KEYS else [node]:
+                    node[key] = value
+        except (AttributeError, TypeError):  # a step of the path is no object
+            raise ScenarioError(f"--vary {label}: {path} is not a key path of "
+                                f"JSON objects") from None
         try:
-            flows = [FlowConfig(**{**vars(f), key: typed})
-                     for f in scn.flows]
-        except ValueError as exc:
+            points[label] = scenario_from_dict(point, f"{name}_{label}")
+        except ScenarioError as exc:
             raise ScenarioError(f"--vary {label}: {exc}") from exc
-        subs[label] = value, Scenario(**{**vars(scn), "flows": flows,
-                                         "name": f"{scn.name}_{label}"})
-    results: dict[float, RunMetrics] = {}
-    for label, (value, sub) in subs.items():
-        sub_out = None if out_dir is None else Path(out_dir) / label
-        results[value] = run_scenario(sub, sub_out)
-    return results
+    return {label: run_scenario(scn, None if out_dir is None
+                                else Path(out_dir) / label)
+            for label, scn in points.items()}
 
 
 def report_run_dir(run_dir, warmup_ms: float = WARMUP_EXCLUDE_MS

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
 from ransim.codec import WIRE_SIZE, GuidanceFeedback, decode_rate, encode_rate
@@ -74,6 +75,13 @@ def test_mantissa_normalized(rate):
     assert fb.mantissa <= 0xFFFF
     if fb.unit_exp > -128 and fb.mantissa > 0:
         assert fb.mantissa >= 0x8000
+
+@pytest.mark.parametrize("rate", [1e300, math.inf,
+                                  2 * 0xFFFF * 2.0 ** 127 * 1000.0])
+def test_rate_beyond_the_wire_saturates(rate):
+    # the largest rate the four bytes carry, through the wire and back
+    back = GuidanceFeedback.from_bytes(encode_rate(rate).to_bytes())
+    assert decode_rate(back) == 0xFFFF * 2.0 ** 127 * 1000.0
 
 def test_nan_is_invalid():
     assert not encode_rate(math.nan).valid

@@ -215,7 +215,7 @@ class TestWithoutSink:
                                        formatted))
         scn = scenario_from_dict(MIXED_FULL)
         metrics = run_scenario(scn)
-        sweep_scenario(scn, "wired_nd_ms", [1.0, 5.0])
+        sweep_scenario(MIXED_FULL, [("wired_nd_ms", [1.0, 5.0])])
         assert adds == [] and formatted == Counter()
         assert metrics.flows[0].avg_mbps > 0
         # the spies see the lines of a run that keeps its log

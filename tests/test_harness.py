@@ -292,46 +292,76 @@ class TestRunScenario:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def _state(obj):
+    """obj's attributes, each object among them read the same way, so that
+    two equal configurations compare equal."""
+    if isinstance(obj, list):
+        return [_state(o) for o in obj]
+    if hasattr(obj, "__dict__"):
+        return {k: _state(v) for k, v in vars(obj).items()}
+    return obj
+
+
 class TestSweep:
     def test_parse_vary(self):
-        key, values = parse_vary("wired_nd=1,10,20")
-        assert key == "wired_nd_ms"
-        assert values == [1.0, 10.0, 20.0]
+        assert parse_vary("wired_nd_ms=1,10,20") == \
+            ("wired_nd_ms", [1.0, 10.0, 20.0])
+        assert parse_vary("ran.trace.kind=step,1e3") == \
+            ("ran.trace.kind", ["step", 1000.0])
 
     def test_parse_vary_rejects_unknown(self):
-        with pytest.raises(ScenarioError):
-            parse_vary("bler=0.1,0.2")
+        with pytest.raises(ScenarioError, match="unknown key 'bler'"):
+            sweep_scenario(base_config(), [parse_vary("bler=0.1,0.2")])
 
     def test_sweep_applies_value(self, tmp_path):
-        scn = scenario_from_dict(base_config())
-        results = sweep_scenario(scn, "wired_nd_ms", [1.0, 5.0],
+        results = sweep_scenario(base_config(), [("wired_nd_ms", [1.0, 5.0])],
                                  out_dir=tmp_path)
-        assert set(results) == {1.0, 5.0}
+        assert list(results) == ["wired_nd_ms=1", "wired_nd_ms=5"]
         assert (tmp_path / "wired_nd_ms=1" / "metrics.csv").exists()
-        assert results[5.0].flows[0].avg_delay_ms > \
-            results[1.0].flows[0].avg_delay_ms
+        assert results["wired_nd_ms=5"].flows[0].avg_delay_ms > \
+            results["wired_nd_ms=1"].flows[0].avg_delay_ms
 
     def test_sweep_copies_every_other_attribute(self, monkeypatch):
-        # each run's scenario and flows differ from the swept one only in
-        # the swept key and the name, whatever the other attributes hold
+        # each run's scenario and flows differ from the file's only in the
+        # swept key and the name, whatever the other attributes hold, and
+        # the file's dict is left as it was
         cfg = base_config(seed=9, log_level="frames")
         cfg["flows"] = [{"controller": "scone", "encoder": "ramp",
                          "start_s": 0.5, "stop_s": 2.5, "ack_per_frames": 2,
                          "initial_bitrate_mbps": 2.0, "wired_nd_ms": 3.0},
                         {"controller": "oracle", "epsilon": 2}]
-        scn = scenario_from_dict(cfg)
-        before = [vars(f).copy() for f in scn.flows]
+        before = json.dumps(cfg)
+        scn = _state(scenario_from_dict(cfg))
         subs = []
         monkeypatch.setattr(ransim.harness, "run_scenario",
                             lambda sub, out: subs.append(sub))
-        sweep_scenario(scn, "epsilon", [3.0, 4.0])
-        assert [vars(f) for f in scn.flows] == before
+        sweep_scenario(cfg, [("epsilon", [3.0, 4.0])])
+        assert json.dumps(cfg) == before
         for sub, value in zip(subs, (3, 4), strict=True):
             assert sub.name == f"scenario_epsilon={value}"
-            assert {**vars(sub), "flows": None, "name": None} == \
-                {**vars(scn), "flows": None, "name": None}
-            assert [vars(f) for f in sub.flows] == \
-                [{**f, "epsilon": value} for f in before]
+            sub = _state(sub)
+            assert {**sub, "flows": None, "name": None} == \
+                {**scn, "flows": None, "name": None}
+            assert sub["flows"] == [{**f, "epsilon": value}
+                                    for f in scn["flows"]]
+
+    @pytest.mark.parametrize("vary, edited", [
+        ("wired_nd_ms=5",
+         {"flows": [{"controller": "choir", "wired_nd_ms": 5.0}]}),
+        ("ran.bler=0.1", {"ran": {**base_config()["ran"], "bler": 0.1}}),
+        ("controller=scone",
+         {"flows": [{"controller": "scone", "wired_nd_ms": 1.0}]}),
+    ])
+    def test_each_point_is_what_the_loader_builds(self, tmp_path, vary,
+                                                  edited):
+        assert main(["sweep", str(write_scenario(tmp_path, base_config())),
+                     "--vary", vary, "--out", str(tmp_path / "sweep")]) == \
+            EXIT_OK
+        run_scenario(scenario_from_dict(base_config(**edited)),
+                     tmp_path / "direct")
+        for name in ("metrics.csv", "frames.csv", "events.log"):
+            assert (tmp_path / "sweep" / vary / name).read_bytes() == \
+                (tmp_path / "direct" / name).read_bytes()
 
 
 class TestCli:
@@ -499,7 +529,7 @@ class TestCli:
     def test_sweep_and_report(self, tmp_path, capsys):
         p = write_scenario(tmp_path, base_config())
         out = tmp_path / "sweep"
-        assert main(["sweep", str(p), "--vary", "wired_nd=1,5",
+        assert main(["sweep", str(p), "--vary", "wired_nd_ms=1,5",
                      "--out", str(out)]) == EXIT_OK
         sweep = capsys.readouterr().out
         assert main(["report", str(out)]) == EXIT_OK
@@ -515,12 +545,30 @@ class TestCli:
         assert report == "".join(f"== {out / label} ==\n{csv}"
                                  for label, csv in zip(labels, csvs))
 
+    def test_sweep_cross_product_and_report(self, tmp_path, capsys):
+        # the first --vary is the outer loop; each point writes to its
+        # label's nested directory, where report finds it
+        p = write_scenario(tmp_path, base_config(duration_s=2.5))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(p), "--vary", "ran.bler=0,0.1",
+                     "--vary", "controller=choir,scone",
+                     "--out", str(out)]) == EXIT_OK
+        labels = [f"ran.bler={b}/controller={c}" for b in ("0", "0.1")
+                  for c in ("choir", "scone")]
+        assert re.findall("^== (.*) ==$", capsys.readouterr().out,
+                          re.M) == labels
+        assert main(["report", str(out)]) == EXIT_OK
+        assert re.findall("^== (.*) ==$", capsys.readouterr().out,
+                          re.M) == [str(out / label) for label in labels]
+
     def _sweep_rejects(self, tmp_path, capsys, vary, message):
-        # the bad value comes after a good one: no run may start
+        # vary holds one or more --vary arguments, split at spaces; the bad
+        # value comes after a good one: no run may start
         p = write_scenario(tmp_path, base_config())
         out = tmp_path / "sweep"
-        assert main(["sweep", str(p), "--vary", vary,
-                     "--out", str(out)]) == EXIT_CONFIG
+        args = [arg for text in vary.split() for arg in ("--vary", text)]
+        assert main(["sweep", str(p), *args, "--out", str(out)]) == \
+            EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -530,8 +578,9 @@ class TestCli:
 
     @pytest.mark.parametrize("vary,message", [
         ("ack_per_frames=1,0", "ack_per_frames must be at least 1"),
-        ("wired_nd=1,-1", "wired_nd_ms must be nonnegative"),
-        ("epsilon=1,0", "--vary epsilon=0: epsilon must be at least 1"),
+        ("wired_nd_ms=1,-1", "wired_nd_ms must be nonnegative"),
+        pytest.param("epsilon=1,0", "--vary epsilon=0: flows[0]: epsilon "
+                     "must be at least 1", id="epsilon=1,0-with-context"),
     ])
     def test_sweep_rejects_out_of_range(self, tmp_path, capsys, vary,
                                         message):
@@ -539,12 +588,24 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_sweep_rejects_non_finite(self, tmp_path, capsys, bad):
-        self._sweep_rejects(tmp_path, capsys, f"wired_nd=1,{bad}",
+        self._sweep_rejects(tmp_path, capsys, f"wired_nd_ms=1,{bad}",
                             "wired_nd_ms must be a finite number")
 
     def test_sweep_rejects_duplicate_value(self, tmp_path, capsys):
         self._sweep_rejects(tmp_path, capsys, "epsilon=2,2.0",
                             "epsilon=2 is given twice")
+
+    @pytest.mark.parametrize("vary,message", [
+        ("wired_nd_ms=1,5 ran.bler=0,1.5",
+         "--vary wired_nd_ms=1/ran.bler=1.5: ran: bler must lie in [0, 1)"),
+        ("bler=0.1", "--vary bler=0.1: scenario: unknown key 'bler'"),
+        ("ran.nope.x=1", "--vary ran.nope.x=1: ran: unknown key 'nope'"),
+        ("seed.x=1", "--vary seed.x=1: seed.x is not a key path of JSON "
+                     "objects"),
+    ])
+    def test_sweep_rejects_cross_product_point(self, tmp_path, capsys, vary,
+                                               message):
+        self._sweep_rejects(tmp_path, capsys, vary, message)
 
     @pytest.mark.parametrize("exc, message", [
         (MemoryError(), "MemoryError"),  # its str() is empty
@@ -578,9 +639,10 @@ class TestMemory:
     """A finished run holds nothing, and report reads the log once."""
 
     def test_finished_world_is_freed_without_gc(self, tmp_path):
-        scn = scenario_from_dict(base_config(duration_s=0.5, flows=[
+        cfg = base_config(duration_s=0.5, flows=[
             {"controller": "choir"}, {"controller": "scone"},
-            {"controller": "oracle"}]))
+            {"controller": "oracle"}])
+        scn = scenario_from_dict(cfg)
         gc.collect()
         held = [o for o in gc.get_objects() if isinstance(o, SimWorld)]
         was_enabled = gc.isenabled()
@@ -591,7 +653,7 @@ class TestMemory:
             ref = weakref.ref(world)
             del world
             assert ref() is None, "the world is freed only by the cyclic GC"
-            sweep_scenario(scn, "wired_nd_ms", [1.0, 2.0, 3.0],
+            sweep_scenario(cfg, [("wired_nd_ms", [1.0, 2.0, 3.0])],
                            out_dir=tmp_path)
             left = [o for o in gc.get_objects() if isinstance(o, SimWorld)
                     and all(o is not h for h in held)]
