@@ -97,10 +97,10 @@ sweep-matrix() {
 run-bad-config() {
   # each bad edit of single_flow is a configuration error (exit 2) at load
   # time: a flow that never starts, a null number, a random walk that never
-  # steps, a cell beyond NR's bytes per PRB or PRBs per carrier, and a byte
-  # that is not UTF-8
+  # steps, a cell beyond NR's bytes per PRB or PRBs per carrier, a sender
+  # blending more than 600 frames' bitrates, and a byte that is not UTF-8
   for edit in never-starts null-delay zero-interval huge-bpp huge-prbs \
-      not-utf8; do
+      huge-epsilon not-utf8; do
     python -c '
 import json, sys
 cfg = json.load(open("scenarios/single_flow.json"))
@@ -113,6 +113,8 @@ elif sys.argv[1] == "huge-bpp":
     ran["trace"]["bytes_per_prb"] = 1e7
 elif sys.argv[1] == "huge-prbs":
     ran["prb_total"] = 1e7
+elif sys.argv[1] == "huge-epsilon":
+    flow["epsilon"] = 1e9
 elif sys.argv[1] == "zero-interval":
     ran["trace"] = {"kind": "random_walk", "low": 20.0, "high": 40.0,
                     "interval_ttis": 0}

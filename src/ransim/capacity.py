@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from collections import deque
 
+from .predictor import HISTORY_TTIS
+
 GAMMA_DEFAULT = 0.97  # payload fraction assumed before any block is observed
 
 LONG_WINDOW_MS = 100.0   # duty-cycle statistics horizon
 SHORT_WINDOW_MS = 10.0   # retransmission and payload-fraction horizon
-BW_RING_LEN = 2048       # per-TTI estimates a reader can see
 
 
 class CellWindows:
@@ -104,8 +105,8 @@ class FlowEstimator:
         self._gamma_sum = 0.0
         self._bpp_held = 0.0
         self._retx_held = 0.0
-        # one compute result per TTI, the last BW_RING_LEN of them
-        self.bw_ring: deque[float] = deque(maxlen=BW_RING_LEN)
+        # one compute result per TTI, the last HISTORY_TTIS of them
+        self.bw_ring: deque[float] = deque(maxlen=HISTORY_TTIS)
 
     def note_grant(self, uprb: int) -> None:
         """Record this flow's granted-and-used PRBs for one downlink TTI."""

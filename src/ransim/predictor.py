@@ -22,6 +22,10 @@ GAP_THRESHOLD_MS = 2.5       # inter-packet gap that separates frames; paced
                              # gap between frames, so the threshold must sit
                              # between that and the in-frame packet spacing
 HISTORY_CAPACITY = 256
+# entries kept of each per-TTI history a prediction reads, the bandwidth
+# ring and the queue samples: a read spans round(fi / tti_ms) TTIs, 33 at
+# the 16.6 ms frame interval, and 512 covers fi up to 256 ms at 0.5 ms TTIs
+HISTORY_TTIS = 512
 
 
 def detect_frame_boundary(prev_pkt_ts: float, pkt_ts: float) -> bool:

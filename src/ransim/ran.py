@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
+from .predictor import HISTORY_TTIS
 from .tdd import TddPattern
 from .traces import CapacitySchedule, constant_trace
 
@@ -15,7 +16,6 @@ from .traces import CapacitySchedule, constant_trace
 OVERHEAD_FIXED = 8
 OVERHEAD_PER_SEGMENT = 5
 
-RLC_SAMPLE_RING = 512
 MAX_PRB_TOTAL = 273  # NR's most PRBs per carrier: 100 MHz at 30 kHz SCS
 
 
@@ -75,7 +75,10 @@ class FlowQueueState:
     def __init__(self):
         self.segments: deque[tuple[int, int]] = deque()  # (frame_id, nbytes)
         self.queued_bytes = 0
-        self.samples: deque[tuple[float, int]] = deque(maxlen=RLC_SAMPLE_RING)
+        # the running minimum of the last HISTORY_TTIS queue samples, kept by
+        # sample_rlc_queue: (time, bytes), beside each one's sample number
+        self.samples: deque[tuple[float, int]] = deque()
+        self.sample_nums: deque[int] = deque()
         self.harq_pending: deque[TransportBlock] = deque()
 
     def enqueue(self, frame_id: int, nbytes: int) -> None:
@@ -89,9 +92,28 @@ class FlowQueueState:
 
 
 def sample_rlc_queue(flow: FlowQueueState, now: float) -> int:
-    """Record and return the flow's current RLC queue occupancy in bytes."""
+    """Record and return the flow's current RLC queue occupancy in bytes.
+
+    ``flow.samples`` keeps of the last HISTORY_TTIS samples only those that
+    every later one exceeds, so times and values both rise along it. A
+    sample drops each earlier one it does not exceed: a window that holds
+    the earlier one and ends at or after the later one holds the later one
+    too. A sample also leaves once HISTORY_TTIS later ones have been taken,
+    as it would leave a ring of every sample. So ``min_rlc_queue`` over it,
+    for any window ending at or after the last sample, equals that over the
+    ring.
+    """
     value = flow.queued_bytes
-    flow.samples.append((now, value))
+    samples, nums = flow.samples, flow.sample_nums
+    n = nums[-1] + 1 if nums else 0  # the last sample is always kept
+    while samples and samples[-1][1] >= value:
+        samples.pop()
+        nums.pop()
+    if nums and nums[0] == n - HISTORY_TTIS:
+        samples.popleft()
+        nums.popleft()
+    samples.append((now, value))
+    nums.append(n)
     return value
 
 

@@ -18,6 +18,7 @@ RECV_BUCKET_MS = 100.0
 RECV_WINDOW_MS = 1000.0
 RAMP_GAP_FRACTION = 1.0 / 3.0   # slow-encoder convergence per frame
 ENCODER_MODES = ("instant", "ramp")
+EPSILON_MAX = 600               # frames a target bitrate blends: 10 s of them
 
 
 def target_bitrate(guidance: float | None, hist) -> float | None:

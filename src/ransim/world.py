@@ -25,8 +25,8 @@ from .eventlog import EventLog
 from .predictor import FlowPredictor, mean_alloc_bw
 from .ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FlowQueueState,
                   RanConfig, assemble_block, sample_rlc_queue, schedule_prbs)
-from .sender import (ENCODER_MODES, FRAME_INTERVAL_MS, MTU_PAYLOAD,
-                     BaseSender, ChoirSender, VideoFrame)
+from .sender import (ENCODER_MODES, EPSILON_MAX, FRAME_INTERVAL_MS,
+                     MTU_PAYLOAD, BaseSender, ChoirSender, VideoFrame)
 
 
 class FlowConfig:
@@ -57,6 +57,10 @@ class FlowConfig:
             raise ValueError("ack_per_frames must be at least 1")
         if not self.epsilon >= 1:
             raise ValueError("epsilon must be at least 1")
+        # the sender keeps epsilon - 1 bitrates and sums them every frame
+        if self.epsilon > EPSILON_MAX:
+            raise ValueError(f"epsilon must be at most {EPSILON_MAX}, "
+                             f"got {self.epsilon!r}")
         if not 0 <= self.wired_nd_ms < math.inf:
             raise ValueError("wired_nd_ms must be nonnegative and finite")
         if not 0 <= self.start_s < math.inf:
@@ -288,13 +292,15 @@ class SimWorld:
         bandwidth ring, the predictor with its feedback history, the
         receiver and the sender. The sender encodes no more frames, as the
         flow's last tick came before its stop; feedback still on its way is
-        logged but applied to no sender. The queue's containers and the wire
-        lane, all empty, become the shared empty tuple, as an emptied deque
-        keeps its blocks; a write to them fails. The frame columns stay, and
-        so does the queue's one counter, queued_bytes, at zero."""
+        logged but applied to no sender. The queue's containers, its samples
+        among them, and the wire lane become the shared empty tuple, as an
+        emptied deque keeps its blocks; a write to them fails. The frame
+        columns stay, and so does the queue's one counter, queued_bytes, at
+        zero."""
         fr.estimator = fr.predictor = fr.receiver = fr.sender = None
         q = fr.queue
-        q.segments = q.harq_pending = q.samples = fr.lane = ()
+        q.segments = q.harq_pending = q.samples = q.sample_nums = \
+            fr.lane = ()
 
     def _push_sender_event(self, ts: float, fr: FlowRuntime, feedback) -> None:
         self._seq += 1  # unique: fr is never compared

@@ -6,6 +6,7 @@ from reference import (EstimatorError, alloc_bw, estimate, flow_capacity,
                        update_prb_share)
 
 from ransim.capacity import CellWindows, FlowEstimator
+from ransim.predictor import HISTORY_TTIS
 
 
 class TestInitialShare:
@@ -138,7 +139,7 @@ _TTI = st.tuples(
 
 
 class TestBandwidthRing:
-    def test_holds_the_last_2048_estimates(self):
+    def test_holds_the_last_history_ttis_estimates(self):
         cell, est = CellWindows(0.5), FlowEstimator(100, 0.5)
         got = []
         for k in range(5000):
@@ -146,8 +147,8 @@ class TestBandwidthRing:
             got.append(est.compute(now, cell.terms(100, 1 + k % 3)))
             est.note_block(now, 1000 + k, 50, 40, 1.0)
             cell.close_tti(1.0, True, False, True, 40, 1)
-        assert len(set(got[-2048:])) > 1000
-        assert list(est.bw_ring) == got[-2048:]
+        assert len(set(got[-HISTORY_TTIS:])) > HISTORY_TTIS // 2
+        assert list(est.bw_ring) == got[-HISTORY_TTIS:]
 
 
 class TestTermsSnapshot:

@@ -461,12 +461,16 @@ class TestCli:
         # the sender's deque(maxlen=epsilon - 1) would fail only at the start
         (lambda cfg: cfg["flows"][0].update(epsilon=0),
          "flows[0]: epsilon must be at least 1"),
+        # the sender's history would grow by one bitrate a frame, each
+        # summed by every later frame
+        (lambda cfg: cfg["flows"][0].update(epsilon=1e9),
+         "flows[0]: epsilon must be at most 600, got 1000000000"),
         # the first frame would be split into about 1.5e9 packets
         (lambda cfg: cfg["flows"][0].update(initial_bitrate_mbps=1e9),
          "flows[0].initial_bitrate_mbps must be at most 480, 10 times the "
          "cell's peak rate, got 1000000000.0"),
     ], ids=["never_starts", "interval_ttis", "kind_list", "controller_list",
-            "epsilon", "initial_bitrate"])
+            "epsilon", "huge_epsilon", "initial_bitrate"])
     def test_rejected_at_load_exit_code(self, tmp_path, capsys, edit,
                                         message):
         cfg = base_config()

@@ -1,8 +1,9 @@
 import math
 import re
+from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (FailFirst, add_idle_flow, decode_time,
                       delivered_bytes, events, frame_delay, inject_packet,
@@ -10,6 +11,7 @@ from conftest import (FailFirst, add_idle_flow, decode_time,
 
 from ransim import (FlowConfig, RanConfig, SimWorld, constant_trace,
                     sample_rlc_queue, schedule_prbs)
+from ransim.predictor import HISTORY_TTIS, min_rlc_queue
 from ransim.ran import (OVERHEAD_FIXED, OVERHEAD_PER_SEGMENT, FlowQueueState,
                         assemble_block)
 
@@ -98,6 +100,45 @@ class TestRlcQueue:
         q.enqueue(0, 99)
         sample_rlc_queue(q, 2.0)
         assert list(q.samples) == [(1.0, 0), (2.0, 99)]
+
+    # each run of samples follows up to 600 TTIs without one, as for a flow
+    # that is not present: an arithmetic run of up to 1,100 samples, rising
+    # past HISTORY_TTIS, flat or falling, or up to 50 random values
+    _RUNS = st.lists(st.tuples(st.integers(0, 600), st.one_of(
+        st.builds(lambda start, step, n: [max(0, start + step * i)
+                                          for i in range(n)],
+                  st.integers(0, 10_000), st.integers(-40, 40),
+                  st.integers(1, 1100)),
+        st.lists(st.integers(0, 3000), min_size=1, max_size=50))),
+        min_size=1, max_size=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_RUNS, st.lists(st.floats(0.5, 400.0), min_size=1, max_size=4))
+    @example([(0, list(range(1100))), (3, [7] * 600)], [400.0, 300.0])
+    def test_store_minimum_equals_a_ring_of_every_sample(self, runs,
+                                                         windows):
+        # windows up to 800 TTIs, wider than the ring; each read ends at a
+        # sample or up to two TTIs after the last one, as a stamp of a flow
+        # that has left reads it
+        q, ring, tti = FlowQueueState(), deque(maxlen=HISTORY_TTIS), 0
+        for skipped, values in runs:
+            tti += skipped
+            for value in values:
+                now = tti * 0.5
+                q.queued_bytes = value
+                sample_rlc_queue(q, now)
+                ring.append((now, value))
+                assert q.samples[-1] == (now, value)
+                assert len(q.samples) <= HISTORY_TTIS
+                if tti % 5 == 0:
+                    fi = windows[tti % len(windows)]
+                    assert min_rlc_queue(q.samples, fi, now) == \
+                        min_rlc_queue(ring, fi, now)
+                tti += 1
+            for fi in windows:
+                for now in (ring[-1][0], tti * 0.5, (tti + 1) * 0.5):
+                    assert min_rlc_queue(q.samples, fi, now) == \
+                        min_rlc_queue(ring, fi, now)
 
 
 class TestAssembleBlock:
@@ -332,6 +373,7 @@ class TestRanConfigValidation:
         (FlowConfig, "stop_s", math.inf),
         (FlowConfig, "ack_per_frames", math.nan),
         (FlowConfig, "epsilon", math.nan),
+        (FlowConfig, "epsilon", math.inf),
         (FlowConfig, "initial_bitrate_mbps", math.nan),
         (FlowConfig, "initial_bitrate_mbps", math.inf),
         (RanConfig, "harq_rtx_delay_ms", math.nan),
@@ -343,6 +385,13 @@ class TestRanConfigValidation:
         args = (0,) if cls is FlowConfig else ()
         with pytest.raises(ValueError, match=f"^{key} must "):
             cls(*args, **{key: value})
+
+    def test_epsilon_is_bounded(self):
+        # the sender keeps epsilon - 1 bitrates and sums them every frame
+        assert FlowConfig(0, epsilon=600).epsilon == 600
+        with pytest.raises(ValueError,
+                           match="^epsilon must be at most 600, got 601$"):
+            FlowConfig(0, epsilon=601)
 
     def test_add_flow_caps_initial_bitrate(self):
         # 100 PRBs of 30 B each 0.5 ms TTI: 10 times the 48 Mbps peak; a
