@@ -1,15 +1,17 @@
 """Golden output digests of every shipped scenario at both log levels.
 
 A scenario plus its seed must reproduce the sha256 digests in golden.sha256
-byte for byte, so a refactor that changes behaviour fails here. A digest
-changes only together with a CHANGES.md entry that says why;
-tools/record_outputs.py re-records the file and prints what moved.
+byte for byte, so a refactor that changes behaviour fails here; and
+`ransim report` must rebuild each run's metrics.csv from its events.log,
+byte for byte. A digest changes only together with a CHANGES.md entry that
+says why; tools/record_outputs.py re-records the file and prints what moved.
 """
 import re
 
 import pytest
 
 from golden import FILES, GOLDEN, LEVELS, PAIRS, output_digests
+from ransim.harness import METRICS_CSV, metrics_csv_text, report_run_dir
 
 DIGEST = re.compile(r"[0-9a-f]{64}")
 
@@ -46,3 +48,6 @@ def test_output_digests(name, level, tmp_path):
              for f, digest in output_digests(name, level, tmp_path).items()
              if golden.get((name, level, f)) != digest]
     assert not moved, "\n".join(moved)
+    # report rebuilds the same metrics.csv from events.log alone
+    assert metrics_csv_text(report_run_dir(tmp_path)) == \
+        (tmp_path / METRICS_CSV).read_text(encoding="utf-8")

@@ -276,24 +276,6 @@ class TestRunScenario:
         measured = sum(enc >= 2000.0 for enc in columns[0][0])
         assert abs(measured - expected) <= 2
 
-    def test_report_recomputes_identically(self, tmp_path):
-        scn = scenario_from_dict(base_config())
-        out = tmp_path / "run2"
-        direct = run_scenario(scn, out_dir=out)
-        again = report_run_dir(out)
-        for fid in direct.flows:
-            assert again.flows[fid].avg_delay_ms == \
-                direct.flows[fid].avg_delay_ms
-            assert again.flows[fid].avg_mbps == direct.flows[fid].avg_mbps
-
-    def test_determinism_byte_identical_csvs(self, tmp_path):
-        scn = scenario_from_dict(base_config(seed=9))
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_scenario(scn, out_dir=out1)
-        run_scenario(scn, out_dir=out2)
-        for name in ("metrics.csv", "frames.csv", "events.log"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
 
 def _state(obj):
     """obj's attributes, each object among them read the same way, so that
@@ -564,9 +546,14 @@ class TestCli:
                   for c in ("choir", "scone")]
         assert re.findall("^== (.*) ==$", capsys.readouterr().out,
                           re.M) == labels
+        written = [(out / label / "metrics.csv").read_bytes()
+                   for label in labels]
         assert main(["report", str(out)]) == EXIT_OK
         assert re.findall("^== (.*) ==$", capsys.readouterr().out,
                           re.M) == [str(out / label) for label in labels]
+        # report rewrites each point's metrics.csv byte for byte
+        assert [(out / label / "metrics.csv").read_bytes()
+                for label in labels] == written
 
     def _sweep_rejects(self, tmp_path, capsys, vary, message):
         # vary holds one or more --vary arguments, split at spaces; the bad

@@ -8,8 +8,8 @@ Recomputes the three files that pin the program's outputs:
 - ``tests/accept_lines.txt``: the ``[ACCEPT-NN]`` lines that
   ``pytest -q -s tests/test_acceptance.py`` prints;
 - ``ci/perfbench_seed1.sha256``: the ``sha256`` lines of ``python3
-  perfbench/run.py --workload all --seed 1 --seconds 1``, which CI's
-  bench-smoke step prints and bench-outputs compares.
+  perfbench/run.py --workload all --seed 1 --seconds 1``, which CI's bench
+  step prints and compares.
 
 It rewrites each file whose lines changed and prints a unified diff of every
 line that moved; git holds the earlier values. A change that moves a
