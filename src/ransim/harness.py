@@ -300,6 +300,15 @@ def parse_vary(text: str) -> tuple[str, list]:
     return path.strip(), parsed
 
 
+def _label_text(value) -> str:
+    """A swept value as its label shows it: a float by :g where that reads
+    back as the same float, else by repr, so two floats get two labels."""
+    if not isinstance(value, float):
+        return str(value)
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def sweep_scenario(cfg: dict, vary: list[tuple[str, list]], out_dir=None,
                    name: str = SCENARIO_NAME) -> dict[str, RunMetrics]:
     """Run the scenario dict cfg once per point of vary's cross-product, by
@@ -310,8 +319,7 @@ def sweep_scenario(cfg: dict, vary: list[tuple[str, list]], out_dir=None,
             raise ScenarioError(f"--vary: {path} is given in two arguments")
     points: dict[str, Scenario] = {}
     for combo in itertools.product(*[[(p, v) for v in vs] for p, vs in vary]):
-        label = "/".join(f"{p}={v:g}" if isinstance(v, float) else f"{p}={v}"
-                         for p, v in combo)
+        label = "/".join(f"{p}={_label_text(v)}" for p, v in combo)
         if label in points:
             raise ScenarioError(f"--vary: {label} is given twice")
         point = copy.deepcopy(cfg)

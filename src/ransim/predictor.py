@@ -21,7 +21,8 @@ GAP_THRESHOLD_MS = 2.5       # inter-packet gap that separates frames; paced
                              # release at RHO=1.25 leaves only ~0.2*FI of idle
                              # gap between frames, so the threshold must sit
                              # between that and the in-frame packet spacing
-HISTORY_CAPACITY = 256
+HISTORY_CAPACITY = 256       # ACK stamps kept; a shipped scenario's
+                             # deepest read finds the 6th newest
 # entries kept of each per-TTI history a prediction reads, the bandwidth
 # ring and the queue samples: a read spans round(fi / tti_ms) TTIs, 33 at
 # the 16.6 ms frame interval, and 512 covers fi up to 256 ms at 0.5 ms TTIs
@@ -111,52 +112,6 @@ def guidance_bw(mean_bw: float, drain_rate: float) -> float:
     return max(0.0, ETA * mean_bw - drain_rate)
 
 
-class FramePatternState:
-    """Frame cadence learned from enqueue timestamps."""
-
-    def __init__(self):
-        self.fi_est: float | None = None
-        self.last_pkt_ts: float | None = None
-        self.frame_head_ts: float | None = None
-        self.frame_bytes = 0.0
-
-
-class FeedbackHistory:
-    """Ring of stamped guidance values plus the error-correction state."""
-
-    def __init__(self):
-        self.err_est = 0.0
-        self.entries: deque[tuple[float, float]] = deque(
-            maxlen=HISTORY_CAPACITY)
-
-    def record(self, ts: float, bw: float) -> None:
-        if self.entries and ts <= self.entries[-1][0]:
-            return  # keep timestamps strictly increasing
-        self.entries.append((ts, bw))
-
-    def latest_at_or_before(self, ts: float) -> tuple[float, float] | None:
-        for entry in reversed(self.entries):
-            if entry[0] <= ts:
-                return entry
-        return None
-
-    def select(self, now: float, fi: float, fnum: int, wired_nd: float
-               ) -> list[float]:
-        """Governing feedback rate for each of the fnum in-flight frames.
-
-        Frame k was encoded under the latest entry stamped at or before
-        now - fi * (k - 1) - 2 * wired_nd. Frames with no such entry are
-        skipped.
-        """
-        rates: list[float] = []
-        for k in range(1, fnum + 1):
-            entry = self.latest_at_or_before(
-                now - fi * (k - 1) - 2.0 * wired_nd)
-            if entry is not None:
-                rates.append(entry[1])
-        return rates
-
-
 class QueuePrediction(NamedTuple):
     """Prediction made at time ts, as read by ACK stamping and the event log."""
 
@@ -168,60 +123,84 @@ class QueuePrediction(NamedTuple):
 
 
 class FlowPredictor:
-    """Per-flow prediction state machine driven by the TTI loop; it reads
-    bw_ring, which the flow's ``FlowEstimator`` fills once per TTI."""
+    """Per-flow prediction state machine driven by the TTI loop.
+
+    From enqueue times it learns the frame cadence (fi_est); it keeps the
+    guidance stamped on uplink ACKs as (ts, guidance) with strictly rising
+    times (stamps), and the error correction learned by pairing each
+    finished frame with the stamp it was encoded under (err_est). It reads
+    bw_ring, which the flow's ``FlowEstimator`` fills once per TTI.
+    """
 
     def __init__(self, tti_ms: float, wired_nd: float,
                  bw_ring: deque[float]):
         self.tti_ms = tti_ms
         self.wired_nd = wired_nd
-        self.pattern = FramePatternState()
-        self.history = FeedbackHistory()
         self.bw_ring = bw_ring
+        self.fi_est: float | None = None
+        self.last_pkt_ts: float | None = None
+        self.frame_head_ts: float | None = None
+        self.frame_bytes = 0.0
+        self.err_est = 0.0
+        self.stamps: deque[tuple[float, float]] = deque(
+            maxlen=HISTORY_CAPACITY)
         self.last_prediction: QueuePrediction | None = None
 
     def on_enqueue(self, ts: float, nbytes: int) -> None:
         """Feed one wire arrival into frame detection and error correction."""
-        p = self.pattern
-        if p.last_pkt_ts is None:
-            p.frame_head_ts = ts
-            p.frame_bytes = float(nbytes)
-        elif detect_frame_boundary(p.last_pkt_ts, ts):
-            fi_n = ts - p.frame_head_ts
-            if fi_n > 0 and p.frame_bytes > 0:
-                self._note_completed_frame(p.frame_head_ts, fi_n, p.frame_bytes)
-            p.fi_est = update_frame_interval(p.fi_est, fi_n)
-            p.frame_head_ts = ts
-            p.frame_bytes = float(nbytes)
+        if self.last_pkt_ts is None:
+            self.frame_head_ts = ts
+            self.frame_bytes = float(nbytes)
+        elif detect_frame_boundary(self.last_pkt_ts, ts):
+            head_ts = self.frame_head_ts
+            fi_n = ts - head_ts
+            if fi_n > 0 and self.frame_bytes > 0:
+                # pair the finished frame with the feedback the sender was
+                # acting on when it was encoded: stamped roughly one wired
+                # round trip earlier
+                for rate in self.rates_at((head_ts - 2.0 * self.wired_nd,)):
+                    self.err_est = update_error_correction(
+                        self.err_est, rate, self.frame_bytes / fi_n)
+            self.fi_est = update_frame_interval(self.fi_est, fi_n)
+            self.frame_head_ts = ts
+            self.frame_bytes = float(nbytes)
         else:
-            p.frame_bytes += nbytes
-        p.last_pkt_ts = ts
+            self.frame_bytes += nbytes
+        self.last_pkt_ts = ts
 
-    def _note_completed_frame(self, head_ts: float, fi_n: float,
-                              frame_bytes: float) -> None:
-        # Pair the finished frame with the feedback the sender was acting on
-        # when it was encoded: stamped roughly one wired round trip earlier.
-        entry = self.history.latest_at_or_before(
-            head_ts - 2.0 * self.wired_nd)
-        if entry is None:
-            return
-        actual_rate = frame_bytes / fi_n
-        self.history.err_est = update_error_correction(
-            self.history.err_est, entry[1], actual_rate)
+    def rates_at(self, times) -> list[float]:
+        """Guidance of the latest stamp at or before each of times, which
+        must not rise, found in one backward walk over the stamps.
+
+        The first time with no such stamp ends the list: every later time
+        is no later, so it has none either.
+        """
+        rates: list[float] = []
+        older = reversed(self.stamps)
+        stamp = next(older, None)
+        for t in times:
+            while stamp is not None and stamp[0] > t:
+                stamp = next(older, None)
+            if stamp is None:
+                break
+            rates.append(stamp[1])
+        return rates
 
     def compute(self, now: float, queue_samples) -> QueuePrediction:
         """Recompute the guidance at now from current windows."""
-        fi_est = self.pattern.fi_est
+        fi_est = self.fi_est
         fi = fi_est if fi_est else FRAME_INTERVAL_MS  # until one is seen
         n_tti = max(1, round(fi / self.tti_ms))
         mean_bw = mean_alloc_bw(self.bw_ring, n_tti)
         rlc_q_min = min_rlc_queue(queue_samples, fi, now)
         fnum = inflight_frame_count(self.wired_nd, fi)
         t_horizon = decision_horizon(self.tti_ms, fi, fnum)
-        # until the cadence is learned only the queue itself is drained
-        hist = (self.history.select(now, fi, fnum, self.wired_nd)
-                if fi_est else [])
-        pred_q = predict_queue(hist, self.history.err_est, fi, rlc_q_min,
+        # frame k of the fnum in flight, k = 0 the newest, was encoded under
+        # the latest stamp at or before now - fi * k - 2 * wired_nd; until
+        # the cadence is learned only the queue itself is drained
+        hist = self.rates_at(now - fi * k - 2.0 * self.wired_nd
+                             for k in range(fnum)) if fi_est else []
+        pred_q = predict_queue(hist, self.err_est, fi, rlc_q_min,
                                mean_bw, t_horizon) if hist else rlc_q_min
         guidance = guidance_bw(mean_bw, pred_q / fi)
         pred = QueuePrediction(ts=now, fi=fi, mean_bw=mean_bw, pred_q=pred_q,
@@ -230,5 +209,8 @@ class FlowPredictor:
         return pred
 
     def record_stamp(self, ts: float, guidance: float) -> None:
-        """Remember a guidance value actually placed on an uplink ACK."""
-        self.history.record(ts, guidance)
+        """Remember a guidance value actually placed on an uplink ACK; a
+        stamp no later than the last one is dropped."""
+        stamps = self.stamps
+        if not stamps or ts > stamps[-1][0]:
+            stamps.append((ts, guidance))

@@ -289,7 +289,7 @@ class SimWorld:
 
     def _retire(self, fr: FlowRuntime) -> None:
         """Free what only a live flow reads: the estimator with its
-        bandwidth ring, the predictor with its feedback history, the
+        bandwidth ring, the predictor with its stamp history, the
         receiver and the sender. The sender encodes no more frames, as the
         flow's last tick came before its stop; feedback still on its way is
         logged but applied to no sender. The queue's containers, its samples

@@ -176,7 +176,7 @@ def _step_drop_drain(wired_nd_ms, drain_budget_fi):
     for _ in range(n):
         w.step()
         queue.append((w.now_ms, fr.queue.queued_bytes))
-    fi = fr.predictor.pattern.fi_est or FI
+    fi = fr.predictor.fi_est or FI
     # first guidance whose estimation window is fully post-drop, applied at
     # a frame tick: that is when the post-drop guidance takes effect
     t_eff = None

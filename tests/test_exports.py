@@ -41,6 +41,28 @@ def test_every_export_is_used_by_the_package():
     assert sorted(set(ransim.__all__) - read) == []
 
 
+def test_every_import_is_read():
+    # a name a module imports but never reads is left over from code that
+    # moved; __init__.py imports to re-export, and the __future__ import
+    # binds no name
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{node.lineno} {name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in (a.asname or a.name.split(".")[0]
+                                for a in node.names)
+                   if name not in read]
+    assert unread == []
+
+
 # the estimator's PRB share is kept to detect a fault: no code in the
 # package reads it, but test_invariants.py's share-floor check does
 KEPT_FOR_CHECKS = {"prb_share"}

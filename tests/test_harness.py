@@ -336,16 +336,24 @@ class TestSweep:
         ("ran.bler=0.1", {"ran": {**base_config()["ran"], "bler": 0.1}}),
         ("controller=scone",
          {"flows": [{"controller": "scone", "wired_nd_ms": 1.0}]}),
+        # two floats that agree in 6 significant digits get two labels
+        ("ran.bler=0.1000001,0.1000002",
+         {"ran": {**base_config()["ran"], "bler": 0.1000002}}),
     ])
     def test_each_point_is_what_the_loader_builds(self, tmp_path, vary,
                                                   edited):
+        # each value is labelled as given; edited is the last point
         assert main(["sweep", str(write_scenario(tmp_path, base_config())),
                      "--vary", vary, "--out", str(tmp_path / "sweep")]) == \
             EXIT_OK
+        path, _, values = vary.partition("=")
+        labels = [f"{path}={value}" for value in values.split(",")]
+        assert sorted(d.name for d in (tmp_path / "sweep").iterdir()) == \
+            labels
         run_scenario(scenario_from_dict(base_config(**edited)),
                      tmp_path / "direct")
         for name in ("metrics.csv", "frames.csv", "events.log"):
-            assert (tmp_path / "sweep" / vary / name).read_bytes() == \
+            assert (tmp_path / "sweep" / labels[-1] / name).read_bytes() == \
                 (tmp_path / "direct" / name).read_bytes()
 
 

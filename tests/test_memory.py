@@ -20,7 +20,8 @@ from reference import ReferenceWorld
 
 import ransim
 from ransim import FlowConfig, RanConfig, SimWorld, constant_trace
-from ransim.harness import build_world, load_scenario
+from ransim.harness import Scenario, build_world, load_scenario, run_scenario
+from ransim.predictor import HISTORY_CAPACITY, FlowPredictor
 
 
 def test_retiring_flow_state_is_freed_by_reference_counting():
@@ -28,7 +29,7 @@ def test_retiring_flow_state_is_freed_by_reference_counting():
     w.add_flow(FlowConfig(flow_id=0))
     leaver = w.add_flow(FlowConfig(flow_id=1, stop_s=0.3))
     held = [leaver.estimator, leaver.predictor, leaver.estimator.bw_ring,
-            leaver.predictor.history, leaver.receiver, leaver.sender,
+            leaver.predictor.stamps, leaver.receiver, leaver.sender,
             leaver.sender.recv_window]
     refs = [weakref.ref(obj) for obj in held]
     del held
@@ -206,6 +207,31 @@ def test_predictor_histories_hold_about_what_a_read_spans():
         held = sum(map(_deep_size, (fr.estimator.bw_ring, q.samples,
                                     q.sample_nums)))
         assert held < 32 * 1024, (fid, held)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                  SCENARIOS.glob("*.json")))
+def test_stamp_history_holds_every_stamp_a_read_finds(monkeypatch, name):
+    # a stamp a read finds is in the history, so the cap changes a read only
+    # where it finds none after the oldest stamps were dropped; every miss
+    # comes before the history first fills. The deepest stamp read, counted
+    # as the stamps newer than it: 3 in single_flow and step_drop, 4 in
+    # join_leave, 5 in multi_flow_fairness and fluctuating_baselines
+    depths = []
+    rates_at = FlowPredictor.rates_at
+
+    def spy(self, times):
+        times = list(times)
+        rates = rates_at(self, times)
+        depths.extend(sum(ts > t for ts, _ in self.stamps)
+                      for t in times[:len(rates)])
+        assert len(rates) == len(times) or \
+            len(self.stamps) < HISTORY_CAPACITY
+        return rates
+    monkeypatch.setattr(FlowPredictor, "rates_at", spy)
+    scn = load_scenario(SCENARIOS / f"{name}.json")
+    run_scenario(Scenario(**{**vars(scn), "log_level": "frames"}))
+    assert max(depths) < HISTORY_CAPACITY
 
 
 def test_run_retains_three_columns_per_frame():

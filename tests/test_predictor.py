@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ransim.predictor import (HISTORY_CAPACITY, FeedbackHistory,
-                              FlowPredictor, decision_horizon,
+from ransim.predictor import (HISTORY_CAPACITY, FlowPredictor,
+                              decision_horizon,
                               detect_frame_boundary, guidance_bw,
                               inflight_frame_count, mean_alloc_bw,
                               min_rlc_queue, predict_queue,
@@ -77,11 +77,20 @@ class TestHorizon:
         assert decision_horizon(1.0, 16.6, 3) == pytest.approx(50.8)
 
 
+def _stamped(*stamps):
+    """A predictor holding the given (ts, guidance) stamps."""
+    p = FlowPredictor(tti_ms=0.5, wired_nd=10.0, bw_ring=[])
+    for ts, guidance in stamps:
+        p.record_stamp(ts, guidance)
+    return p
+
+
 class TestHistoryWindow:
     def test_single_entry_inside_selected(self):
-        h = FeedbackHistory()
-        h.record(950.0, 1700.0)
-        assert h.select(1000, 16.6, 2, 10) == [1700.0, 1700.0]
+        # the times of both in-flight frames (now=1000, fi=16.6, wired=10)
+        # come after the one stamp
+        assert _stamped((950.0, 1700.0)).rates_at([980.0, 963.4]) == \
+            [1700.0, 1700.0]
 
 
 class TestMinRlcQueue:
@@ -175,35 +184,44 @@ class TestGuidance:
 
 class TestHistorySelection:
     def test_one_entry_per_inflight_frame(self):
-        h = FeedbackHistory()
-        for ts, bw in [(900, 1000.0), (920, 1100.0), (940, 1200.0),
-                       (960, 1300.0), (980, 1400.0)]:
-            h.record(ts, bw)
-        # fnum=2, fi=16.6, wired=10: windows [946.8,963.4] and [963.4,980.0]
-        rates = h.select(1000, 16.6, 2, 10)
-        assert rates == [1400.0, 1300.0]
+        p = _stamped((900, 1000.0), (920, 1100.0), (940, 1200.0),
+                     (960, 1300.0), (980, 1400.0))
+        # fnum=2, fi=16.6, wired=10 at now=1000: the two frames in flight
+        # read the latest stamps at or before 980.0 and 963.4
+        assert p.rates_at([980.0, 963.4]) == [1400.0, 1300.0]
 
     def test_fallback_to_nearest_below(self):
-        h = FeedbackHistory()
-        h.record(700, 900.0)
-        rates = h.select(1000, 16.6, 3, 10)
-        assert rates == [900.0, 900.0, 900.0]
+        p = _stamped((700, 900.0))
+        assert p.rates_at([980.0, 963.4, 946.8]) == [900.0, 900.0, 900.0]
 
     def test_empty_history(self):
-        assert FeedbackHistory().select(1000, 16.6, 2, 10) == []
+        assert _stamped().rates_at([980.0, 963.4]) == []
+
+    @given(st.lists(st.tuples(st.floats(0, 1000), st.floats(0, 4000)),
+                    max_size=30),
+           st.lists(st.floats(-50, 1050), max_size=8))
+    def test_one_walk_equals_a_lookup_per_time(self, stamps, times):
+        # each time gets the latest stamp at or before it, searched alone;
+        # the list stops at the first time that has none
+        p = _stamped(*sorted(stamps))
+        times.sort(reverse=True)
+        expected = []
+        for t in times:
+            found = [g for ts, g in p.stamps if ts <= t]
+            if not found:
+                break
+            expected.append(found[-1])
+        assert p.rates_at(times) == expected
 
     def test_duplicate_timestamps_ignored(self):
-        h = FeedbackHistory()
-        h.record(10.0, 1.0)
-        h.record(10.0, 2.0)
-        assert list(h.entries) == [(10.0, 1.0)]
+        p = _stamped((10.0, 1.0), (10.0, 2.0), (9.0, 3.0))
+        assert list(p.stamps) == [(10.0, 1.0)]
 
     def test_ring_bounded(self):
-        h = FeedbackHistory()
-        for i in range(HISTORY_CAPACITY + 100):
-            h.record(float(i), float(i))
-        assert len(h.entries) == HISTORY_CAPACITY
-        assert h.entries[0][0] == 100.0
+        p = _stamped(*((float(i), float(i))
+                       for i in range(HISTORY_CAPACITY + 100)))
+        assert len(p.stamps) == HISTORY_CAPACITY
+        assert p.stamps[0][0] == 100.0
 
 
 def _monolithic_transcription(fi_prev, fi_new, alpha, bw_samples, tti_ms,
@@ -234,7 +252,7 @@ def _monolithic_transcription(fi_prev, fi_new, alpha, bw_samples, tti_ms,
 
 
 class TestPipelineEquivalence:
-    """The composed stage functions match a monolithic transcription."""
+    """FlowPredictor.compute matches a monolithic transcription."""
 
     @given(st.floats(10, 30), st.floats(10, 30),
            st.lists(st.floats(0, 4000), min_size=1, max_size=80),
@@ -245,23 +263,18 @@ class TestPipelineEquivalence:
     def test_composed_equals_monolith(self, fi_prev, fi_new, bw, wired, err,
                                       rlc, hist_entries):
         tti_ms, eta, alpha, now = 0.5, 0.95, 0.8, 1000.0
-        history = FeedbackHistory()
+        p = FlowPredictor(tti_ms, wired, bw)
         for ts, rate in sorted(hist_entries):
-            history.record(ts, rate)
-        history.err_est = err
-
-        fi = update_frame_interval(fi_prev, fi_new)
-        n_tti = max(1, round(fi / tti_ms))
-        mean_bw = mean_alloc_bw(bw, n_tti)
-        fnum = inflight_frame_count(wired, fi)
-        t_horizon = decision_horizon(tti_ms, fi, fnum)
-        rates = history.select(now, fi, fnum, wired)
-        pred_q = predict_queue(rates, err, fi, rlc, mean_bw, t_horizon)
-        composed = guidance_bw(mean_bw, pred_q / fi)
+            p.record_stamp(ts, rate)
+        p.err_est = err
+        p.fi_est = update_frame_interval(fi_prev, fi_new)
+        # no stamp is later than the oldest in-flight frame's time, so each
+        # frame reads one; the queue's one sample is its minimum
+        composed = p.compute(now, [(now, rlc)]).guidance
 
         mono = _monolithic_transcription(
             fi_prev, fi_new, alpha, bw, tti_ms, wired, now,
-            list(history.entries), err, rlc, eta)
+            list(p.stamps), err, rlc, eta)
         assert composed == pytest.approx(mono, rel=1e-12, abs=1e-9)
 
 
@@ -273,7 +286,7 @@ class TestFlowPredictorStateMachine:
             start = frame * 16.6
             for k in range(4):
                 p.on_enqueue(start + 0.3 * k, 1400)
-        assert p.pattern.fi_est == pytest.approx(16.6, abs=1e-9)
+        assert p.fi_est == pytest.approx(16.6, abs=1e-9)
 
     def test_warm_up_guidance_is_capacity_only(self):
         p = FlowPredictor(tti_ms=0.5, wired_nd=0.0, bw_ring=[2000.0] * 40)

@@ -370,7 +370,7 @@ class TestInjectedPacketPath:
         w.run(0.1)
         assert queued[49.5] == ([], 0)
         assert queued[50.0] == ([(fid, 500)], 500)
-        assert fr.predictor.pattern.last_pkt_ts == 10.0
+        assert fr.predictor.last_pkt_ts == 10.0
         enq, = [r for r in events(w) if r.event == "enqueue"]
         assert (enq.time_ms, enq.nbytes) == (10.0, 500)
         assert decode_time(w, 0, fid) == 50.5
