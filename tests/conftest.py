@@ -12,6 +12,7 @@ from ransim import (FlowConfig, RanConfig, SimWorld, VideoFrame,
                     compute_metrics, constant_trace)
 from ransim.eventlog import HEADER
 from ransim.metrics import WARMUP_EXCLUDE_MS
+from ransim.predictor import ETA
 from ransim.sender import BaseSender
 
 
@@ -124,6 +125,85 @@ def metrics_inputs(monkeypatch):
     monkeypatch.setattr(ransim.harness, "compute_metrics", spy)
     monkeypatch.setattr(ransim.metrics, "compute_metrics", spy)
     return calls
+
+
+class CheckedWorld(SimWorld):
+    """Checks conservation and the live invariants after every TTI, and
+    each estimated share as soon as it is estimated. Counts the TTIs that
+    carried blocks and the predictions checked, for a run's liveness."""
+
+    _retired = frozenset()  # ids of the flows that joined and left the list
+    tx_ttis = predictions = 0
+
+    def _estimate_and_predict(self, t0, present):
+        super()._estimate_and_predict(t0, present)
+        # the estimator keeps the registered floor once it has a grant
+        # window; checked before the step ends, as a flow that leaves in it
+        # would raise the floor
+        floor = self.ran.prb_total / max(1, len(present))
+        for fr in present:
+            est = fr.estimator
+            assert est is None or not est._uprb or est.prb_share >= floor
+
+    def _transmit(self, fr, block, is_retx, t0, t1, uprb):
+        self._granted += uprb
+        super()._transmit(fr, block, is_retx, t0, t1, uprb)
+
+    def step(self) -> None:
+        self._granted = 0
+        super().step()
+        assert self._granted <= self.ran.prb_total
+        self.tx_ttis += self._granted > 0
+        self.assert_conservation()
+        now = self.now_ms
+        flows = [fr for _, fr in sorted(self.flows.items())]
+        live = {fr.cfg.flow_id for fr in self._live}
+        retired = {fid for fid, fr in self.flows.items()
+                   if fr.start_ms <= now} - live
+        assert self._retired <= retired
+        self._retired = retired
+        assert all(fr.cfg.flow_id in live
+                   for fr in flows if fr.present(now))
+        # the present flows, whose fast path trusts the live list
+        assert self._present(now) == [fr for fr in flows if fr.present(now)]
+        cell = self.cell
+        assert cell._long_sum <= len(cell._long)
+        assert cell._short_retx <= cell._short_data
+        assert cell._usage_prb <= self.ran.prb_total * len(cell._usage)
+        assert cell._usage_active <= len(flows) * len(cell._usage)
+        for fr in flows:
+            if fr.queue is None:
+                # a flow is built at its start or its first tick, so one
+                # not built yet has not started and holds nothing
+                assert fr.start_ms > now and not fr.lane and \
+                    not fr.encode_ms and fr.sender is None
+                continue
+            # a lane is in (ts, pkt) order, and its flow is live while it
+            # holds packets
+            lane = list(fr.lane)
+            assert lane == sorted(lane)
+            assert not lane or fr.cfg.flow_id in live
+            q = fr.queue
+            assert q.queued_bytes >= 0
+            assert all(b.rtx_count <= self.ran.harq_max_rtx
+                       and b.overhead_bytes < b.bytes
+                       for b in q.harq_pending)
+            if fr.cfg.flow_id in retired:
+                # a retired flow has freed what only a live flow reads
+                assert fr.estimator is fr.predictor is fr.receiver is \
+                    fr.sender is None
+                assert not q.samples
+                continue
+            # a flow holds the parts its controller reads, and no other
+            est, predictor = fr.estimator, fr.predictor
+            assert (est is None) == (fr.cfg.controller == "oracle")
+            assert (predictor is None) == (fr.cfg.controller != "choir")
+            if est is not None and est._blocks:
+                assert 0.0 < est._gamma_sum <= len(est._blocks)
+            pred = predictor and predictor.last_prediction
+            if pred is not None:
+                assert 0.0 <= pred.guidance <= ETA * pred.mean_bw + 1e-9
+                self.predictions += 1
 
 
 def logged_world(ran, *, seed=0, log_level="full", world_cls=SimWorld):

@@ -64,7 +64,7 @@ def test_every_import_is_read():
 
 
 # the estimator's PRB share is kept to detect a fault: no code in the
-# package reads it, but test_invariants.py's share-floor check does
+# package reads it, but the checked world's share-floor check does
 KEPT_FOR_CHECKS = {"prb_share"}
 
 

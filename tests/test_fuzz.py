@@ -10,14 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import log_text, logged_world
+from conftest import CheckedWorld, log_text, logged_world
 from reference import ReferenceWorld
 
 from ransim import SimWorld
 from ransim.harness import (ScenarioError, report_run_dir, scenario_from_dict,
                             write_frames_csv, write_metrics_csv)
 from ransim.metrics import compute_metrics
-from ransim.predictor import ETA
 
 DURATION_S = 1.0
 WARMUP_MS = 200.0
@@ -27,63 +26,6 @@ ROOT = Path(__file__).resolve().parent.parent
 WIRE_LEAVER = json.loads((ROOT / "scenarios" / "join_leave.json").read_text())
 WIRE_LEAVER["flows"].append({"controller": "choir", "wired_nd_ms": 20.0,
                              "start_s": 0.4, "stop_s": 1.3})
-
-
-class _CheckedWorld(SimWorld):
-    """Checks conservation and the live invariants after every TTI."""
-
-    _retired = frozenset()  # ids of the flows that joined and left the list
-
-    def step(self) -> None:
-        super().step()
-        self.assert_conservation()
-        now = self.now_ms
-        flows = [fr for _, fr in sorted(self.flows.items())]
-        live = {fr.cfg.flow_id for fr in self._live}
-        retired = {fid for fid, fr in self.flows.items()
-                   if fr.start_ms <= now} - live
-        assert self._retired <= retired
-        self._retired = retired
-        assert all(fr.cfg.flow_id in live
-                   for fr in flows if fr.present(now))
-        # the present flows, whose fast path trusts the live list
-        assert self._present(now) == [fr for fr in flows if fr.present(now)]
-        cell = self.cell
-        assert cell._long_sum <= len(cell._long)
-        assert cell._short_retx <= cell._short_data
-        assert cell._usage_prb <= self.ran.prb_total * len(cell._usage)
-        for fr in flows:
-            if fr.queue is None:
-                # a flow is built at its start or its first tick, so one
-                # not built yet has not started and holds nothing
-                assert fr.start_ms > now and not fr.lane and \
-                    not fr.encode_ms and fr.sender is None
-                continue
-            # a lane is in (ts, pkt) order, and its flow is live while it
-            # holds packets
-            lane = list(fr.lane)
-            assert lane == sorted(lane)
-            assert not lane or fr.cfg.flow_id in live
-            q = fr.queue
-            assert q.queued_bytes >= 0
-            assert all(b.rtx_count <= self.ran.harq_max_rtx
-                       for b in q.harq_pending)
-            if fr.cfg.flow_id in retired:
-                # a retired flow has freed what only a live flow reads
-                assert fr.estimator is fr.predictor is fr.receiver is \
-                    fr.sender is None
-                assert not q.samples
-                continue
-            # a flow holds the parts its controller reads, and no other
-            est, predictor = fr.estimator, fr.predictor
-            assert (est is None) == (fr.cfg.controller == "oracle")
-            assert (predictor is None) == (fr.cfg.controller != "choir")
-            if est is not None and est._blocks:
-                assert 0.0 < est._gamma_sum <= len(est._blocks)
-            pred = predictor and predictor.last_prediction
-            if pred is not None:
-                assert 0.0 <= pred.guidance <= \
-                    ETA * pred.mean_bw + 1e-9
 
 
 _FLOW = st.fixed_dictionaries({
@@ -119,7 +61,7 @@ _SCENARIO = st.fixed_dictionaries({
 })
 
 
-def _run(cfg, out: Path, world_cls=_CheckedWorld) -> dict[str, bytes]:
+def _run(cfg, out: Path, world_cls=CheckedWorld) -> dict[str, bytes]:
     scn = scenario_from_dict(cfg)
     world = logged_world(scn.ran, seed=scn.seed, log_level=scn.log_level,
                          world_cls=world_cls)

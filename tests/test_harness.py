@@ -41,6 +41,83 @@ def write_scenario(tmp_path, cfg, name="scn.json"):
     return p
 
 
+# each edit of base_config() that the loader rejects, and its exact message;
+# an edit changes the config in place, or returns a new root
+REJECTIONS = {
+    "root": (lambda cfg: [], "scenario root must be a JSON object"),
+    "ran": (lambda cfg: cfg.update(ran=5), "ran must be a JSON object"),
+    "ran.trace": (lambda cfg: cfg["ran"].update(trace=5),
+                  "ran.trace must be a JSON object"),
+    "flow": (lambda cfg: cfg.update(flows=[5]),
+             "flows[0] must be a JSON object"),
+    "missing": (lambda cfg: cfg["ran"]["trace"].pop("bytes_per_prb") and None,
+                "ran.trace: missing required key 'bytes_per_prb'"),
+    "missing_duration": (lambda cfg: cfg.pop("duration_s") and None,
+                         "scenario: missing required key 'duration_s'"),
+    "null": (lambda cfg: cfg["flows"][0].update(wired_nd_ms=None),
+             "flows[0]: wired_nd_ms must be a number, got None"),
+    "unknown_controller": (
+        lambda cfg: cfg["flows"][0].update(controller="bbr"),
+        "flows[0]: unknown controller 'bbr'; "
+        "expected one of ['choir', 'oracle', 'scone']"),
+    "controller": (lambda cfg: cfg["flows"][0].update(controller=5),
+                   "flows[0]: unknown controller 5; "
+                   "expected one of ['choir', 'oracle', 'scone']"),
+    "controller_list": (
+        lambda cfg: cfg["flows"][0].update(controller=["choir"]),
+        "flows[0]: unknown controller ['choir']; "
+        "expected one of ['choir', 'oracle', 'scone']"),
+    "unknown_encoder": (
+        lambda cfg: cfg["flows"].append({"controller": "scone",
+                                         "encoder": "rmap"}),
+        "flows[1]: unknown encoder 'rmap'"),
+    "log_level": (lambda cfg: cfg.update(log_level="x"),
+                  "log_level must be 'frames' or 'full', got 'x'"),
+    "duplicate_ids": (
+        lambda cfg: cfg.update(flows=[{"controller": "choir", "flow_id": 3},
+                                      {"controller": "scone", "flow_id": 3}]),
+        "duplicate flow_id in flows"),
+    "no_flows": (lambda cfg: cfg.update(flows=[]),
+                 "flows must be a non-empty list"),
+    "nonpositive_duration": (lambda cfg: cfg.update(duration_s=0),
+                             "duration_s must be positive and finite"),
+    # a flow that never starts: run wrote an all-nan row for it, which
+    # report, finding no line of it in the log, left out
+    "never_starts": (lambda cfg: cfg["flows"].append({"start_s": 3.0}),
+                     "flows[1]: start_s must be before duration_s, got 3.0"),
+    "misspelled_key": (
+        lambda cfg: cfg["ran"].update(blerr=0.3),
+        "ran: unknown key 'blerr'; expected one of ['bler', 'harq_max_rtx', "
+        "'harq_rtx_delay_ms', 'prb_total', 'tdd_pattern', 'trace', 'tti_ms']"),
+    "bad_ran_value": (lambda cfg: cfg["ran"].update(bler=1.5),
+                      "ran: bler must lie in [0, 1)"),
+    "non_string_tdd_pattern": (
+        lambda cfg: cfg["ran"].update(tdd_pattern=5),
+        "ran: tdd_pattern must be a string such as 'DDDSU', got 5"),
+    "trace_kind": (lambda cfg: cfg["ran"]["trace"].update(kind="sawtooth"),
+                   "ran.trace: unknown kind 'sawtooth'"),
+    "kind_list": (lambda cfg: cfg["ran"]["trace"].update(kind=["constant"]),
+                  "ran.trace: unknown kind ['constant']"),
+    "interval_ttis": (
+        lambda cfg: cfg["ran"].update(trace={
+            "kind": "random_walk", "low": 20.0, "high": 40.0,
+            "interval_ttis": 0}),
+        "ran.trace: interval_ttis must be at least 1"),
+    # the sender's deque(maxlen=epsilon - 1) would fail only at the start
+    "epsilon": (lambda cfg: cfg["flows"][0].update(epsilon=0),
+                "flows[0]: epsilon must be at least 1"),
+    # the sender's history would grow by one bitrate a frame, each summed by
+    # every later frame
+    "huge_epsilon": (lambda cfg: cfg["flows"][0].update(epsilon=1e9),
+                     "flows[0]: epsilon must be at most 600, got 1000000000"),
+    # the first frame would be split into about 1.5e9 packets
+    "initial_bitrate": (
+        lambda cfg: cfg["flows"][0].update(initial_bitrate_mbps=1e9),
+        "flows[0].initial_bitrate_mbps must be at most 480, 10 times the "
+        "cell's peak rate, got 1000000000.0"),
+}
+
+
 class TestScenarioValidation:
     def test_minimal_valid(self):
         scn = scenario_from_dict(base_config())
@@ -53,51 +130,18 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="^duration_s must be "):
             Scenario(scn.ran, scn.flows, duration_s)
 
-    def test_unknown_controller(self):
-        cfg = base_config()
-        cfg["flows"][0]["controller"] = "bbr"
-        with pytest.raises(ScenarioError, match="unknown controller"):
-            scenario_from_dict(cfg)
-
-    def test_unknown_encoder(self):
-        cfg = base_config()
-        cfg["flows"].append({"controller": "scone", "encoder": "rmap"})
-        with pytest.raises(ScenarioError, match=re.escape(
-                "flows[1]: unknown encoder 'rmap'")):
-            scenario_from_dict(cfg)
-
-    def test_missing_duration(self):
-        cfg = base_config()
-        del cfg["duration_s"]
-        with pytest.raises(ScenarioError, match="duration_s"):
-            scenario_from_dict(cfg)
-
-    def test_nonpositive_duration(self):
-        with pytest.raises(ScenarioError, match="positive"):
-            scenario_from_dict(base_config(duration_s=0))
-
+    # the Python API rejects what the loader's table cases reject
     def test_empty_flows(self):
-        with pytest.raises(ScenarioError):
-            scenario_from_dict(base_config(flows=[]))
+        scn = scenario_from_dict(base_config())
+        with pytest.raises(ScenarioError,
+                           match="^flows must be a non-empty list$"):
+            Scenario(scn.ran, [], scn.duration_s)
 
     def test_duplicate_flow_ids(self):
-        cfg = base_config()
-        cfg["flows"] = [{"controller": "choir", "flow_id": 3},
-                        {"controller": "scone", "flow_id": 3}]
-        with pytest.raises(ScenarioError, match="duplicate"):
-            scenario_from_dict(cfg)
-
-    def test_unknown_trace_kind(self):
-        cfg = base_config()
-        cfg["ran"]["trace"] = {"kind": "sawtooth"}
-        with pytest.raises(ScenarioError, match="unknown kind"):
-            scenario_from_dict(cfg)
-
-    def test_bad_ran_values(self):
-        cfg = base_config()
-        cfg["ran"]["bler"] = 1.5
-        with pytest.raises(ScenarioError, match="ran"):
-            scenario_from_dict(cfg)
+        scn = scenario_from_dict(base_config())
+        with pytest.raises(ScenarioError,
+                           match="^duplicate flow_id in flows$"):
+            Scenario(scn.ran, scn.flows * 2, scn.duration_s)
 
     def test_missing_trace_file(self, tmp_path):
         cfg = base_config(trace_path=str(tmp_path / "absent.csv"))
@@ -195,28 +239,9 @@ class TestScenarioValidation:
         assert scn.ran.prb_total == 273
         assert scn.ran.schedule.breakpoints == ((0, 1244.0),)
 
-    @pytest.mark.parametrize("edit,message", [
-        (lambda cfg: [], "scenario root must be a JSON object"),
-        (lambda cfg: cfg.update(ran=5), "ran must be a JSON object"),
-        (lambda cfg: cfg["ran"].update(trace=5),
-         "ran.trace must be a JSON object"),
-        (lambda cfg: cfg.update(flows=[5]), "flows[0] must be a JSON object"),
-        (lambda cfg: cfg["ran"]["trace"].pop("bytes_per_prb") and None,
-         "ran.trace: missing required key 'bytes_per_prb'"),
-        (lambda cfg: cfg["flows"][0].update(wired_nd_ms=None),
-         "flows[0]: wired_nd_ms must be a number, got None"),
-        (lambda cfg: cfg["flows"][0].update(controller=5),
-         "flows[0]: unknown controller 5; "
-         "expected one of ['choir', 'oracle', 'scone']"),
-        (lambda cfg: cfg.update(log_level="x"),
-         "log_level must be 'frames' or 'full', got 'x'"),
-        (lambda cfg: cfg.update(flows=[{"flow_id": 3}, {"flow_id": 3}]),
-         "duplicate flow_id in flows"),
-        (lambda cfg: cfg.update(flows=[]), "flows must be a non-empty list"),
-    ], ids=["root", "ran", "ran.trace", "flow", "missing", "null",
-            "controller", "log_level", "duplicate_ids", "no_flows"])
+    @pytest.mark.parametrize("edit,message", REJECTIONS.values(),
+                             ids=REJECTIONS)
     def test_message_of_each_rejection(self, edit, message):
-        # an edit changes the config in place, or returns a new root
         cfg = base_config()
         edited = edit(cfg)
         with pytest.raises(ScenarioError) as exc:
@@ -378,34 +403,6 @@ class TestCli:
         assert "nan" in printed
         assert printed.encode() == (out / "metrics.csv").read_bytes()
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
-        cfg = base_config()
-        cfg["flows"][0]["controller"] = "bbr"
-        p = write_scenario(tmp_path, cfg)
-        assert main(["run", str(p)]) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
-
-    def test_misspelled_key_exit_code(self, tmp_path, capsys):
-        cfg = base_config()
-        cfg["ran"]["blerr"] = 0.3
-        p = write_scenario(tmp_path, cfg)
-        assert main(["run", str(p)]) == EXIT_CONFIG
-        assert "ran: unknown key 'blerr'" in capsys.readouterr().err
-
-    def test_unknown_encoder_exit_code(self, tmp_path, capsys):
-        cfg = base_config()
-        cfg["flows"][0]["encoder"] = "rmap"
-        p = write_scenario(tmp_path, cfg)
-        assert main(["run", str(p)]) == EXIT_CONFIG
-        assert "flows[0]: unknown encoder 'rmap'" in capsys.readouterr().err
-
-    def test_non_string_tdd_pattern_exit_code(self, tmp_path, capsys):
-        cfg = base_config()
-        cfg["ran"]["tdd_pattern"] = 5
-        p = write_scenario(tmp_path, cfg)
-        assert main(["run", str(p)]) == EXIT_CONFIG
-        assert "ran: tdd_pattern must be a string" in capsys.readouterr().err
-
     @pytest.mark.parametrize("row", ["100,nan", "0,inf"])
     def test_non_finite_trace_value_exit_code(self, tmp_path, capsys, row):
         # rejected at load time, not as a runtime error half way through
@@ -434,38 +431,13 @@ class TestCli:
             f"config error: {trace}: not UTF-8: 'utf-8' codec can't decode "
             f"byte 0xff")
 
-    @pytest.mark.parametrize("edit,message", [
-        # a flow that never starts: run wrote an all-nan row for it, which
-        # report, finding no line of it in the log, left out
-        (lambda cfg: cfg["flows"].append({"start_s": 3.0}),
-         "flows[1]: start_s must be before duration_s, got 3.0"),
-        (lambda cfg: cfg["ran"].update(trace={
-            "kind": "random_walk", "low": 20.0, "high": 40.0,
-            "interval_ttis": 0}),
-         "ran.trace: interval_ttis must be at least 1"),
-        (lambda cfg: cfg["ran"]["trace"].update(kind=["constant"]),
-         "ran.trace: unknown kind ['constant']"),
-        (lambda cfg: cfg["flows"][0].update(controller=["choir"]),
-         "flows[0]: unknown controller ['choir']; "
-         "expected one of ['choir', 'oracle', 'scone']"),
-        # the sender's deque(maxlen=epsilon - 1) would fail only at the start
-        (lambda cfg: cfg["flows"][0].update(epsilon=0),
-         "flows[0]: epsilon must be at least 1"),
-        # the sender's history would grow by one bitrate a frame, each
-        # summed by every later frame
-        (lambda cfg: cfg["flows"][0].update(epsilon=1e9),
-         "flows[0]: epsilon must be at most 600, got 1000000000"),
-        # the first frame would be split into about 1.5e9 packets
-        (lambda cfg: cfg["flows"][0].update(initial_bitrate_mbps=1e9),
-         "flows[0].initial_bitrate_mbps must be at most 480, 10 times the "
-         "cell's peak rate, got 1000000000.0"),
-    ], ids=["never_starts", "interval_ttis", "kind_list", "controller_list",
-            "epsilon", "huge_epsilon", "initial_bitrate"])
+    @pytest.mark.parametrize("edit,message", REJECTIONS.values(),
+                             ids=REJECTIONS)
     def test_rejected_at_load_exit_code(self, tmp_path, capsys, edit,
                                         message):
         cfg = base_config()
-        edit(cfg)
-        p = write_scenario(tmp_path, cfg)
+        edited = edit(cfg)
+        p = write_scenario(tmp_path, cfg if edited is None else edited)
         assert main(["run", str(p), "--out", str(tmp_path / "out")]) == \
             EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"

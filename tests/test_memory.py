@@ -147,22 +147,29 @@ print(tracemalloc.get_traced_memory()[1],
 """
 
 
-def _fresh(code: str, *args: str) -> list[int]:
-    """The integers code prints, run in a fresh interpreter: the free lists
-    a test session leaves behind would shift a traced peak."""
+def _fresh(code: str, *runs: tuple[str, ...]) -> list[list[int]]:
+    """The integers code prints with each run's arguments, each run in a
+    fresh interpreter: the free lists a test session leaves behind would
+    shift a traced peak. The runs go at the same time."""
     src = str(Path(ransim.__file__).resolve().parent.parent)
-    out = subprocess.run(
+    procs = [subprocess.Popen(
         [sys.executable, "-c", code, *args],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, check=True).stdout
-    return [int(v) for v in out.split()]
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        text=True) for args in runs]
+    try:
+        outs = [proc.communicate(timeout=300)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op on a run that has exited
+    assert [proc.returncode for proc in procs] == [0] * len(procs)
+    return [[int(v) for v in out.split()] for out in outs]
 
 
 def test_short_stays_peak_like_long_stays():
     # the same 64 flow-seconds, 8 flows at a time: 8 flows staying 8 s
     # against 64 flows staying 1 s, 56 of which have retired at the end
-    long_stay, long_frames = _fresh(_TRACED_RUN, "8", "8.0")
-    short_stay, short_frames = _fresh(_TRACED_RUN, "64", "1.0")
+    (long_stay, long_frames), (short_stay, short_frames) = _fresh(
+        _TRACED_RUN, ("8", "8.0"), ("64", "1.0"))
     assert abs(short_frames - long_frames) < 64  # under one frame a flow
     assert short_stay <= 1.1 * long_stay, (short_stay, long_stay)
 
@@ -240,14 +247,8 @@ def test_run_retains_three_columns_per_frame():
     # Python 3.11.7): 30 B per frame from 4 s to 8 s, where a VideoFrame
     # apiece kept 221 B. The metrics keep four floats per flow and the Jain
     # index, nothing per frame: 3,520 B at 4 s and at 8 s
-    src = str(Path(ransim.__file__).resolve().parent.parent)
-    runs = [subprocess.Popen(
-        [sys.executable, "-c", _RETAINED_RUN, str(FAIRNESS), seconds],
-        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
-        text=True) for seconds in ("4", "8")]
-    (short, short_frames, short_kept), (long, long_frames, long_kept) = [
-        map(int, run.communicate()[0].split()) for run in runs]
-    assert all(run.returncode == 0 for run in runs)
+    (short, short_frames, short_kept), (long, long_frames, long_kept) = \
+        _fresh(_RETAINED_RUN, (str(FAIRNESS), "4"), (str(FAIRNESS), "8"))
     assert long_frames > 1.9 * short_frames > 3000
     per_frame = (long - short) / (long_frames - short_frames)
     assert per_frame < 60, per_frame
@@ -278,8 +279,7 @@ def test_out_dir_holds_no_log_text(tmp_path):
     # that keeps none. Measured (2 vCPU, Python 3.11.7): 279 KB with an out
     # dir against 249 KB without; holding 4,096 lines between writes
     # peaked at 1,046 KB
-    without, with_out = _fresh(_OUT_DIR_RUN,
-                               str(SCENARIOS / "fluctuating_baselines.json"),
-                               str(tmp_path))
+    [(without, with_out)] = _fresh(_OUT_DIR_RUN, (
+        str(SCENARIOS / "fluctuating_baselines.json"), str(tmp_path)))
     assert with_out <= without + 128 * 1024, (without, with_out)
     assert (tmp_path / "events.log").stat().st_size > 1024 * 1024
